@@ -1,6 +1,6 @@
 """Solve the guidance potential for a scene and render descent directions.
 
-Prints solver diagnostics (sweeps, residual) and drops an SVG with the
+Prints solver diagnostics (conjugate-gradient iterations, residual) and drops an SVG with the
 obstacle boundary, the gradient arrows and the descent path from the start.
 """
 
@@ -19,7 +19,7 @@ def main():
     sc = load_scenario(pathlib.Path(__file__).parents[1] / "scenarios" / "comparison.json")
     state = netloop.prepare(sc)
     pot = state.potential
-    print("grid %dx%d, %d relaxation sweeps, residual %.2e, converged=%s"
+    print("grid %dx%d, %d conjugate-gradient iterations, residual %.2e, converged=%s"
           % (sc.width, sc.height, pot.sweeps, pot.residual, pot.converged))
 
     free = state.boundary.labels == hpf.FREE

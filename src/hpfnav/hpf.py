@@ -2,6 +2,8 @@
 
 The free region gets a discrete Laplace solution with Dirichlet data:
 obstacle and frame cells are pinned at potential 1, the target cell at 0.
+`relax` solves the 5-point system on the free cells by matrix-free
+conjugate gradients (Hestenes & Stiefel 1952), in numpy alone.
 Because harmonic functions take their extrema on the boundary, the interior
 has no local minima, so following the negative gradient from any free cell
 connected to the target always runs downhill to it.  Free components with no
@@ -54,7 +56,7 @@ class PotentialField:
     """Solved potential plus solver diagnostics."""
 
     phi: np.ndarray
-    sweeps: int
+    sweeps: int        # solver iterations, one stencil pass each
     residual: float
     converged: bool
 
@@ -112,25 +114,30 @@ def build_boundary(edges, target, dilation: int = 1) -> BoundaryGrid:
 
 def relax(
     boundary: BoundaryGrid,
-    omega_sor: float = 1.8,
+    *,
     tolerance: float = 1e-10,
     max_sweeps: int | None = None,
     initial: np.ndarray | None = None,
 ) -> PotentialField:
-    """Solve the Dirichlet problem by red-black SOR.
+    """Solve the Dirichlet problem by conjugate gradients.
 
-    Fixed cells hold 1 (obstacles) or 0 (target); each sweep applies
-    phi <- phi + omega * (mean of 4 neighbors - phi) to the free cells,
-    first on one checkerboard color, then the other.  Free cells start at 1
-    (or at `initial` for warm starts), so a free component that contains no
-    target never moves off the constant 1 and comes out exactly flat.
+    The unknowns are the free cells; fixed cells hold 1 (obstacles) or 0
+    (target) and enter only through the residual
+    r = (sum of 4 neighbors) - 4 * phi, which is the 5-point Laplacian and
+    symmetric positive definite on the free cells because the obstacle frame
+    closes every component.  The residual and the search direction are kept
+    at zero on fixed cells, so fixed values never move.  Free cells start at
+    1 (or at `initial` for warm starts); a free component that contains no
+    target then starts with a residual of exactly 0, never moves and comes
+    out exactly flat.
 
     Stops when the residual max|mean4 - phi| over free cells drops to
-    `tolerance`, or after `max_sweeps` (default 20 * max(side)) sweeps;
-    hitting the cap is reported via `converged`, it is not an error.
+    `tolerance`, or after `max_sweeps` (default 20 * max(side)) iterations
+    of one stencil pass each; hitting the cap is reported via `converged`,
+    it is not an error.  The test is made on the true residual, recomputed
+    from phi whenever the recurrence says the tolerance is met; the
+    reported residual is the true one too.
     """
-    if not 0 < omega_sor < 2:
-        raise ValueError("omega_sor must lie in (0, 2)")
     labels = boundary.labels
     n, m = labels.shape
     if max_sweeps is None:
@@ -142,35 +149,57 @@ def relax(
         phi[free] = np.asarray(initial, dtype=float)[free]
     phi[labels == TARGET] = 0.0
 
-    core = (slice(1, -1), slice(1, -1))
-    yy, xx = np.mgrid[1 : n - 1, 1 : m - 1]
-    parity = (xx + yy) % 2 == 0
-    free_core = free[core]
-    red = (parity & free_core) * omega_sor
-    black = (~parity & free_core) * omega_sor
+    # Flat indexing: the 4 neighbors of cell i are i -+ 1 and i -+ m.  The
+    # frame is never free, so rows 1 .. n-2 (flat span lo:hi) hold every
+    # unknown; the frame columns inside that span are masked like any other
+    # fixed cell.  The search direction p spans the whole grid so that its
+    # neighbors can be read, and stays zero outside the free cells.
+    x = phi.reshape(-1)
+    lo, hi = m, max(m, (n - 1) * m)
+    mask = free.reshape(-1)[lo:hi].astype(float)
 
-    def neighbor_mean():
-        s = phi[:-2, 1:-1] + phi[2:, 1:-1]
-        s += phi[1:-1, :-2]
-        s += phi[1:-1, 2:]
-        s *= 0.25
-        return s
+    def laplacian(u, out):
+        """out <- sum of 4 neighbors - 4 u on the free cells, 0 elsewhere."""
+        np.add(u[lo - 1 : hi - 1], u[lo + 1 : hi + 1], out=out)
+        out += u[lo - m : hi - m]
+        out += u[lo + m : hi + m]
+        out -= 4.0 * u[lo:hi]
+        out *= mask
+        return out
 
-    phi_core = phi[core]
+    def max_abs(v):
+        return max(float(v.max(initial=0.0)), -float(v.min(initial=0.0)))
+
+    xc = x[lo:hi]
+    r = laplacian(x, np.empty(hi - lo))
+    p = np.zeros_like(x)
+    pc = p[lo:hi]
+    pc[:] = r
+    q = np.empty_like(r)
+    rr = float(np.dot(r, r))
+    residual = 0.25 * max_abs(r)
     sweeps = 0
-    residual = math.inf
-    for sweeps in range(1, max_sweeps + 1):
-        for mask in (red, black):
-            d = neighbor_mean()
-            d -= phi_core
-            d *= mask
-            phi_core += d
-        d = neighbor_mean()
-        d -= phi_core
-        np.abs(d, out=d)
-        residual = float(np.max(d * free_core)) if free_core.any() else 0.0
+    while residual > tolerance and sweeps < max_sweeps:
+        sweeps += 1
+        laplacian(p, q)  # q = -A p
+        alpha = rr / -float(np.dot(pc, q))
+        xc += alpha * pc
+        r += alpha * q
+        residual = 0.25 * max_abs(r)
         if residual <= tolerance:
-            break
+            # the recurrence drifts from the true residual: recompute it,
+            # and restart from it if the tolerance is not met after all
+            laplacian(x, r)
+            residual = 0.25 * max_abs(r)
+            rr = float(np.dot(r, r))
+            pc[:] = r
+            continue
+        rr_next = float(np.dot(r, r))
+        pc *= rr_next / rr
+        pc += r
+        rr = rr_next
+    if residual > tolerance:  # stopped at the cap: report the true residual
+        residual = 0.25 * max_abs(laplacian(x, r))
     return PotentialField(phi, sweeps, residual, residual <= tolerance)
 
 

@@ -34,7 +34,6 @@ from .controller import Command
 from .workspace import Scenario, WorldPose, pixel_to_world, world_to_pixel
 
 DT_MICRO = 0.01          # plant integration micro-step, s
-INCREMENTAL_SWEEPS = 200  # relaxation cap for per-frame multi-agent re-solves
 
 # wire format: magic, version u8, kind u8, seq u32, send time in us u64
 WIRE_MAGIC = b"ISPC"
@@ -97,8 +96,6 @@ class DelayLine:
     sampled delay exceeds the deadline would arrive stale and are discarded
     at once.  With zero jitter deliveries keep push order (FIFO).
     """
-
-    exact = True  # delivery times are known at push time
 
     def __init__(self, constant: float, jitter: float = 0.0, drop_prob: float = 0.0,
                  deadline: float = math.inf, seed: int = 0):
@@ -180,8 +177,6 @@ class UdpChannel:
     instants are only observed at poll time (the loop polls at least every
     camera frame), unlike a DelayLine whose deliveries are scheduled exactly.
     """
-
-    exact = False
 
     def __init__(self, endpoint: UdpEndpoint):
         self.endpoint = endpoint
@@ -304,7 +299,7 @@ def prepare(scenario: Scenario) -> PlannerState:
     boundary = hpf.build_boundary(edges, scenario.target, scenario.hpf.dilation)
     cfg = scenario.hpf
     if scenario.planner == "hpf":
-        pot = hpf.relax(boundary, cfg.omega_sor, cfg.tolerance, cfg.max_sweeps)
+        pot = hpf.relax(boundary, tolerance=cfg.tolerance, max_sweeps=cfg.max_sweeps)
         grad = hpf.gradient(pot, boundary, cfg.eps_flat)
         return PlannerState("hpf", boundary, edges, grad=grad, potential=pot)
     arrival = fm.fm_arrival(boundary)
@@ -510,7 +505,7 @@ def run_multi(scenario: Scenario) -> MultiRunLog:
     """Decentralized multi-vehicle run.
 
     Every camera frame each agent rebuilds its own boundary (static edges
-    plus the other agents' footprint discs), re-relaxes its potential warm
+    plus the other agents' footprint discs), re-solves its potential warm
     started from the previous frame, and otherwise runs the same networked
     loop as a single vehicle.  A flat sample here means "blocked right now"
     and holds the vehicle instead of ending the run, since the blocker moves.
@@ -557,10 +552,7 @@ def run_multi(scenario: Scenario) -> MultiRunLog:
         if labels_prev[i] is not None and np.array_equal(labels_prev[i], boundary.labels):
             boundaries[i] = boundary
             return
-        if phis[i] is None:
-            pot = hpf.relax(boundary, cfg.omega_sor, cfg.tolerance, cfg.max_sweeps)
-        else:
-            pot = hpf.relax(boundary, cfg.omega_sor, cfg.tolerance, INCREMENTAL_SWEEPS, initial=phis[i])
+        pot = hpf.relax(boundary, tolerance=cfg.tolerance, max_sweeps=cfg.max_sweeps, initial=phis[i])
         phis[i] = pot.phi
         labels_prev[i] = boundary.labels
         boundaries[i] = boundary

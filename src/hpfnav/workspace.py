@@ -270,7 +270,6 @@ class VisionConfig:
 
 @dataclass
 class HpfConfig:
-    omega_sor: float = 1.8
     tolerance: float = 1e-10
     max_sweeps: int | None = None   # None -> 20 * max(width, height)
     eps_flat: float = 1e-12

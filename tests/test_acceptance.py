@@ -235,7 +235,7 @@ def test_criterion_10_tolerates_edge_deletion(acceptance, scenario_dir):
         degraded = cells.copy()
         degraded[ys[drop], xs[drop]] = False
         boundary = hpf_mod.build_boundary(degraded, sc.target, sc.hpf.dilation)
-        pot = hpf_mod.relax(boundary, sc.hpf.omega_sor, sc.hpf.tolerance, sc.hpf.max_sweeps)
+        pot = hpf_mod.relax(boundary, tolerance=sc.hpf.tolerance, max_sweeps=sc.hpf.max_sweeps)
         grad = hpf_mod.gradient(pot, boundary, sc.hpf.eps_flat)
         state = netloop.PlannerState("hpf", boundary, None, grad=grad)
         log = netloop.run_loop(sc, state=state)

@@ -47,6 +47,16 @@ def test_missing_scenario_file(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_retired_omega_sor_key_is_rejected(tmp_path, scenario_dir, capsys):
+    doc = json.loads((scenario_dir / "open.json").read_text())
+    doc["hpf"]["omega_sor"] = 1.8
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps(doc))
+    code = main(["run", "--scenario", str(path), "--out-dir", str(tmp_path / "x")])
+    assert code == EXIT_USAGE == 1
+    assert "hpf: unknown field omega_sor" in capsys.readouterr().err
+
+
 def test_bad_lookahead_value(tmp_path, scenario_dir, capsys):
     code = main(["run", "--scenario", str(scenario_dir / "open.json"),
                  "--lookahead", "soon", "--out-dir", str(tmp_path / "x")])

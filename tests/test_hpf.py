@@ -183,6 +183,35 @@ def test_relax_warm_start_converges_fast():
     np.testing.assert_allclose(warm.phi, cold.phi, atol=1e-9)
 
 
+def disc_boundary(cx, cy, w=32, h=24, r=4):
+    labels = np.zeros((h, w), np.int8)
+    labels[0, :] = labels[-1, :] = labels[:, 0] = labels[:, -1] = OBSTACLE
+    yy, xx = np.mgrid[:h, :w]
+    labels[(xx - cx) ** 2 + (yy - cy) ** 2 <= r * r] = OBSTACLE
+    labels[h // 2, w - 4] = TARGET
+    return BoundaryGrid(labels=labels, target=(w - 4, h // 2))
+
+
+def test_relax_warm_start_after_disc_moves():
+    """A replan after an obstacle moves by one cell starts close to the
+    answer, so it needs fewer iterations than a cold solve of the same grid."""
+    before = relax(disc_boundary(14, 12))
+    moved = disc_boundary(15, 12)
+    cold = relax(moved)
+    warm = relax(moved, initial=before.phi)
+    assert cold.converged and warm.converged
+    assert warm.sweeps < cold.sweeps
+    ref = dense_solve(moved.labels)
+    np.testing.assert_allclose(cold.phi, ref, atol=1e-8)
+    np.testing.assert_allclose(warm.phi, ref, atol=1e-8)
+
+
+def test_relax_options_are_keyword_only():
+    bg = disc_boundary(14, 12)
+    with pytest.raises(TypeError):
+        relax(bg, 1e-10)
+
+
 # -- gradient field
 
 

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from hpfnav import hpf
 from hpfnav.netloop import (
     CSV_COLUMNS,
     DelayLine,
@@ -317,3 +318,20 @@ def test_two_crossing_agents_pass_cleanly():
     assert log.total_time < 90.0
     assert log.min_dm() > 0.4  # never closer than the 0.3 m contact distance
     assert len(log.dm_times) == len(log.dm_values) > 0
+
+
+def test_every_multi_agent_replan_converges(monkeypatch):
+    """Warm-started per-frame re-solves run to tolerance, like cold ones."""
+    solve = hpf.relax
+    converged = []
+
+    def recording(*args, **kwargs):
+        pot = solve(*args, **kwargs)
+        converged.append(pot.converged)
+        return pot
+
+    monkeypatch.setattr(hpf, "relax", recording)
+    log = run_multi(_cross_scenario())
+    assert log.outcome == "reached"
+    assert len(converged) > 2
+    assert all(converged), "%d of %d solves stopped unconverged" % (converged.count(False), len(converged))
