@@ -40,13 +40,12 @@ from .hpf import (
     build_boundary,
     descend,
     gradient,
-    is_reachable,
     relax,
 )
 from .controller import BodyError, Command, body_errors, curve_coeff, command, wheel_speeds
 from .guidance import ReferencePoint, guidance_step, lookahead, ref_point
 from .plant import observe, step
-from .fm import cost_ratio, fm_arrival, fm_path, path_reference, speedup
+from .fm import cost_ratio, fm_arrival, fm_path, path_reference
 from .netloop import (
     DelayLine,
     MultiRunLog,
@@ -73,11 +72,11 @@ __all__ = [
     "scenario_from_dict", "world_to_pixel", "wrap_angle",
     "detect_edges", "make_gaussian", "make_gog", "make_log", "convolve", "zero_cross",
     "FREE", "OBSTACLE", "TARGET", "BoundaryGrid", "GradientField",
-    "PotentialField", "build_boundary", "descend", "gradient", "is_reachable", "relax",
+    "PotentialField", "build_boundary", "descend", "gradient", "relax",
     "BodyError", "Command", "body_errors", "curve_coeff", "command", "wheel_speeds",
     "ReferencePoint", "guidance_step", "lookahead", "ref_point",
     "observe", "step",
-    "cost_ratio", "fm_arrival", "fm_path", "path_reference", "speedup",
+    "cost_ratio", "fm_arrival", "fm_path", "path_reference",
     "DelayLine", "MultiRunLog", "Packet", "RunLog", "UdpChannel", "UdpEndpoint",
     "pack_packet", "prepare", "run_loop", "run_multi", "unpack_packet",
     "curvature", "distance_error", "ideal_path", "sweep",

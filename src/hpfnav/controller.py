@@ -82,10 +82,3 @@ def wheel_speeds(cmd: Command, ugv: UgvConfig) -> tuple[float, float]:
     omega_l = (cmd.v - half_track * cmd.omega) / r
     return omega_r, omega_l
 
-
-def body_velocity(omega_r: float, omega_l: float, ugv: UgvConfig) -> tuple[float, float]:
-    """Inverse of wheel_speeds: recover (v, omega) from wheel rates."""
-    r = ugv.wheel_radius
-    v = r * (omega_r + omega_l) / 2.0
-    omega = r * (omega_r - omega_l) / ugv.track_width
-    return v, omega

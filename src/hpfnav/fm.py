@@ -185,9 +185,3 @@ def cost_ratio(m: int, n: int, template_side: int, kernel_side: int):
     c_ed = (m - k) * (n - k) * k * k
     return c_tm, c_ed, c_tm / c_ed
 
-
-def speedup(n_p: int, delta_l: int) -> float:
-    """Per-sample work ratio of path scanning vs delta_L gradient hops."""
-    if n_p < 1 or delta_l < 1:
-        raise ValueError("n_p and delta_l must be >= 1")
-    return n_p / delta_l

@@ -277,21 +277,3 @@ def descend(grad: GradientField, start, max_steps: int | None = None):
             reason = "reached"
     return points, reason
 
-
-def is_reachable(grad: GradientField, cell) -> bool:
-    """False only when the cell and its whole 4-neighborhood are flat."""
-    cx, cy = cell
-    if grad.labels[cy, cx] != FREE:
-        raise ValueError("reachability is defined for FREE cells")
-    if not grad.flat[cy, cx]:
-        return True
-    for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-        x, y = cx + dx, cy + dy
-        if 0 <= x < grad.width and 0 <= y < grad.height and not grad.flat[y, x]:
-            return True
-    return False
-
-
-def save_grid_csv(grid: np.ndarray, path) -> None:
-    """Dump a float grid as CSV for offline inspection."""
-    np.savetxt(path, np.asarray(grid), delimiter=",", fmt="%.17g")

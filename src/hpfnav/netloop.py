@@ -9,10 +9,18 @@ the plant latches it (zero-order hold).  Between events the plant integrates
 exactly, in dt = 0.01 s micro-steps that only set the logging granularity.
 A watchdog zeroes the held command after a configurable silence window.
 
+One event engine drives every run; each vehicle in it carries its own
+channels and planner state.  A single run (`run_loop`) is the one-vehicle
+case with a static planner, where a flat field sample means the target is
+unreachable and ends the run.  A multi-agent run (`run_multi`) re-solves
+each vehicle's field every camera frame around the others, and a flat
+sample there only holds the vehicle until the blocker moves on.
+
 Channels are either simulated ``DelayLine``s (constant delay, optional
 uniform jitter, drops, a packet deadline) or real UDP endpoints speaking the
 little-endian wire format defined here; the loop treats both as push/poll
-queues stamped with simulation time.
+queues stamped with simulation time.  A UDP channel drops datagrams that
+do not parse and counts them in ``malformed``.
 """
 
 from __future__ import annotations
@@ -180,6 +188,7 @@ class UdpChannel:
 
     def __init__(self, endpoint: UdpEndpoint):
         self.endpoint = endpoint
+        self.malformed = 0   # datagrams dropped because they did not parse
 
     def push(self, pkt: Packet):
         self.endpoint.send(pkt)
@@ -188,7 +197,11 @@ class UdpChannel:
     def poll(self, now: float):
         out = []
         while True:
-            pkt = self.endpoint.recv(0.0)
+            try:
+                pkt = self.endpoint.recv(0.0)
+            except ValueError:
+                self.malformed += 1   # stray or corrupt datagram: drop it
+                continue
             if pkt is None:
                 return out
             out.append((pkt, now - pkt.send_time))
@@ -311,24 +324,27 @@ def prepare(scenario: Scenario) -> PlannerState:
     return PlannerState("fm", boundary, edges, arrival=arrival, path=path)
 
 
-def _make_lines(scenario: Scenario, seed: int):
-    """Uplink/downlink delay lines with seeds derived from the run seed."""
-    rng = random.Random(seed)
+def _make_lines(scenario: Scenario, k: int):
+    """k uplink/downlink delay-line pairs, seeded in turn from the run seed."""
+    rng = random.Random(scenario.seed)
     d = scenario.delay
-    up = DelayLine(d.constant_s * d.up_fraction, d.jitter_s * d.up_fraction,
-                   d.drop_prob, d.deadline_s, rng.getrandbits(32))
-    down = DelayLine(d.constant_s * (1.0 - d.up_fraction), d.jitter_s * (1.0 - d.up_fraction),
-                     d.drop_prob, d.deadline_s, rng.getrandbits(32))
-    return up, down
+    lines = []
+    for _ in range(k):
+        up = DelayLine(d.constant_s * d.up_fraction, d.jitter_s * d.up_fraction,
+                       d.drop_prob, d.deadline_s, rng.getrandbits(32))
+        down = DelayLine(d.constant_s * (1.0 - d.up_fraction), d.jitter_s * (1.0 - d.up_fraction),
+                         d.drop_prob, d.deadline_s, rng.getrandbits(32))
+        lines.append((up, down))
+    return lines
 
 
-# --- single-agent loop -------------------------------------------------------
+# --- event engine ------------------------------------------------------------
 
 
 class _Vehicle:
-    """Mutable plant-side state shared by the single and multi agent loops."""
+    """One plant with its own channels and planner state."""
 
-    def __init__(self, scenario, start: WorldPose, target_world):
+    def __init__(self, scenario, start: WorldPose, target_world, state, uplink, downlink):
         self.pose = start
         self.applied = Command(0.0, 0.0)
         self.cmd_expiry = math.inf
@@ -341,12 +357,19 @@ class _Vehicle:
         self.target_world = target_world
         self.goal_radius = scenario.goal_radius
         self.watchdog = scenario.watchdog_s
+        self.state = state
+        self.uplink = uplink
+        self.downlink = downlink
+
+    def finish(self, outcome: str, t: float) -> None:
+        self.outcome = outcome
+        self.end_time = t
 
     def reached_goal(self) -> bool:
         return math.hypot(self.pose.x - self.target_world[0],
                           self.pose.y - self.target_world[1]) <= self.goal_radius
 
-    def integrate_to(self, t_target: float, boundary, gd: float) -> None:
+    def integrate_to(self, t_target: float, gd: float) -> None:
         """Advance the plant to t_target in micro-steps; flags goal and collisions."""
         while self.t < t_target - 1e-12 and self.outcome is None:
             t_next = min(self.t + DT_MICRO, t_target)
@@ -360,38 +383,131 @@ class _Vehicle:
             self.trace.append((self.t, self.pose.x, self.pose.y, self.pose.theta,
                                self.applied.v, self.applied.omega))
             try:
-                if plant.collides(self.pose, boundary, gd):
+                if plant.collides(self.pose, self.state.boundary, gd):
                     self.any_collision = True
             except ValueError:
                 self.any_collision = True  # drove out of the workspace
             if self.reached_goal():
-                self.outcome = "reached"
-                self.end_time = self.t
+                self.finish("reached", self.t)
 
     def latch(self, t: float, v: float, omega: float) -> None:
         self.applied = Command(v, omega)
         self.cmd_expiry = t + self.watchdog
 
+    def log(self, scenario: Scenario) -> RunLog:
+        return RunLog(self.records, self.trace, self.outcome, self.end_time, scenario,
+                      any_collision=self.any_collision)
+
 
 def _control_sample(scenario, state, obs: WorldPose):
-    """One controller evaluation: returns (cmd, delta_l, flat_hold, unreachable)."""
+    """One controller evaluation: returns (cmd, delta_l, flat)."""
     gd = scenario.gd
     if state.kind == "hpf":
         try:
             ref = guidance.guidance_step(state.grad, obs, scenario.control, scenario.lookahead, gd)
         except ValueError:
-            return Command(0.0, 0.0), 0, True, False  # observed cell blocked: hold
+            return Command(0.0, 0.0), 0, False  # observed cell blocked: hold
         if ref.flat:
-            return Command(0.0, 0.0), 0, True, True
+            return Command(0.0, 0.0), 0, True
         e = ctl.body_errors(obs, ref.point)
         a = guidance.safe_curve_coeff(e)
-        return ctl.command(a, e, scenario.control), ref.delta_l, False, False
+        return ctl.command(a, e, scenario.control), ref.delta_l, False
     # fast-marching baseline: track the precomputed path
     d0 = scenario.fm_d0 if scenario.fm_d0 is not None else scenario.control.d_max
     refpt, _ = fm.path_reference(state.path, obs, d0)
     e = ctl.body_errors(obs, refpt)
     a = guidance.safe_curve_coeff(e)
-    return ctl.command(a, e, scenario.control), 0, False, False
+    return ctl.command(a, e, scenario.control), 0, False
+
+
+def _simulate(scenario: Scenario, vehicles: list, replan=None):
+    """Run the event loop until every vehicle has an outcome.
+
+    Without `replan` each vehicle keeps the planner it came with, and a flat
+    sample means its target is unreachable: the vehicle stops there.  With
+    `replan`, every camera frame calls replan(i) for each active vehicle, and
+    a flat sample means "blocked right now": a zero command goes out and
+    holds the vehicle, since the blocker moves on.  Returns (end time,
+    dm_times, dm_values), the last two holding the minimum pairwise distance
+    at each camera frame when there are several vehicles.
+    """
+    gd = scenario.gd
+    frame_dt = 1.0 / scenario.camera.rate_hz
+    heap = []   # (time, priority, order, vehicle woken or None for a frame)
+    order = itertools.count()
+    heapq.heappush(heap, (0.0, 1, next(order), None))
+    frame_seq = 0
+    dm_times, dm_values = [], []
+
+    def pump(v: _Vehicle, t: float) -> None:
+        for pkt, dly in v.uplink.poll(t):
+            if v.outcome is not None:
+                continue
+            obs = WorldPose(*pkt.payload)
+            cmd, delta_l, flat = _control_sample(scenario, v.state, obs)
+            delay_down = math.nan
+            if replan is not None or not flat:
+                d = v.downlink.push(Packet("cmd", pkt.seq, t, (cmd.v, cmd.omega)))
+                if d is not None:
+                    delay_down = d
+                    heapq.heappush(heap, (t + d, 0, next(order), v))
+            try:
+                col = plant.collides(v.pose, v.state.boundary, gd)
+            except ValueError:
+                col = True
+            v.records.append(Record(t, v.pose, obs, cmd.v, cmd.omega,
+                                    v.applied.v, v.applied.omega,
+                                    delta_l, dly, delay_down, col))
+            if flat and replan is None:
+                v.finish("unreachable", t)
+        for pkt, _ in v.downlink.poll(t):
+            if v.outcome is None:
+                v.latch(t, pkt.payload[0], pkt.payload[1])
+
+    while any(v.outcome is None for v in vehicles):
+        t_ev, _, _, woken = heapq.heappop(heap)
+        if t_ev > scenario.timeout_s:
+            for v in vehicles:
+                if v.outcome is None:
+                    v.integrate_to(scenario.timeout_s, gd)
+                    if v.outcome is None:
+                        v.finish("timeout", scenario.timeout_s)
+            return scenario.timeout_s, dm_times, dm_values
+        if woken is not None:
+            if woken.outcome is None:
+                woken.integrate_to(t_ev, gd)
+            pump(woken, t_ev)
+            continue
+        # camera frame: move everyone, measure spacing, replan, sample, observe
+        for v in vehicles:
+            if v.outcome is None:
+                v.integrate_to(t_ev, gd)
+        if len(vehicles) > 1:
+            dm_times.append(t_ev)
+            dm_values.append(min(math.hypot(a.pose.x - b.pose.x, a.pose.y - b.pose.y)
+                                 for a, b in itertools.combinations(vehicles, 2)))
+        if replan is not None:
+            for i, v in enumerate(vehicles):
+                if v.outcome is None:
+                    replan(i)
+        for v in vehicles:
+            pump(v, t_ev)
+            if v.outcome is not None:
+                continue
+            try:
+                obs = plant.observe(v.pose, scenario.camera, gd, scenario.width, scenario.height)
+            except ValueError:
+                obs = None  # vehicle out of frame: camera has nothing to report
+            if obs is not None:
+                d = v.uplink.push(Packet("pose", frame_seq, t_ev, (obs.x, obs.y, obs.theta)))
+                if d is not None:
+                    heapq.heappush(heap, (t_ev + d, 0, next(order), v))
+        frame_seq += 1
+        heapq.heappush(heap, (t_ev + frame_dt, 1, next(order), None))
+    return max(v.end_time for v in vehicles), dm_times, dm_values
+
+
+# --- entry points ------------------------------------------------------------
 
 
 def run_loop(scenario: Scenario, state: PlannerState | None = None,
@@ -404,79 +520,16 @@ def run_loop(scenario: Scenario, state: PlannerState | None = None,
     """
     if state is None:
         state = prepare(scenario)
-    gd = scenario.gd
-    target_world = pixel_to_world(scenario.target, gd, scenario.width, scenario.height)
     if uplink is None or downlink is None:
-        up, down = _make_lines(scenario, scenario.seed)
+        [(up, down)] = _make_lines(scenario, 1)
         uplink = uplink or up
         downlink = downlink or down
-
-    veh = _Vehicle(scenario, scenario.start, target_world)
+    target_world = pixel_to_world(scenario.target, scenario.gd, scenario.width, scenario.height)
+    veh = _Vehicle(scenario, scenario.start, target_world, state, uplink, downlink)
     if state.kind == "fm" and state.path is None:
-        return RunLog(veh.records, veh.trace, "unreachable", 0.0, scenario)
-
-    frame_dt = 1.0 / scenario.camera.rate_hz
-    heap = []
-    order = itertools.count()
-    heapq.heappush(heap, (0.0, 1, next(order), "frame"))
-    frame_seq = 0
-
-    def pump(t: float) -> None:
-        for pkt, dly in uplink.poll(t):
-            if veh.outcome == "unreachable":
-                break
-            obs = WorldPose(*pkt.payload)
-            cmd, delta_l, hold, unreachable = _control_sample(scenario, state, obs)
-            delay_down = math.nan
-            if not (unreachable and hold):
-                d = downlink.push(Packet("cmd", pkt.seq, t, (cmd.v, cmd.omega)))
-                if d is not None:
-                    delay_down = d
-                    heapq.heappush(heap, (t + d, 0, next(order), "wake"))
-            try:
-                col = plant.collides(veh.pose, state.boundary, gd)
-            except ValueError:
-                col = True
-            veh.records.append(Record(t, veh.pose, obs, cmd.v, cmd.omega,
-                                      veh.applied.v, veh.applied.omega,
-                                      delta_l, dly, delay_down, col))
-            if unreachable:
-                veh.outcome = "unreachable"
-                veh.end_time = t
-        for pkt, _ in downlink.poll(t):
-            if veh.outcome is None:
-                veh.latch(t, pkt.payload[0], pkt.payload[1])
-
-    while veh.outcome is None:
-        t_ev, _, _, kind = heapq.heappop(heap)
-        if t_ev > scenario.timeout_s:
-            veh.integrate_to(scenario.timeout_s, state.boundary, gd)
-            if veh.outcome is None:
-                veh.outcome = "timeout"
-                veh.end_time = scenario.timeout_s
-            break
-        veh.integrate_to(t_ev, state.boundary, gd)
-        if veh.outcome is not None:
-            break
-        pump(t_ev)
-        if kind == "frame":
-            try:
-                obs = plant.observe(veh.pose, scenario.camera, gd, scenario.width, scenario.height)
-            except ValueError:
-                obs = None  # vehicle out of frame: camera has nothing to report
-            if obs is not None:
-                pkt = Packet("pose", frame_seq, t_ev, (obs.x, obs.y, obs.theta))
-                d = uplink.push(pkt)
-                if d is not None:
-                    heapq.heappush(heap, (t_ev + d, 0, next(order), "wake"))
-            frame_seq += 1
-            heapq.heappush(heap, (t_ev + frame_dt, 1, next(order), "frame"))
-
-    return RunLog(veh.records, veh.trace, veh.outcome, veh.end_time, scenario,
-                  any_collision=veh.any_collision)
-
-
-# --- multi-agent loop --------------------------------------------------------
+        veh.finish("unreachable", 0.0)  # no path to track: the loop never starts
+    _simulate(scenario, [veh])
+    return veh.log(scenario)
 
 
 def _stamp_agents(static_edges: np.ndarray, poses, me: int, own_target, scenario) -> np.ndarray:
@@ -525,132 +578,24 @@ def run_multi(scenario: Scenario) -> MultiRunLog:
     img = scenario.build_image()
     static_edges = vision.detect_edges(img, scenario.vision).cells
     cfg = scenario.hpf
-    rng = random.Random(scenario.seed)
-
-    vehicles = []
-    lines = []
-    grads: list = [None] * k
-    phis: list = [None] * k
-    labels_prev: list = [None] * k
-    for i, spec in enumerate(scenario.agents):
-        tw = pixel_to_world(spec.target, gd, scenario.width, scenario.height)
-        vehicles.append(_Vehicle(scenario, spec.start, tw))
-        up = DelayLine(scenario.delay.constant_s * scenario.delay.up_fraction,
-                       scenario.delay.jitter_s * scenario.delay.up_fraction,
-                       scenario.delay.drop_prob, scenario.delay.deadline_s, rng.getrandbits(32))
-        down = DelayLine(scenario.delay.constant_s * (1 - scenario.delay.up_fraction),
-                         scenario.delay.jitter_s * (1 - scenario.delay.up_fraction),
-                         scenario.delay.drop_prob, scenario.delay.deadline_s, rng.getrandbits(32))
-        lines.append((up, down))
-
-    boundaries: list = [None] * k
+    vehicles = [
+        _Vehicle(scenario, spec.start, pixel_to_world(spec.target, gd, scenario.width, scenario.height),
+                 None, up, down)
+        for spec, (up, down) in zip(scenario.agents, _make_lines(scenario, k))
+    ]
 
     def replan(i: int) -> None:
-        poses = [v.pose for v in vehicles]
-        cells = _stamp_agents(static_edges, poses, i, scenario.agents[i].target, scenario)
-        boundary = hpf.build_boundary(cells, scenario.agents[i].target, cfg.dilation)
-        if labels_prev[i] is not None and np.array_equal(labels_prev[i], boundary.labels):
-            boundaries[i] = boundary
-            return
-        pot = hpf.relax(boundary, tolerance=cfg.tolerance, max_sweeps=cfg.max_sweeps, initial=phis[i])
-        phis[i] = pot.phi
-        labels_prev[i] = boundary.labels
-        boundaries[i] = boundary
-        grads[i] = hpf.gradient(pot, boundary, cfg.eps_flat)
+        v, target = vehicles[i], scenario.agents[i].target
+        cells = _stamp_agents(static_edges, [u.pose for u in vehicles], i, target, scenario)
+        boundary = hpf.build_boundary(cells, target, cfg.dilation)
+        prev = v.state
+        if prev is not None and np.array_equal(prev.boundary.labels, boundary.labels):
+            return  # same obstacles as last solve: the field still holds
+        pot = hpf.relax(boundary, tolerance=cfg.tolerance, max_sweeps=cfg.max_sweeps,
+                        initial=None if prev is None else prev.potential.phi)
+        v.state = PlannerState("hpf", boundary, None, grad=hpf.gradient(pot, boundary, cfg.eps_flat),
+                               potential=pot)
 
-    frame_dt = 1.0 / scenario.camera.rate_hz
-    heap = []
-    order = itertools.count()
-    heapq.heappush(heap, (0.0, 1, next(order), "frame", -1))
-    frame_seq = 0
-    dm_times, dm_values = [], []
-    t_end = scenario.timeout_s
-
-    def integrate_all(t: float) -> None:
-        for i, v in enumerate(vehicles):
-            if v.outcome is None:
-                v.integrate_to(t, boundaries[i] if boundaries[i] is not None else
-                               hpf.build_boundary(static_edges, scenario.agents[i].target, cfg.dilation),
-                               gd)
-                if v.outcome == "reached":
-                    v.applied = Command(0.0, 0.0)
-            else:
-                v.t = t
-
-    def pump(i: int, t: float) -> None:
-        up, down = lines[i]
-        v = vehicles[i]
-        for pkt, dly in up.poll(t):
-            if v.outcome is not None:
-                continue
-            obs = WorldPose(*pkt.payload)
-            st = PlannerState("hpf", boundaries[i], None, grad=grads[i])
-            cmd, delta_l, hold, _ = _control_sample(scenario, st, obs)
-            # transient flats hold the vehicle; the blocking agent will move on
-            d = down.push(Packet("cmd", pkt.seq, t, (cmd.v, cmd.omega)))
-            if d is not None:
-                heapq.heappush(heap, (t + d, 0, next(order), "wake", i))
-            try:
-                col = plant.collides(v.pose, boundaries[i], gd)
-            except ValueError:
-                col = True
-            v.records.append(Record(t, v.pose, obs, cmd.v, cmd.omega,
-                                    v.applied.v, v.applied.omega, delta_l, dly,
-                                    d if d is not None else math.nan, col))
-        for pkt, _ in down.poll(t):
-            if v.outcome is None:
-                v.latch(t, pkt.payload[0], pkt.payload[1])
-
-    while True:
-        if all(v.outcome is not None for v in vehicles):
-            t_end = max(v.end_time for v in vehicles)
-            break
-        t_ev, _, _, kind, who = heapq.heappop(heap)
-        if t_ev > scenario.timeout_s:
-            integrate_all(scenario.timeout_s)
-            for v in vehicles:
-                if v.outcome is None:
-                    v.outcome = "timeout"
-                    v.end_time = scenario.timeout_s
-            t_end = scenario.timeout_s
-            break
-        if kind == "frame":
-            # order per frame: move everyone, measure spacing, replan, observe
-            integrate_all(t_ev)
-            if k >= 2:
-                dm = min(
-                    math.hypot(vehicles[i].pose.x - vehicles[j].pose.x,
-                               vehicles[i].pose.y - vehicles[j].pose.y)
-                    for i in range(k) for j in range(i + 1, k)
-                )
-                dm_times.append(t_ev)
-                dm_values.append(dm)
-            for i in range(k):
-                if vehicles[i].outcome is None:
-                    replan(i)
-            for i, v in enumerate(vehicles):
-                pump(i, t_ev)
-                if v.outcome is not None:
-                    continue
-                try:
-                    obs = plant.observe(v.pose, scenario.camera, gd, scenario.width, scenario.height)
-                except ValueError:
-                    obs = None
-                if obs is not None:
-                    pkt = Packet("pose", frame_seq, t_ev, (obs.x, obs.y, obs.theta))
-                    d = lines[i][0].push(pkt)
-                    if d is not None:
-                        heapq.heappush(heap, (t_ev + d, 0, next(order), "wake", i))
-            frame_seq += 1
-            heapq.heappush(heap, (t_ev + frame_dt, 1, next(order), "frame", -1))
-        else:
-            if vehicles[who].outcome is None:
-                vehicles[who].integrate_to(t_ev, boundaries[who], gd)
-            pump(who, t_ev)
-
+    t_end, dm_times, dm_values = _simulate(scenario, vehicles, replan)
     outcome = "reached" if all(v.outcome == "reached" for v in vehicles) else "timeout"
-    logs = [RunLog(v.records, v.trace, v.outcome or "timeout",
-                   v.end_time if v.end_time is not None else scenario.timeout_s,
-                   scenario, any_collision=v.any_collision)
-            for v in vehicles]
-    return MultiRunLog(logs, dm_times, dm_values, outcome, t_end)
+    return MultiRunLog([v.log(scenario) for v in vehicles], dm_times, dm_values, outcome, t_end)

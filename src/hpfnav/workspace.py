@@ -355,8 +355,13 @@ class Scenario:
             raise ValueError("lookahead.mode: must be 'dynamic' or 'fixed'")
         if self.lookahead.mode == "fixed" and self.lookahead.delta_l < 1:
             raise ValueError("lookahead.delta_l: must be >= 1")
-        if self.camera.rate_hz <= 0:
-            raise ValueError("camera.rate_hz: must be positive")
+        # a NaN or infinite frame rate or timeout keeps the event loop from ever ending
+        for name, value in (("camera.rate_hz", self.camera.rate_hz), ("timeout_s", self.timeout_s),
+                            ("watchdog_s", self.watchdog_s), ("goal_radius", self.goal_radius)):
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError("%s: must be finite and positive, got %r" % (name, value))
+        if not self.delay.deadline_s >= 0:
+            raise ValueError("delay.deadline_s: must be non-negative, got %r" % (self.delay.deadline_s,))
         if self.control.d_max < self.gd:
             raise ValueError("control.d_max: must be at least one pixel (%g m)" % self.gd)
         if self.ugv.wheel_radius <= 0 or self.ugv.track_width <= 0:

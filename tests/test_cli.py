@@ -57,6 +57,17 @@ def test_retired_omega_sor_key_is_rejected(tmp_path, scenario_dir, capsys):
     assert "hpf: unknown field omega_sor" in capsys.readouterr().err
 
 
+
+def test_non_finite_camera_rate_is_rejected(tmp_path, scenario_dir, capsys):
+    # render never starts the event loop, so this cannot hang if the check is missing
+    text = (scenario_dir / "open.json").read_text()
+    assert '"rate_hz": 5.0' in text
+    path = tmp_path / "nan_rate.json"
+    path.write_text(text.replace('"rate_hz": 5.0', '"rate_hz": NaN'))
+    code = main(["render", "--scenario", str(path), "--out-dir", str(tmp_path / "x")])
+    assert code == EXIT_USAGE == 1
+    assert "camera.rate_hz: must be finite and positive" in capsys.readouterr().err
+
 def test_bad_lookahead_value(tmp_path, scenario_dir, capsys):
     code = main(["run", "--scenario", str(scenario_dir / "open.json"),
                  "--lookahead", "soon", "--out-dir", str(tmp_path / "x")])

@@ -7,7 +7,6 @@ from hpfnav.controller import (
     BodyError,
     Command,
     body_errors,
-    body_velocity,
     command,
     curve_coeff,
     sign,
@@ -103,4 +102,7 @@ def test_wheel_speeds_roundtrip():
     for _ in range(300):
         v, omega = rng.uniform(-1, 1, 2)
         wr, wl = wheel_speeds(Command(v, omega), ugv)
-        assert body_velocity(wr, wl, ugv) == pytest.approx((v, omega))
+        # invert the wheel kinematics: v is the mean rim speed, omega their difference over the track
+        back_v = ugv.wheel_radius * (wr + wl) / 2.0
+        back_omega = ugv.wheel_radius * (wr - wl) / ugv.track_width
+        assert (back_v, back_omega) == pytest.approx((v, omega))

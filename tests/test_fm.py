@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from hpfnav.fm import cost_ratio, fm_arrival, fm_path, path_reference, speedup
+from hpfnav.fm import cost_ratio, fm_arrival, fm_path, path_reference
 from hpfnav.hpf import FREE, OBSTACLE, TARGET, BoundaryGrid
 from hpfnav.workspace import WorldPose
 
@@ -170,12 +170,3 @@ def test_cost_ratio_scales_quadratically():
     asymptote = (20 / 7) ** 2
     assert r1 < r2 < asymptote
     assert r2 / r1 <= 1.10
-
-
-def test_speedup():
-    assert speedup(100, 5) == 20.0
-    assert speedup(7, 7) == 1.0
-    with pytest.raises(ValueError):
-        speedup(100, 0)
-    with pytest.raises(ValueError):
-        speedup(0, 4)

@@ -11,9 +11,7 @@ from hpfnav.hpf import (
     build_boundary,
     descend,
     gradient,
-    is_reachable,
     relax,
-    save_grid_csv,
 )
 
 
@@ -326,24 +324,15 @@ def test_descend_reaches_from_every_connected_cell():
 
 
 def test_is_reachable():
+    """A component walled off from the target reads flat everywhere; the target side does not."""
     labels = np.zeros((12, 12), np.int8)
     labels[0, :] = labels[-1, :] = labels[:, 0] = labels[:, -1] = OBSTACLE
     labels[:, 5] = OBSTACLE
     labels[6, 8] = TARGET
     bg = BoundaryGrid(labels=labels, target=(8, 6))
     grad = gradient(relax(bg), bg)
-    assert not is_reachable(grad, (2, 3))
-    assert is_reachable(grad, (7, 6))
-    assert is_reachable(grad, (8, 5))  # target's own neighborhood
-    with pytest.raises(ValueError):
-        is_reachable(grad, (5, 5))  # wall cell
-
-
-def test_save_grid_csv(tmp_path):
-    rng = np.random.default_rng(3)
-    bg = random_boundary(rng)
-    phi = relax(bg).phi
-    f = tmp_path / "phi.csv"
-    save_grid_csv(phi, f)
-    back = np.loadtxt(f, delimiter=",")
-    np.testing.assert_array_equal(back, phi)  # repr round-trips exactly
+    walled_off = labels[:, :5] == FREE
+    assert walled_off.any() and grad.flat[:, :5][walled_off].all()
+    target_side = labels[:, 6:] == FREE
+    assert (~grad.flat[:, 6:][target_side]).any()
+    assert not grad.flat[6, 7] and not grad.flat[5, 8]  # the target's own neighborhood

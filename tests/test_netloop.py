@@ -320,6 +320,17 @@ def test_two_crossing_agents_pass_cleanly():
     assert len(log.dm_times) == len(log.dm_values) > 0
 
 
+def test_multi_timeout_ends_every_agent_at_the_timeout():
+    log = run_multi(dataclasses.replace(_cross_scenario(), timeout_s=2.0))
+    assert log.outcome == "timeout"
+    assert log.total_time == 2.0
+    assert [a.outcome for a in log.agent_logs] == ["timeout", "timeout"]
+    assert [a.total_time for a in log.agent_logs] == [2.0, 2.0]
+    for agent in log.agent_logs:
+        assert abs(agent.trace[-1][0] - 2.0) < 1e-9
+    assert len(log.dm_values) == 11  # the 5 Hz frames from 0 s to 2 s
+
+
 def test_every_multi_agent_replan_converges(monkeypatch):
     """Warm-started per-frame re-solves run to tolerance, like cold ones."""
     solve = hpf.relax

@@ -1,6 +1,8 @@
 """UDP endpoint tests: loopback transport for the packet wire format."""
 
 import math
+import socket
+import time
 
 from hpfnav.netloop import Packet, UdpChannel, UdpEndpoint, pack_packet, prepare, run_loop
 from hpfnav.workspace import load_scenario
@@ -59,6 +61,23 @@ def test_channel_stamps_lag_at_poll_time():
         (pkt, lag), = out
         assert pkt.seq == 0
         assert lag == 0.5
+
+
+def test_channel_drops_malformed_datagrams():
+    with UdpEndpoint() as ep, socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as stray:
+        ep.peer = ep.address
+        ch = UdpChannel(ep)
+        stray.sendto(b"garbage", ep.address)   # 7 bytes: shorter than the header
+        good = Packet("pose", 3, 0.25, (1.0, 2.0, 0.5))
+        ch.push(good)
+        out = []
+        for _ in range(50):
+            out += ch.poll(0.5)
+            if out and ch.malformed:
+                break
+            time.sleep(0.01)
+        assert [pkt for pkt, _ in out] == [good]
+        assert ch.malformed == 1
 
 
 def test_run_loop_over_udp_loopback(scenario_dir):

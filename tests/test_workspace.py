@@ -1,11 +1,13 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
 from hpfnav.workspace import (
     AgentSpec,
+    CameraConfig,
     DelayConfig,
     Disc,
     GridImage,
@@ -211,6 +213,33 @@ def test_scenario_validation_messages():
         Scenario(name="t", planner="rrt")
     with pytest.raises(ValueError, match="fm_d0"):
         Scenario(name="t", fm_d0=-0.1)
+
+
+@pytest.mark.parametrize(
+    "field, kwargs",
+    [
+        ("camera.rate_hz", {"camera": CameraConfig(rate_hz=math.nan)}),
+        ("camera.rate_hz", {"camera": CameraConfig(rate_hz=math.inf)}),
+        ("timeout_s", {"timeout_s": math.nan}),
+        ("timeout_s", {"timeout_s": math.inf}),
+        ("timeout_s", {"timeout_s": -1.0}),
+        ("watchdog_s", {"watchdog_s": 0.0}),
+        ("watchdog_s", {"watchdog_s": math.nan}),
+        ("goal_radius", {"goal_radius": -0.1}),
+        ("goal_radius", {"goal_radius": math.inf}),
+        ("delay.deadline_s", {"delay": DelayConfig(deadline_s=-0.5)}),
+        ("delay.deadline_s", {"delay": DelayConfig(deadline_s=math.nan)}),
+    ],
+    ids=["rate-nan", "rate-inf", "timeout-nan", "timeout-inf", "timeout-negative", "watchdog-zero",
+         "watchdog-nan", "goal-negative", "goal-inf", "deadline-negative", "deadline-nan"],
+)
+def test_scenario_rejects_non_finite_or_out_of_range_times(field, kwargs):
+    with pytest.raises(ValueError, match="^" + re.escape(field) + ": "):
+        Scenario(name="t", **kwargs)
+
+
+def test_scenario_accepts_infinite_deadline():
+    assert Scenario(name="t", delay=DelayConfig(deadline_s=math.inf)).delay.deadline_s == math.inf
 
 
 def test_load_scenario_bad_json(tmp_path):
