@@ -25,11 +25,11 @@ def main():
     rng = np.random.default_rng(7)
     pixels = img.pixels.astype(float) + rng.normal(0.0, 2.0, img.pixels.shape)
 
-    log_k = vision.make_log(sc.vision.sigma, sc.vision.radius)
+    log_k = vision.make_log(sc.vision.sigma)
     response = vision.convolve(pixels, log_k)
     candidates = vision.zero_cross(response)
 
-    gx, gy = vision.make_gog(sc.vision.sigma, sc.vision.radius)
+    gx, gy = vision.make_gog(sc.vision.sigma)
     grads = (vision.convolve(pixels, gx), vision.convolve(pixels, gy))
     edges = vision.contrast_filter(candidates, grads, sc.vision.zeta)
 

@@ -13,11 +13,9 @@ from .workspace import (
     Disc,
     EdgeMap,
     GridImage,
-    HpfConfig,
     LookaheadConfig,
     Rect,
     Scenario,
-    UgvConfig,
     VisionConfig,
     WorldPose,
     load_image,
@@ -29,7 +27,7 @@ from .workspace import (
     world_to_pixel,
     wrap_angle,
 )
-from .vision import detect_edges, make_gaussian, make_gog, make_log, convolve, zero_cross
+from .vision import detect_edges, make_gog, make_log, convolve, zero_cross
 from .hpf import (
     FREE,
     OBSTACLE,
@@ -42,7 +40,7 @@ from .hpf import (
     gradient,
     relax,
 )
-from .controller import BodyError, Command, body_errors, curve_coeff, command, wheel_speeds
+from .controller import BodyError, Command, body_errors, curve_coeff, command
 from .guidance import ReferencePoint, guidance_step, lookahead, ref_point
 from .plant import observe, step
 from .fm import cost_ratio, fm_arrival, fm_path, path_reference
@@ -66,14 +64,14 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AgentSpec", "CameraConfig", "ControlConfig", "DelayConfig", "Disc",
-    "EdgeMap", "GridImage", "HpfConfig", "LookaheadConfig", "Rect",
-    "Scenario", "UgvConfig", "VisionConfig", "WorldPose",
+    "EdgeMap", "GridImage", "LookaheadConfig", "Rect",
+    "Scenario", "VisionConfig", "WorldPose",
     "load_image", "load_scenario", "pixel_to_world", "rasterize", "save_pgm",
     "scenario_from_dict", "world_to_pixel", "wrap_angle",
-    "detect_edges", "make_gaussian", "make_gog", "make_log", "convolve", "zero_cross",
+    "detect_edges", "make_gog", "make_log", "convolve", "zero_cross",
     "FREE", "OBSTACLE", "TARGET", "BoundaryGrid", "GradientField",
     "PotentialField", "build_boundary", "descend", "gradient", "relax",
-    "BodyError", "Command", "body_errors", "curve_coeff", "command", "wheel_speeds",
+    "BodyError", "Command", "body_errors", "curve_coeff", "command",
     "ReferencePoint", "guidance_step", "lookahead", "ref_point",
     "observe", "step",
     "cost_ratio", "fm_arrival", "fm_path", "path_reference",

@@ -116,9 +116,11 @@ def cmd_run(args) -> int:
 
 def cmd_sweep_delay(args) -> int:
     sc = _apply_overrides(load_scenario(args.scenario), args)
-    out = _ensure_out(args)
     delays = [float(x) for x in args.delays.split(",") if x != ""]
+    if not delays or args.seeds < 1:
+        raise ValueError("sweep-delay: empty grid (--delays %r, --seeds %d)" % (args.delays, args.seeds))
     seeds = list(range(args.seeds))
+    out = _ensure_out(args)
     result = analysis.sweep(sc, delays, seeds, planners=(sc.planner,))
     result.to_csv(out / "sweep.csv")
     medians = {repr(d): result.median_max_err(sc.planner, d) for d in delays}

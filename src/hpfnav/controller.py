@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .workspace import ControlConfig, UgvConfig, WorldPose, wrap_angle
+from .workspace import ControlConfig, WorldPose, wrap_angle
 
 EX_EPS = 1e-6  # below this |e_x| the parabola fit degenerates
 
@@ -72,13 +72,4 @@ def command(a_coeff: float, e: BodyError, params: ControlConfig) -> Command:
     if abs(omega) > params.omega_limit:
         scale = min(scale, params.omega_limit / abs(omega))
     return Command(v * scale, omega * scale)
-
-
-def wheel_speeds(cmd: Command, ugv: UgvConfig) -> tuple[float, float]:
-    """Angular wheel rates (right, left) realizing (v, omega)."""
-    r = ugv.wheel_radius
-    half_track = ugv.track_width / 2.0
-    omega_r = (cmd.v + half_track * cmd.omega) / r
-    omega_l = (cmd.v - half_track * cmd.omega) / r
-    return omega_r, omega_l
 

@@ -9,6 +9,10 @@ has no local minima, so following the negative gradient from any free cell
 connected to the target always runs downhill to it.  Free components with no
 target in them settle at the constant 1 and are detected as flat, which is
 how an unreachable goal shows up.
+
+Nothing here is set per scenario: the obstacle padding `DILATION`, the
+tolerance and iteration cap of `relax` and the flatness threshold of
+`gradient` are fixed defaults.
 """
 
 from __future__ import annotations
@@ -21,6 +25,8 @@ import numpy as np
 FREE = 0
 OBSTACLE = 1
 TARGET = 2
+
+DILATION = 1  # Chebyshev radius by which edge cells are padded into obstacles
 
 
 @dataclass
@@ -80,7 +86,7 @@ class GradientField:
         return self.vx.shape[0]
 
 
-def build_boundary(edges, target, dilation: int = 1) -> BoundaryGrid:
+def build_boundary(edges, target, dilation: int = DILATION) -> BoundaryGrid:
     """Turn an edge map into boundary labels.
 
     Edge cells are dilated by a Chebyshev radius (square element) to pad the

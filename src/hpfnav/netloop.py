@@ -298,10 +298,8 @@ class PlannerState:
 
     kind: str
     boundary: hpf.BoundaryGrid
-    edges: object
     grad: hpf.GradientField | None = None
     potential: hpf.PotentialField | None = None
-    arrival: np.ndarray | None = None
     path: np.ndarray | None = None
 
 
@@ -309,19 +307,17 @@ def prepare(scenario: Scenario) -> PlannerState:
     """Run the static pipeline: image -> edges -> boundary -> field or path."""
     img = scenario.build_image()
     edges = vision.detect_edges(img, scenario.vision)
-    boundary = hpf.build_boundary(edges, scenario.target, scenario.hpf.dilation)
-    cfg = scenario.hpf
+    boundary = hpf.build_boundary(edges, scenario.target)
     if scenario.planner == "hpf":
-        pot = hpf.relax(boundary, tolerance=cfg.tolerance, max_sweeps=cfg.max_sweeps)
-        grad = hpf.gradient(pot, boundary, cfg.eps_flat)
-        return PlannerState("hpf", boundary, edges, grad=grad, potential=pot)
+        pot = hpf.relax(boundary)
+        return PlannerState("hpf", boundary, grad=hpf.gradient(pot, boundary), potential=pot)
     arrival = fm.fm_arrival(boundary)
     start_cell = world_to_pixel((scenario.start.x, scenario.start.y), scenario.gd,
                                 scenario.width, scenario.height)
     path = None
     if math.isfinite(arrival[start_cell[1], start_cell[0]]):
-        path = fm.fm_path(arrival, start_cell, scenario.gd, scenario.fm_step)
-    return PlannerState("fm", boundary, edges, arrival=arrival, path=path)
+        path = fm.fm_path(arrival, start_cell, scenario.gd)
+    return PlannerState("fm", boundary, path=path)
 
 
 def _make_lines(scenario: Scenario, k: int):
@@ -495,7 +491,7 @@ def _simulate(scenario: Scenario, vehicles: list, replan=None):
             if v.outcome is not None:
                 continue
             try:
-                obs = plant.observe(v.pose, scenario.camera, gd, scenario.width, scenario.height)
+                obs = plant.observe(v.pose, gd, scenario.width, scenario.height)
             except ValueError:
                 obs = None  # vehicle out of frame: camera has nothing to report
             if obs is not None:
@@ -548,7 +544,7 @@ def _stamp_agents(static_edges: np.ndarray, poses, me: int, own_target, scenario
         stamp |= (xs - ax) ** 2 + (ys - ay) ** 2 <= r_px**2
     # never wall off this agent's own goal: clear enough around the target
     # that the later dilation step cannot re-cover it
-    d = scenario.hpf.dilation
+    d = hpf.DILATION
     tx, ty = own_target
     stamp[max(0, ty - d):ty + d + 1, max(0, tx - d):tx + d + 1] = False
     return static_edges | stamp
@@ -577,7 +573,6 @@ def run_multi(scenario: Scenario) -> MultiRunLog:
 
     img = scenario.build_image()
     static_edges = vision.detect_edges(img, scenario.vision).cells
-    cfg = scenario.hpf
     vehicles = [
         _Vehicle(scenario, spec.start, pixel_to_world(spec.target, gd, scenario.width, scenario.height),
                  None, up, down)
@@ -587,14 +582,12 @@ def run_multi(scenario: Scenario) -> MultiRunLog:
     def replan(i: int) -> None:
         v, target = vehicles[i], scenario.agents[i].target
         cells = _stamp_agents(static_edges, [u.pose for u in vehicles], i, target, scenario)
-        boundary = hpf.build_boundary(cells, target, cfg.dilation)
+        boundary = hpf.build_boundary(cells, target)
         prev = v.state
         if prev is not None and np.array_equal(prev.boundary.labels, boundary.labels):
             return  # same obstacles as last solve: the field still holds
-        pot = hpf.relax(boundary, tolerance=cfg.tolerance, max_sweeps=cfg.max_sweeps,
-                        initial=None if prev is None else prev.potential.phi)
-        v.state = PlannerState("hpf", boundary, None, grad=hpf.gradient(pot, boundary, cfg.eps_flat),
-                               potential=pot)
+        pot = hpf.relax(boundary, initial=None if prev is None else prev.potential.phi)
+        v.state = PlannerState("hpf", boundary, grad=hpf.gradient(pot, boundary), potential=pot)
 
     t_end, dm_times, dm_values = _simulate(scenario, vehicles, replan)
     outcome = "reached" if all(v.outcome == "reached" for v in vehicles) else "timeout"

@@ -11,7 +11,7 @@ import math
 
 from .controller import Command
 from .hpf import OBSTACLE, BoundaryGrid
-from .workspace import CameraConfig, WorldPose, pixel_to_world, world_to_pixel
+from .workspace import WorldPose, pixel_to_world, world_to_pixel
 
 _OMEGA_STRAIGHT = 1e-12  # below this |omega| the arc degenerates to a line
 
@@ -37,21 +37,16 @@ def step(pose: WorldPose, cmd: Command, dt: float) -> WorldPose:
     )
 
 
-def observe(pose: WorldPose, camera: CameraConfig, gd: float, width: int, height: int) -> WorldPose:
+def observe(pose: WorldPose, gd: float, width: int, height: int) -> WorldPose:
     """Camera report of a pose.
 
-    With quantization on, position snaps to the center of the pixel that
-    contains it, matching what a segmentation of the image can deliver;
-    heading is reported exactly either way.  Poses outside the workspace
-    cannot be observed and raise.
+    Position snaps to the center of the pixel that contains it, matching
+    what a segmentation of the image can deliver; heading is reported
+    exactly.  Poses outside the workspace cannot be observed and raise.
     """
-    if camera.quantize:
-        cell = world_to_pixel((pose.x, pose.y), gd, width, height)
-        cx, cy = pixel_to_world(cell, gd, width, height)
-        return WorldPose(cx, cy, pose.theta)
-    # still reject out-of-frame poses
-    world_to_pixel((pose.x, pose.y), gd, width, height)
-    return pose
+    cell = world_to_pixel((pose.x, pose.y), gd, width, height)
+    cx, cy = pixel_to_world(cell, gd, width, height)
+    return WorldPose(cx, cy, pose.theta)
 
 
 def collides(pose: WorldPose, boundary: BoundaryGrid, gd: float) -> bool:

@@ -4,6 +4,8 @@ Two filter branches run over the camera image: a Laplacian-of-Gaussian branch
 whose zero crossings nominate edge candidates, and a Gaussian-derivative
 branch whose gradient magnitude confirms that a candidate sits on real
 contrast rather than noise.  A cell is an edge only when both branches agree.
+
+Kernels reach out ceil(3 * sigma) pixels, so sigma alone sets their size.
 """
 
 from __future__ import annotations
@@ -34,27 +36,16 @@ class Kernel:
         return (self.weights.shape[0] - 1) // 2
 
 
-def _check_radius(sigma: float, radius: int) -> None:
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    if radius < math.ceil(3 * sigma):
-        raise ValueError("radius %d too small for sigma %g (need >= %d)" % (radius, sigma, math.ceil(3 * sigma)))
-
-
-def _offsets(radius: int):
+def _offsets(sigma: float):
+    """Pixel offsets (xx, yy) of a kernel with radius ceil(3 * sigma)."""
+    if not (math.isfinite(sigma) and sigma > 0):
+        raise ValueError("sigma must be finite and positive")
+    radius = math.ceil(3 * sigma)
     d = np.arange(-radius, radius + 1, dtype=float)
-    return np.meshgrid(d, d)  # (xx, yy), each (2r+1, 2r+1)
+    return np.meshgrid(d, d)  # each (2r+1, 2r+1)
 
 
-def make_gaussian(sigma: float, radius: int) -> Kernel:
-    """Sampled 2-D Gaussian, rescaled to sum exactly to 1."""
-    _check_radius(sigma, radius)
-    xx, yy = _offsets(radius)
-    w = np.exp(-(xx**2 + yy**2) / (2 * sigma**2)) / (2 * math.pi * sigma**2)
-    return Kernel(w / w.sum())
-
-
-def make_log(sigma: float, radius: int) -> Kernel:
+def make_log(sigma: float) -> Kernel:
     """Laplacian-of-Gaussian mask with zero mean.
 
     The continuous form ((x^2 + y^2 - 2 sigma^2) / (2 pi sigma^6)) *
@@ -62,23 +53,21 @@ def make_log(sigma: float, radius: int) -> Kernel:
     the sampled mask is mean-subtracted; a constant image then yields an
     exactly zero response and no spurious zero crossings.
     """
-    _check_radius(sigma, radius)
-    xx, yy = _offsets(radius)
+    xx, yy = _offsets(sigma)
     r2 = xx**2 + yy**2
     w = (r2 - 2 * sigma**2) / (2 * math.pi * sigma**6) * np.exp(-r2 / (2 * sigma**2))
     w -= w.mean()
     return Kernel(w)
 
 
-def make_gog(sigma: float, radius: int) -> tuple[Kernel, Kernel]:
+def make_gog(sigma: float) -> tuple[Kernel, Kernel]:
     """Gradient-of-Gaussian pair (d/dx, d/dy).
 
     Each mask is antisymmetric (sums to zero) and scaled so that an intensity
     ramp of slope s produces a response of exactly s per pixel: the first
     moment sum(w * offset) equals 1.
     """
-    _check_radius(sigma, radius)
-    xx, yy = _offsets(radius)
+    xx, yy = _offsets(sigma)
     g = np.exp(-(xx**2 + yy**2) / (2 * sigma**2))
     wx = xx * g
     wx /= (wx * xx).sum()
@@ -137,8 +126,8 @@ def detect_edges(image, params: VisionConfig | None = None) -> EdgeMap:
         params = VisionConfig()
     if params.zeta < 0:
         raise ValueError("zeta must be non-negative")
-    log_k = make_log(params.sigma, params.radius)
-    kx, ky = make_gog(params.sigma, params.radius)
+    log_k = make_log(params.sigma)
+    kx, ky = make_gog(params.sigma)
     response = convolve(image, log_k)
     candidates = zero_cross(response)
     gx = convolve(image, kx)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import MISSING, dataclass, field, asdict
 from pathlib import Path
 
 import numpy as np
@@ -234,7 +234,6 @@ def save_pgm(grid, path) -> None:
 @dataclass
 class CameraConfig:
     rate_hz: float = 5.0
-    quantize: bool = True
 
 
 @dataclass
@@ -256,24 +255,9 @@ class ControlConfig:
 
 
 @dataclass
-class UgvConfig:
-    wheel_radius: float = 0.05  # m
-    track_width: float = 0.3    # m
-
-
-@dataclass
 class VisionConfig:
-    sigma: float = 2.0
-    radius: int = 6            # kernel radius, >= ceil(3*sigma)
+    sigma: float = 2.0         # Gaussian scale, pixels; kernels reach ceil(3*sigma)
     zeta: float = 40.0         # contrast threshold
-
-
-@dataclass
-class HpfConfig:
-    tolerance: float = 1e-10
-    max_sweeps: int | None = None   # None -> 20 * max(width, height)
-    eps_flat: float = 1e-12
-    dilation: int = 1               # Chebyshev radius for obstacle dilation
 
 
 @dataclass
@@ -305,11 +289,8 @@ class Scenario:
     camera: CameraConfig = field(default_factory=CameraConfig)
     delay: DelayConfig = field(default_factory=DelayConfig)
     control: ControlConfig = field(default_factory=ControlConfig)
-    ugv: UgvConfig = field(default_factory=UgvConfig)
     vision: VisionConfig = field(default_factory=VisionConfig)
-    hpf: HpfConfig = field(default_factory=HpfConfig)
     lookahead: LookaheadConfig = field(default_factory=LookaheadConfig)
-    fm_step: float = 0.5            # descent step on the arrival field, pixels
     fm_d0: float | None = None      # tracker look-ahead, m; None means control.d_max
     goal_radius: float = 0.1        # m
     timeout_s: float = 60.0
@@ -357,15 +338,16 @@ class Scenario:
             raise ValueError("lookahead.delta_l: must be >= 1")
         # a NaN or infinite frame rate or timeout keeps the event loop from ever ending
         for name, value in (("camera.rate_hz", self.camera.rate_hz), ("timeout_s", self.timeout_s),
-                            ("watchdog_s", self.watchdog_s), ("goal_radius", self.goal_radius)):
+                            ("watchdog_s", self.watchdog_s), ("goal_radius", self.goal_radius),
+                            ("vision.sigma", self.vision.sigma)):
             if not (math.isfinite(value) and value > 0):
                 raise ValueError("%s: must be finite and positive, got %r" % (name, value))
+        if math.ceil(3 * self.vision.sigma) >= min(self.width, self.height):
+            raise ValueError("vision.sigma: kernel radius ceil(3*sigma) must be below the grid side")
         if not self.delay.deadline_s >= 0:
             raise ValueError("delay.deadline_s: must be non-negative, got %r" % (self.delay.deadline_s,))
         if self.control.d_max < self.gd:
             raise ValueError("control.d_max: must be at least one pixel (%g m)" % self.gd)
-        if self.ugv.wheel_radius <= 0 or self.ugv.track_width <= 0:
-            raise ValueError("ugv: wheel_radius and track_width must be positive")
         if not 0.0 <= self.delay.drop_prob <= 1.0:
             raise ValueError("delay.drop_prob: must lie in [0, 1]")
         if self.delay.constant_s < 0 or self.delay.jitter_s < 0:
@@ -417,22 +399,88 @@ def _shape_to_dict(s) -> dict:
     raise TypeError("unknown shape %r" % (s,))
 
 
-def _shape_from_dict(d: dict):
-    kind = d.get("kind")
-    if kind == "disc":
-        return Disc(d["cx"], d["cy"], d["r"], d.get("intensity", 40))
-    if kind == "rect":
-        return Rect(d["x0"], d["y0"], d["x1"], d["y1"], d.get("intensity", 40))
-    raise ValueError("shapes: unknown shape kind %r" % (kind,))
+_SCALARS = {"float": ((int, float), "a number"), "int": (int, "an integer"), "str": (str, "a string")}
 
 
-def _build(cls, data: dict, context: str):
-    """Construct a config dataclass from a JSON object, rejecting unknown keys."""
-    allowed = {f for f in cls.__dataclass_fields__}
-    extra = set(data) - allowed
+def _scalar(value, annotation: str, path: str):
+    """Check a JSON value against a field annotation such as 'float' or 'str | None'."""
+    kind, _, optional = annotation.partition(" | ")
+    if value is None and optional == "None":
+        return value
+    types, what = _SCALARS[kind]
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ValueError("%s: expected %s, got %r" % (path, what, value))
+    return value
+
+
+def _each(item):
+    """Converter for a JSON list that applies item(value, path) to each entry."""
+    def convert(value, path: str) -> list:
+        if not isinstance(value, list):
+            raise ValueError("%s: expected a list, got %r" % (path, value))
+        return [item(v, "%s[%d]" % (path, i)) for i, v in enumerate(value)]
+    return convert
+
+
+def _pair(kind: str):
+    def convert(value, path: str) -> tuple:
+        items = _each(lambda v, p: _scalar(v, kind, p))(value, path)
+        if len(items) != 2:
+            raise ValueError("%s: expected 2 values, got %r" % (path, value))
+        return tuple(items)
+    return convert
+
+
+def _build(cls, data, context: str, convert=None):
+    """Construct a dataclass from a JSON object, rejecting unknown or missing keys.
+
+    A value must have its field's scalar type unless `convert` maps the field
+    to a converter(value, path).  Errors carry the field path, e.g. shapes[0].cy.
+    """
+    where = context or "scenario"
+    if not isinstance(data, dict):
+        raise ValueError("%s: expected an object, got %r" % (where, data))
+    fields = cls.__dataclass_fields__
+    extra = set(data) - set(fields)
     if extra:
-        raise ValueError("%s: unknown field %s" % (context, ", ".join(sorted(extra))))
-    return cls(**data)
+        raise ValueError("%s: unknown field %s" % (where, ", ".join(sorted(extra))))
+    missing = [name for name, f in fields.items()
+               if name not in data and f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        raise ValueError("%s: missing field %s" % (where, ", ".join(missing)))
+    kwargs = {}
+    for name, value in data.items():
+        path = context + "." + name if context else name
+        if convert and name in convert:
+            kwargs[name] = convert[name](value, path)
+        else:
+            kwargs[name] = _scalar(value, fields[name].type, path)
+    return cls(**kwargs)
+
+
+def _nested(cls, convert=None):
+    return lambda value, path: _build(cls, value, path, convert)
+
+
+def _shape(s, path: str):
+    cls = {"disc": Disc, "rect": Rect}.get(s.get("kind") if isinstance(s, dict) else None)
+    if cls is None:
+        raise ValueError("%s.kind: must be 'disc' or 'rect'" % path)
+    return _build(cls, {k: v for k, v in s.items() if k != "kind"}, path)
+
+
+_SCENARIO_FIELDS = {
+    "extent": _pair("float"),
+    "shapes": _each(_shape),
+    "target": _pair("int"),
+    "start": _nested(WorldPose),
+    "camera": _nested(CameraConfig),
+    "delay": _nested(DelayConfig),
+    "control": _nested(ControlConfig),
+    "vision": _nested(VisionConfig),
+    "lookahead": _nested(LookaheadConfig),
+    "agents": _each(_nested(AgentSpec, {"start": _nested(WorldPose), "target": _pair("int")})),
+}
 
 
 def scenario_from_dict(d: dict) -> Scenario:
@@ -442,34 +490,7 @@ def scenario_from_dict(d: dict) -> Scenario:
         raise ValueError(
             "schema_version: expected %d, got %r" % (SCENARIO_SCHEMA_VERSION, version)
         )
-    nested = {
-        "camera": CameraConfig,
-        "delay": DelayConfig,
-        "control": ControlConfig,
-        "ugv": UgvConfig,
-        "vision": VisionConfig,
-        "hpf": HpfConfig,
-        "lookahead": LookaheadConfig,
-    }
-    kwargs = {}
-    for key, value in d.items():
-        if key in nested:
-            kwargs[key] = _build(nested[key], value, key)
-        elif key == "start":
-            kwargs[key] = WorldPose(**value)
-        elif key == "shapes":
-            kwargs[key] = [_shape_from_dict(s) for s in value]
-        elif key == "agents":
-            kwargs[key] = [
-                AgentSpec(start=WorldPose(**a["start"]), target=tuple(a["target"])) for a in value
-            ]
-        elif key in ("target", "extent"):
-            kwargs[key] = tuple(value)
-        elif key in Scenario.__dataclass_fields__:
-            kwargs[key] = value
-        else:
-            raise ValueError("unknown scenario field %r" % key)
-    return Scenario(**kwargs)
+    return _build(Scenario, d, "", _SCENARIO_FIELDS)
 
 
 def load_scenario(path) -> Scenario:

@@ -234,10 +234,10 @@ def test_criterion_10_tolerates_edge_deletion(acceptance, scenario_dir):
         drop = rng.choice(len(xs), size=int(round(0.2 * len(xs))), replace=False)
         degraded = cells.copy()
         degraded[ys[drop], xs[drop]] = False
-        boundary = hpf_mod.build_boundary(degraded, sc.target, sc.hpf.dilation)
-        pot = hpf_mod.relax(boundary, tolerance=sc.hpf.tolerance, max_sweeps=sc.hpf.max_sweeps)
-        grad = hpf_mod.gradient(pot, boundary, sc.hpf.eps_flat)
-        state = netloop.PlannerState("hpf", boundary, None, grad=grad)
+        boundary = hpf_mod.build_boundary(degraded, sc.target)
+        pot = hpf_mod.relax(boundary)
+        grad = hpf_mod.gradient(pot, boundary)
+        state = netloop.PlannerState("hpf", boundary, grad=grad)
         log = netloop.run_loop(sc, state=state)
         tr = log.trace_array()
         d_min = float(np.min(np.hypot(tr[:, 1] - disc_c[0], tr[:, 2] - disc_c[1])))
@@ -310,7 +310,7 @@ def test_criterion_13_vision_pipeline(acceptance, scenario_dir):
     edges = vision.detect_edges(sc.build_image(), sc.vision)
     closed = _contour_is_closed(edges.cells, (32, 24))
 
-    log_sum = abs(float(vision.make_log(2.0, 6).weights.sum()))
+    log_sum = abs(float(vision.make_log(2.0).weights.sum()))
     ok = none_found and closed and log_sum <= 1e-12
     acceptance(13, "flat image empty, disc contour closed, kernel zero-sum", ok)
     assert none_found

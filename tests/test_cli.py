@@ -1,11 +1,14 @@
 """Command line tests: exit codes, artifacts, determinism."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import hpfnav
 from hpfnav.cli import EXIT_OK, EXIT_TIMEOUT, EXIT_UNREACHABLE, EXIT_USAGE, main
 
 
@@ -47,15 +50,53 @@ def test_missing_scenario_file(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_retired_omega_sor_key_is_rejected(tmp_path, scenario_dir, capsys):
-    doc = json.loads((scenario_dir / "open.json").read_text())
-    doc["hpf"]["omega_sor"] = 1.8
-    path = tmp_path / "old.json"
+def _edited_scenario(tmp_path, scenario_dir, edit):
+    doc = json.loads((scenario_dir / "comparison.json").read_text())
+    edit(doc)
+    path = tmp_path / "edited.json"
     path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda d: d.update(hpf={"tolerance": 1e-10, "max_sweeps": None, "eps_flat": 1e-12,
+                                 "dilation": 1, "omega_sor": 1.8}), "scenario: unknown field hpf"),
+        (lambda d: d.update(ugv={"wheel_radius": 0.05, "track_width": 0.3}), "scenario: unknown field ugv"),
+        (lambda d: d["camera"].update(quantize=True), "camera: unknown field quantize"),
+        (lambda d: d["vision"].update(radius=6), "vision: unknown field radius"),
+        (lambda d: d.update(fm_step=0.5), "scenario: unknown field fm_step"),
+    ],
+    ids=["hpf", "ugv", "camera.quantize", "vision.radius", "fm_step"],
+)
+def test_retired_keys_are_rejected(tmp_path, scenario_dir, capsys, edit, message):
+    path = _edited_scenario(tmp_path, scenario_dir, edit)
     code = main(["run", "--scenario", str(path), "--out-dir", str(tmp_path / "x")])
     assert code == EXIT_USAGE == 1
-    assert "hpf: unknown field omega_sor" in capsys.readouterr().err
+    assert "error: " + message in capsys.readouterr().err
 
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda d: d.update(start=[1, 2]), "start: expected an object, got [1, 2]"),
+        (lambda d: d.update(width="64"), "width: expected an integer, got '64'"),
+        (lambda d: d["camera"].update(rate_hz="5"), "camera.rate_hz: expected a number, got '5'"),
+        (lambda d: d["shapes"][0].pop("cy"), "shapes[0]: missing field cy"),
+        (lambda d: d.update(agents=[{"start": {"x": 1.0, "y": 1.0, "theta": 0.0}}]),
+         "agents[0]: missing field target"),
+        (lambda d: d.update(shapes={}), "shapes: expected a list, got {}"),
+        (lambda d: d.update(seed=1.5), "seed: expected an integer, got 1.5"),
+    ],
+    ids=["start-list", "width-string", "rate-string", "disc-no-cy", "agent-no-target",
+         "shapes-object", "seed-float"],
+)
+def test_wrong_json_types_are_rejected(tmp_path, scenario_dir, capsys, edit, message):
+    path = _edited_scenario(tmp_path, scenario_dir, edit)
+    code = main(["render", "--scenario", str(path), "--out-dir", str(tmp_path / "x")])
+    assert code == EXIT_USAGE == 1
+    assert "error: " + message in capsys.readouterr().err
 
 
 def test_non_finite_camera_rate_is_rejected(tmp_path, scenario_dir, capsys):
@@ -67,6 +108,7 @@ def test_non_finite_camera_rate_is_rejected(tmp_path, scenario_dir, capsys):
     code = main(["render", "--scenario", str(path), "--out-dir", str(tmp_path / "x")])
     assert code == EXIT_USAGE == 1
     assert "camera.rate_hz: must be finite and positive" in capsys.readouterr().err
+
 
 def test_bad_lookahead_value(tmp_path, scenario_dir, capsys):
     code = main(["run", "--scenario", str(scenario_dir / "open.json"),
@@ -101,6 +143,16 @@ def test_sweep_delay_single_cell(tmp_path, scenario_dir):
     assert summary["median_max_err"]["0.0"] > 0.0
 
 
+@pytest.mark.parametrize("grid", [["--seeds", "0"], ["--delays", ","]], ids=["no-seeds", "no-delays"])
+def test_sweep_delay_rejects_empty_grid(tmp_path, scenario_dir, capsys, grid):
+    out = tmp_path / "s"
+    code = main(["sweep-delay", "--scenario", str(scenario_dir / "open.json"),
+                 "--out-dir", str(out)] + grid)
+    assert code == EXIT_USAGE == 1
+    assert "error: " in capsys.readouterr().err
+    assert not (out / "sweep.csv").exists()
+
+
 def test_compare_lookahead_rows(tmp_path, scenario_dir):
     out = tmp_path / "c"
     code = main(["compare-lookahead", "--scenario", str(scenario_dir / "open.json"),
@@ -133,11 +185,14 @@ def test_render_writes_scene(tmp_path, scenario_dir):
 
 
 def test_console_script_entry_point(tmp_path, scenario_dir):
+    # the child must import the same hpfnav as this process, installed or not
+    src = str(Path(hpfnav.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "hpfnav.cli", "run",
          "--scenario", str(scenario_dir / "open.json"),
          "--out-dir", str(tmp_path / "sub")],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     assert (tmp_path / "sub" / "summary.json").exists()

@@ -5,14 +5,12 @@ import pytest
 
 from hpfnav.controller import (
     BodyError,
-    Command,
     body_errors,
     command,
     curve_coeff,
     sign,
-    wheel_speeds,
 )
-from hpfnav.workspace import ControlConfig, UgvConfig, WorldPose
+from hpfnav.workspace import ControlConfig, WorldPose
 
 
 def test_sign_convention():
@@ -89,20 +87,3 @@ def test_command_scales_with_curvature():
     bent = command(4.0, BodyError(1.0, 0.5, 0.0), p)
     assert abs(bent.v) < abs(flat.v)  # sharper curve, slower approach
 
-
-def test_wheel_speeds():
-    ugv = UgvConfig()  # r=0.05, W=0.3
-    assert wheel_speeds(Command(0.2, 0.0), ugv) == pytest.approx((4.0, 4.0))
-    assert wheel_speeds(Command(0.0, 1.0), ugv) == pytest.approx((3.0, -3.0))
-
-
-def test_wheel_speeds_roundtrip():
-    ugv = UgvConfig(wheel_radius=0.04, track_width=0.25)
-    rng = np.random.default_rng(3)
-    for _ in range(300):
-        v, omega = rng.uniform(-1, 1, 2)
-        wr, wl = wheel_speeds(Command(v, omega), ugv)
-        # invert the wheel kinematics: v is the mean rim speed, omega their difference over the track
-        back_v = ugv.wheel_radius * (wr + wl) / 2.0
-        back_omega = ugv.wheel_radius * (wr - wl) / ugv.track_width
-        assert (back_v, back_omega) == pytest.approx((v, omega))

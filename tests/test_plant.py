@@ -6,7 +6,7 @@ import pytest
 from hpfnav.controller import Command
 from hpfnav.hpf import OBSTACLE, TARGET, BoundaryGrid, build_boundary
 from hpfnav.plant import collides, observe, step
-from hpfnav.workspace import CameraConfig, WorldPose
+from hpfnav.workspace import WorldPose
 
 
 def test_step_straight():
@@ -57,14 +57,8 @@ def test_step_matches_euler_in_the_limit():
     assert (exact.x, exact.y) == pytest.approx((x, y), abs=1e-3)
 
 
-def test_observe_identity_without_quantization():
-    pose = WorldPose(1.2345, 0.9876, 0.321)
-    obs = observe(pose, CameraConfig(quantize=False), 0.0125, 320, 240)
-    assert (obs.x, obs.y, obs.theta) == (pose.x, pose.y, pose.theta)
-
-
 def test_observe_snaps_to_cell_center():
-    obs = observe(WorldPose(0.013, 0.013, 0.5), CameraConfig(), 0.0125, 320, 240)
+    obs = observe(WorldPose(0.013, 0.013, 0.5), 0.0125, 320, 240)
     assert (obs.x, obs.y) == pytest.approx((0.01875, 0.01875))
     assert obs.theta == 0.5  # heading is not quantized
 
@@ -74,14 +68,14 @@ def test_observe_quantization_error_bound():
     gd = 0.0125
     for _ in range(500):
         pose = WorldPose(rng.uniform(0, 4), rng.uniform(0, 3), rng.uniform(-3, 3))
-        obs = observe(pose, CameraConfig(), gd, 320, 240)
+        obs = observe(pose, gd, 320, 240)
         err = math.hypot(obs.x - pose.x, obs.y - pose.y)
         assert err <= gd * math.sqrt(2) / 2 + 1e-12
 
 
 def test_observe_out_of_frame():
     with pytest.raises(ValueError):
-        observe(WorldPose(4.2, 1.0, 0.0), CameraConfig(), 0.0125, 320, 240)
+        observe(WorldPose(4.2, 1.0, 0.0), 0.0125, 320, 240)
 
 
 def test_collides():

@@ -9,7 +9,6 @@ from hpfnav.vision import (
     contrast_filter,
     convolve,
     detect_edges,
-    make_gaussian,
     make_gog,
     make_log,
     zero_cross,
@@ -36,38 +35,22 @@ def direct_convolve(image, weights):
 # -- kernels
 
 
-def test_gaussian_kernel():
-    k = make_gaussian(1.0, 3)
-    assert k.weights.shape == (7, 7)
-    assert k.weights.sum() == pytest.approx(1.0, abs=1e-15)
-    # normalization preserves ratios from the closed form
-    assert k.weights[3, 4] / k.weights[3, 3] == pytest.approx(math.exp(-0.5), abs=1e-12)
-    assert k.weights[3, 3] == pytest.approx(1.0 / (2 * math.pi), rel=1e-3)
-
-
 def test_log_kernel():
-    k = make_log(1.0, 3)
+    k = make_log(1.0)
     assert abs(k.weights.sum()) <= 1e-12
     assert k.weights[3, 3] < 0
     assert k.weights[3, 3] == pytest.approx(-1.0 / math.pi, rel=1e-2)
     np.testing.assert_allclose(k.weights, np.rot90(k.weights), atol=1e-15)
 
 
-def test_kernel_radius_guard():
-    with pytest.raises(ValueError):
-        make_log(2.0, 3)
-    with pytest.raises(ValueError):
-        make_gaussian(2.0, 5)
-
-
 def test_log_zeroes_constant_image():
-    k = make_log(1.5, 5)
+    k = make_log(1.5)
     out = convolve(np.full((20, 20), 137.0), k)
     np.testing.assert_allclose(out, 0.0, atol=1e-9)
 
 
 def test_gog_ramp_response():
-    kx, ky = make_gog(2.0, 6)
+    kx, ky = make_gog(2.0)
     s = 3.7
     img = np.tile(s * np.arange(40.0), (30, 1))
     gx = convolve(img, kx)
@@ -78,7 +61,7 @@ def test_gog_ramp_response():
 
 
 def test_gog_axis_swap():
-    kx, ky = make_gog(1.0, 3)
+    kx, ky = make_gog(1.0)
     rng = np.random.default_rng(3)
     img = rng.uniform(0, 255, (25, 25))
     np.testing.assert_allclose(convolve(img, kx), convolve(img.T, ky).T, atol=1e-10)
@@ -112,7 +95,7 @@ def test_convolve_matches_direct_loop():
 def test_convolve_linearity():
     rng = np.random.default_rng(5)
     a, b = rng.uniform(0, 255, (2, 16, 16))
-    k = make_log(1.0, 3)
+    k = make_log(1.0)
     lhs = convolve(2.0 * a - 0.5 * b, k)
     rhs = 2.0 * convolve(a, k) - 0.5 * convolve(b, k)
     np.testing.assert_allclose(lhs, rhs, atol=1e-9)
@@ -171,7 +154,7 @@ def test_detect_edges_uniform_image():
 
 def test_detect_edges_disc_contour_closed():
     img = rasterize([Disc(24, 24, 8, intensity=20)], 48, 48, background=200)
-    edges = detect_edges(img, VisionConfig(sigma=2.0, radius=6, zeta=20.0))
+    edges = detect_edges(img, VisionConfig(sigma=2.0, zeta=20.0))
     assert edges.cells.any()
     assert edges.density() <= 0.15
     assert _encloses(edges.cells, (24, 24))
@@ -181,7 +164,7 @@ def test_detect_edges_two_obstacles_two_contours():
     img = rasterize(
         [Disc(14, 16, 5, intensity=20), Disc(40, 32, 6, intensity=20)], 56, 48, background=200
     )
-    edges = detect_edges(img, VisionConfig(sigma=2.0, radius=6, zeta=20.0))
+    edges = detect_edges(img, VisionConfig(sigma=2.0, zeta=20.0))
     assert _components(edges.cells) == 2
     assert _encloses(edges.cells, (14, 16))
     assert _encloses(edges.cells, (40, 32))
@@ -193,9 +176,9 @@ def test_contrast_filter_suppresses_noise():
     scene = rasterize([Disc(24, 24, 8, intensity=20)], 48, 48, background=200)
     noisy = scene.pixels.astype(float) + rng.normal(0.0, 5.0, scene.pixels.shape)
 
-    cfg = VisionConfig(sigma=2.0, radius=6, zeta=20.0)
-    k_log = make_log(cfg.sigma, cfg.radius)
-    kx, ky = make_gog(cfg.sigma, cfg.radius)
+    cfg = VisionConfig(sigma=2.0, zeta=20.0)
+    k_log = make_log(cfg.sigma)
+    kx, ky = make_gog(cfg.sigma)
     cand = zero_cross(convolve(noisy, k_log))
     kept = contrast_filter(cand, (convolve(noisy, kx), convolve(noisy, ky)), cfg.zeta).cells
 

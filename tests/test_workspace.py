@@ -13,6 +13,7 @@ from hpfnav.workspace import (
     GridImage,
     Rect,
     Scenario,
+    VisionConfig,
     WorldPose,
     load_image,
     load_scenario,
@@ -229,9 +230,12 @@ def test_scenario_validation_messages():
         ("goal_radius", {"goal_radius": math.inf}),
         ("delay.deadline_s", {"delay": DelayConfig(deadline_s=-0.5)}),
         ("delay.deadline_s", {"delay": DelayConfig(deadline_s=math.nan)}),
+        ("vision.sigma", {"vision": VisionConfig(sigma=math.nan)}),
+        ("vision.sigma", {"vision": VisionConfig(sigma=16.0)}),
     ],
     ids=["rate-nan", "rate-inf", "timeout-nan", "timeout-inf", "timeout-negative", "watchdog-zero",
-         "watchdog-nan", "goal-negative", "goal-inf", "deadline-negative", "deadline-nan"],
+         "watchdog-nan", "goal-negative", "goal-inf", "deadline-negative", "deadline-nan",
+         "sigma-nan", "sigma-kernel-wider-than-grid"],
 )
 def test_scenario_rejects_non_finite_or_out_of_range_times(field, kwargs):
     with pytest.raises(ValueError, match="^" + re.escape(field) + ": "):
@@ -247,6 +251,15 @@ def test_load_scenario_bad_json(tmp_path):
     f.write_text("{ not json")
     with pytest.raises(ValueError, match="JSON"):
         load_scenario(f)
+
+
+def test_committed_scenarios_match_their_save_output(scenario_dir, tmp_path):
+    paths = sorted(scenario_dir.glob("*.json"))
+    assert paths, "no committed scenarios found"
+    for path in paths:
+        text = path.read_text()
+        scenario_from_dict(json.loads(text)).save(tmp_path / path.name)
+        assert (tmp_path / path.name).read_text() == text, path.name
 
 
 def test_committed_scenarios_all_load(scenario_dir):
