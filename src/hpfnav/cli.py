@@ -57,6 +57,22 @@ def _parse_lookahead(text: str) -> LookaheadConfig:
         raise ValueError("lookahead: expected 'dynamic' or an integer, got %r" % text)
 
 
+def _parse_delays(text: str) -> list:
+    """The --delays list: each entry a finite, non-negative number of seconds."""
+    delays = []
+    for item in text.split(","):
+        if item == "":
+            continue
+        try:
+            d = float(item)
+        except ValueError:
+            raise ValueError("--delays: %r is not a number" % item) from None
+        if not (math.isfinite(d) and d >= 0):
+            raise ValueError("--delays: %r must be finite and non-negative" % item)
+        delays.append(d)
+    return delays
+
+
 def _write_summary(out_dir: Path, payload: dict) -> Path:
     payload = {"schema_version": SUMMARY_SCHEMA_VERSION, **payload}
     p = out_dir / "summary.json"
@@ -116,7 +132,7 @@ def cmd_run(args) -> int:
 
 def cmd_sweep_delay(args) -> int:
     sc = _apply_overrides(load_scenario(args.scenario), args)
-    delays = [float(x) for x in args.delays.split(",") if x != ""]
+    delays = _parse_delays(args.delays)
     if not delays or args.seeds < 1:
         raise ValueError("sweep-delay: empty grid (--delays %r, --seeds %d)" % (args.delays, args.seeds))
     seeds = list(range(args.seeds))

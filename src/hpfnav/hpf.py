@@ -3,7 +3,11 @@
 The free region gets a discrete Laplace solution with Dirichlet data:
 obstacle and frame cells are pinned at potential 1, the target cell at 0.
 `relax` solves the 5-point system on the free cells by matrix-free
-conjugate gradients (Hestenes & Stiefel 1952), in numpy alone.
+conjugate gradients (Hestenes & Stiefel 1952), in numpy alone.  The stencil
+couples only opposite colours of a checkerboard, so the red cells are
+eliminated exactly and CG runs on the reduced system of the black cells
+(Saad, Iterative Methods for Sparse Linear Systems, 2nd ed. 2003, on
+red-black ordering): half the unknowns and about half the iterations.
 Because harmonic functions take their extrema on the boundary, the interior
 has no local minima, so following the negative gradient from any free cell
 connected to the target always runs downhill to it.  Free components with no
@@ -62,7 +66,7 @@ class PotentialField:
     """Solved potential plus solver diagnostics."""
 
     phi: np.ndarray
-    sweeps: int        # solver iterations, one stencil pass each
+    sweeps: int        # CG iterations on the black-cell reduced system
     residual: float
     converged: bool
 
@@ -125,88 +129,147 @@ def relax(
     max_sweeps: int | None = None,
     initial: np.ndarray | None = None,
 ) -> PotentialField:
-    """Solve the Dirichlet problem by conjugate gradients.
+    """Solve the Dirichlet problem by conjugate gradients on the black cells.
 
     The unknowns are the free cells; fixed cells hold 1 (obstacles) or 0
-    (target) and enter only through the residual
-    r = (sum of 4 neighbors) - 4 * phi, which is the 5-point Laplacian and
-    symmetric positive definite on the free cells because the obstacle frame
-    closes every component.  The residual and the search direction are kept
-    at zero on fixed cells, so fixed values never move.  Free cells start at
-    1 (or at `initial` for warm starts); a free component that contains no
-    target then starts with a residual of exactly 0, never moves and comes
-    out exactly flat.
+    (target).  The 5-point stencil only couples cells of opposite colour on
+    a checkerboard, so the red cells are eliminated exactly: each free red
+    cell is the mean of its 4 (black or fixed) neighbours.  What remains is
+    the reduced system S' phi_B = c on the free black cells, with
+    S' p = p - 1/4 N(1/4 N(p) on the free red cells) and N the sum of the 4
+    neighbours.  S' is symmetric positive definite (the obstacle frame closes
+    every component) and better conditioned than the full Laplacian, so CG
+    needs about half the iterations on vectors half as long.  Its residual
+    is exactly mean4 - phi at the black cells once the red cells hold their
+    means, so the stopping test below has the same meaning as on the full grid.
+
+    Free cells start at 1 (or at `initial` for warm starts).  If that already
+    meets the tolerance, or `max_sweeps` is 0, phi is returned as it started.
+    A free component that contains no target and starts at 1 stays exactly
+    at 1, so it comes out exactly flat.
 
     Stops when the residual max|mean4 - phi| over free cells drops to
     `tolerance`, or after `max_sweeps` (default 20 * max(side)) iterations
-    of one stencil pass each; hitting the cap is reported via `converged`,
-    it is not an error.  The test is made on the true residual, recomputed
-    from phi whenever the recurrence says the tolerance is met; the
-    reported residual is the true one too.
+    of the reduced system; hitting the cap is reported via `converged`, it
+    is not an error.  The test is made on the true residual, recomputed from
+    phi whenever the recurrence says the tolerance is met (the max-norm is
+    only taken once the root-mean-square, which bounds it from below, is
+    there); the reported residual is the true one too.
     """
     labels = boundary.labels
     n, m = labels.shape
     if max_sweeps is None:
         max_sweeps = 20 * max(m, n)
 
+    # Flat layout with an odd row length mo: an even-width grid gets one
+    # obstacle column on the right.  Then the colour of a cell is the parity
+    # of its flat index, the red cells are x[0::2] and the black cells x[1::2],
+    # and the 4 neighbours of red cell k are black cells k - 1, k, k + h and
+    # k - h - 1 (h = mo // 2), those of black cell k red cells k, k + 1,
+    # k + h + 1 and k - h.  The frame is never free, so rows 1 .. n-2 (flat
+    # span lo:hi) hold every unknown; the stencils run over that span of
+    # each colour, and the frame columns in it are masked like any other
+    # fixed cell.
+    mo = m | 1
+    h = mo // 2
+    x = np.ones(n * mo)
+    phi = x.reshape(n, mo)[:, :m]
     free = labels == FREE
-    phi = np.ones((n, m), dtype=float)
     if initial is not None:
         phi[free] = np.asarray(initial, dtype=float)[free]
     phi[labels == TARGET] = 0.0
+    xr, xb = x[0::2], x[1::2]
+    lo, hi = mo, max(mo, (n - 1) * mo)
+    r0, r1 = (lo + 1) // 2, (hi + 1) // 2
+    b0, b1 = lo // 2, hi // 2
+    free_flat = np.zeros((n, mo), dtype=bool)
+    free_flat[:, :m] = free
+    free_flat = free_flat.reshape(-1)
+    red_free = free_flat[0::2][r0:r1]
+    black_mask = free_flat[1::2][b0:b1].astype(float)
+    red_weight = red_free * (1.0 / 16.0)
 
-    # Flat indexing: the 4 neighbors of cell i are i -+ 1 and i -+ m.  The
-    # frame is never free, so rows 1 .. n-2 (flat span lo:hi) hold every
-    # unknown; the frame columns inside that span are masked like any other
-    # fixed cell.  The search direction p spans the whole grid so that its
-    # neighbors can be read, and stays zero outside the free cells.
-    x = phi.reshape(-1)
-    lo, hi = m, max(m, (n - 1) * m)
-    mask = free.reshape(-1)[lo:hi].astype(float)
+    def to_red(b, out):
+        """out <- sum of the 4 neighbours of each red cell in the span, read from b."""
+        np.add(b[r0 - 1 : r1 - 1], b[r0:r1], out=out)
+        out += b[r0 + h : r1 + h]
+        out += b[r0 - h - 1 : r1 - h - 1]
+        return out
 
-    def laplacian(u, out):
-        """out <- sum of 4 neighbors - 4 u on the free cells, 0 elsewhere."""
-        np.add(u[lo - 1 : hi - 1], u[lo + 1 : hi + 1], out=out)
-        out += u[lo - m : hi - m]
-        out += u[lo + m : hi + m]
-        out -= 4.0 * u[lo:hi]
-        out *= mask
+    def to_black(r, out):
+        """out <- sum of the 4 neighbours of each black cell in the span, read from r."""
+        np.add(r[b0:b1], r[b0 + 1 : b1 + 1], out=out)
+        out += r[b0 + h + 1 : b1 + h + 1]
+        out += r[b0 - h : b1 - h]
+        return out
+
+    def black_residual(out):
+        """out <- mean4 - phi on the free black cells, 0 elsewhere."""
+        to_black(xr, out)
+        out *= 0.25
+        out -= xb[b0:b1]
+        out *= black_mask
         return out
 
     def max_abs(v):
         return max(float(v.max(initial=0.0)), -float(v.min(initial=0.0)))
 
-    xc = x[lo:hi]
-    r = laplacian(x, np.empty(hi - lo))
-    p = np.zeros_like(x)
-    pc = p[lo:hi]
-    pc[:] = r
-    q = np.empty_like(r)
-    rr = float(np.dot(r, r))
-    residual = 0.25 * max_abs(r)
+    t = np.zeros(len(xr))  # red-sized scratch, zero outside the span
+    tc = t[r0:r1]
+
+    def red_means():
+        """tc <- mean of the 4 neighbours of each red cell in the span."""
+        return np.multiply(to_red(xb, tc), 0.25, out=tc)
+
+    def solve_red():
+        """Set every free red cell to the mean of its 4 neighbours (exact elimination)."""
+        np.copyto(xr[r0:r1], red_means(), where=red_free)
+
+    # residual of the starting phi over all free cells, red ones included
+    r = black_residual(np.empty(b1 - b0))
+    residual = max(max_abs(r), max_abs((red_means() - xr[r0:r1]) * red_free))
     sweeps = 0
-    while residual > tolerance and sweeps < max_sweeps:
-        sweeps += 1
-        laplacian(p, q)  # q = -A p
-        alpha = rr / -float(np.dot(pc, q))
-        xc += alpha * pc
-        r += alpha * q
-        residual = 0.25 * max_abs(r)
-        if residual <= tolerance:
-            # the recurrence drifts from the true residual: recompute it,
-            # and restart from it if the tolerance is not met after all
-            laplacian(x, r)
-            residual = 0.25 * max_abs(r)
-            rr = float(np.dot(r, r))
-            pc[:] = r
-            continue
-        rr_next = float(np.dot(r, r))
-        pc *= rr_next / rr
-        pc += r
-        rr = rr_next
-    if residual > tolerance:  # stopped at the cap: report the true residual
-        residual = 0.25 * max_abs(laplacian(x, r))
-    return PotentialField(phi, sweeps, residual, residual <= tolerance)
+    if residual > tolerance and max_sweeps > 0:
+        solve_red()
+        residual = max_abs(black_residual(r))
+        # The search direction p spans every black cell so that its
+        # neighbours can be read, and stays zero outside the free ones.
+        p = np.zeros(len(xb))
+        pc = p[b0:b1]
+        pc[:] = r
+        q = np.empty_like(r)
+        xbc = xb[b0:b1]
+        rr = float(np.dot(r, r))
+        rr_stop = tolerance * tolerance * np.count_nonzero(black_mask)
+        while residual > tolerance and sweeps < max_sweeps:
+            sweeps += 1
+            to_red(p, tc)  # q = S' p
+            tc *= red_weight
+            to_black(t, q)
+            q *= black_mask
+            np.subtract(pc, q, out=q)
+            alpha = rr / float(np.dot(pc, q))
+            xbc += alpha * pc
+            q *= alpha
+            r -= q
+            rr_next = float(np.dot(r, r))
+            if rr_next <= rr_stop:  # rms(r) <= tolerance, so max|r| may be too
+                residual = max_abs(r)
+                if residual <= tolerance:
+                    # the recurrence drifts from the true residual: recompute
+                    # it, and restart from it if the tolerance is not met
+                    solve_red()
+                    residual = max_abs(black_residual(r))
+                    rr = float(np.dot(r, r))
+                    pc[:] = r
+                    continue
+            pc *= rr_next / rr
+            pc += r
+            rr = rr_next
+        if residual > tolerance:  # stopped at the cap: fill in red, report the true residual
+            solve_red()
+            residual = max_abs(black_residual(r))
+    return PotentialField(np.ascontiguousarray(phi), sweeps, residual, residual <= tolerance)
 
 
 def gradient(field: PotentialField, boundary: BoundaryGrid, eps_flat: float = 1e-12) -> GradientField:

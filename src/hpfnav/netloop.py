@@ -537,11 +537,15 @@ def _stamp_agents(static_edges: np.ndarray, poses, me: int, own_target, scenario
     if scenario.awareness == "nearest" and others:
         mine = poses[me]
         others = [min(others, key=lambda jp: math.hypot(jp[1].x - mine.x, jp[1].y - mine.y))]
-    ys, xs = np.mgrid[0:n, 0:m]
     stamp = np.zeros_like(static_edges)
     for _, p in others:
         ax, ay = p.x / gd, p.y / gd
-        stamp |= (xs - ax) ** 2 + (ys - ay) ** 2 <= r_px**2
+        # test only the disc's bounding box, widened by a cell against rounding
+        x0, x1 = (min(m, max(0, v)) for v in (math.floor(ax - r_px) - 1, math.ceil(ax + r_px) + 2))
+        y0, y1 = (min(n, max(0, v)) for v in (math.floor(ay - r_px) - 1, math.ceil(ay + r_px) + 2))
+        xs = np.arange(x0, x1)
+        ys = np.arange(y0, y1)[:, None]
+        stamp[y0:y1, x0:x1] |= (xs - ax) ** 2 + (ys - ay) ** 2 <= r_px**2
     # never wall off this agent's own goal: clear enough around the target
     # that the later dilation step cannot re-cover it
     d = hpf.DILATION

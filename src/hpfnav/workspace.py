@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import MISSING, dataclass, field, asdict
+from dataclasses import MISSING, dataclass, field, fields, asdict, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -241,7 +241,8 @@ class DelayConfig:
     constant_s: float = 0.0
     jitter_s: float = 0.0      # uniform half-width added to the constant part
     drop_prob: float = 0.0
-    deadline_s: float = 1.0    # packets older than this at delivery are discarded
+    # packets older than this at delivery are discarded; inf turns the deadline off
+    deadline_s: float = field(default=1.0, metadata={"allow_inf": True})
     up_fraction: float = 0.5   # share of the constant delay on the uplink
 
 
@@ -309,6 +310,13 @@ class Scenario:
         return self.extent[0] / self.width
 
     def validate(self):
+        # a NaN or infinite frame rate or timeout keeps the event loop from ever ending
+        for name, value in (("camera.rate_hz", self.camera.rate_hz), ("timeout_s", self.timeout_s),
+                            ("watchdog_s", self.watchdog_s), ("goal_radius", self.goal_radius),
+                            ("vision.sigma", self.vision.sigma)):
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError("%s: must be finite and positive, got %r" % (name, value))
+        _check_finite(self, "")
         if self.width < MIN_GRID_SIDE or self.height < MIN_GRID_SIDE:
             raise ValueError("width/height: grid must be at least %dx%d" % (MIN_GRID_SIDE, MIN_GRID_SIDE))
         x_a, y_a = self.extent
@@ -336,22 +344,15 @@ class Scenario:
             raise ValueError("lookahead.mode: must be 'dynamic' or 'fixed'")
         if self.lookahead.mode == "fixed" and self.lookahead.delta_l < 1:
             raise ValueError("lookahead.delta_l: must be >= 1")
-        # a NaN or infinite frame rate or timeout keeps the event loop from ever ending
-        for name, value in (("camera.rate_hz", self.camera.rate_hz), ("timeout_s", self.timeout_s),
-                            ("watchdog_s", self.watchdog_s), ("goal_radius", self.goal_radius),
-                            ("vision.sigma", self.vision.sigma)):
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError("%s: must be finite and positive, got %r" % (name, value))
         if math.ceil(3 * self.vision.sigma) >= min(self.width, self.height):
             raise ValueError("vision.sigma: kernel radius ceil(3*sigma) must be below the grid side")
-        if not self.delay.deadline_s >= 0:
-            raise ValueError("delay.deadline_s: must be non-negative, got %r" % (self.delay.deadline_s,))
         if self.control.d_max < self.gd:
             raise ValueError("control.d_max: must be at least one pixel (%g m)" % self.gd)
         if not 0.0 <= self.delay.drop_prob <= 1.0:
             raise ValueError("delay.drop_prob: must lie in [0, 1]")
-        if self.delay.constant_s < 0 or self.delay.jitter_s < 0:
-            raise ValueError("delay: constant_s and jitter_s must be non-negative")
+        for name in ("constant_s", "jitter_s", "deadline_s"):
+            if getattr(self.delay, name) < 0:
+                raise ValueError("delay.%s: must be non-negative, got %r" % (name, getattr(self.delay, name)))
         if not 0.0 <= self.delay.up_fraction <= 1.0:
             raise ValueError("delay.up_fraction: must lie in [0, 1]")
         if self.fm_d0 is not None and self.fm_d0 <= 0:
@@ -389,6 +390,25 @@ class Scenario:
 
     def save(self, path) -> None:
         Path(path).write_text(json.dumps(self.to_dict(), indent=2) + "\n")
+
+
+def _check_finite(value, path: str, allow_inf: bool = False) -> None:
+    """Every float in a scenario, nested configs and lists included, must be
+    finite; a field declared with metadata allow_inf may also be +-inf.
+
+    NaN fails every range comparison and inf passes most of them, so either
+    would otherwise run as if the value were absent or unbounded (a NaN delay
+    acts as no delay, a NaN limit never saturates, an infinite rate never ends).
+    """
+    if is_dataclass(value):
+        for f in fields(value):
+            _check_finite(getattr(value, f.name), path + "." + f.name if path else f.name,
+                          f.metadata.get("allow_inf", False))
+    elif isinstance(value, (list, tuple)):
+        for i, item in enumerate(value):
+            _check_finite(item, "%s[%d]" % (path, i))
+    elif isinstance(value, float) and not (math.isfinite(value) or allow_inf and not math.isnan(value)):
+        raise ValueError("%s: must be %s, got %r" % (path, "a number" if allow_inf else "finite", value))
 
 
 def _shape_to_dict(s) -> dict:

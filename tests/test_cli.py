@@ -153,6 +153,28 @@ def test_sweep_delay_rejects_empty_grid(tmp_path, scenario_dir, capsys, grid):
     assert not (out / "sweep.csv").exists()
 
 
+@pytest.mark.parametrize("delays", ["abc", "nan", "inf", "-1", "0.3,x"])
+def test_sweep_delay_rejects_bad_delays(tmp_path, scenario_dir, capsys, delays):
+    out = tmp_path / "s"
+    code = main(["sweep-delay", "--scenario", str(scenario_dir / "open.json"), "--seeds", "1",
+                 "--out-dir", str(out), "--delays", delays])
+    assert code == EXIT_USAGE == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: --delays: ")
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("delay", ["nan", "inf"])
+def test_non_finite_delay_override_is_rejected(tmp_path, scenario_dir, capsys, delay):
+    out = tmp_path / "r"
+    code = main(["run", "--scenario", str(scenario_dir / "open.json"), "--delay", delay,
+                 "--out-dir", str(out)])
+    assert code == EXIT_USAGE == 1
+    assert "error: delay.constant_s: must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_compare_lookahead_rows(tmp_path, scenario_dir):
     out = tmp_path / "c"
     code = main(["compare-lookahead", "--scenario", str(scenario_dir / "open.json"),

@@ -2,6 +2,8 @@ import collections
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hpfnav.hpf import (
     FREE,
@@ -202,6 +204,128 @@ def test_relax_warm_start_after_disc_moves():
     ref = dense_solve(moved.labels)
     np.testing.assert_allclose(cold.phi, ref, atol=1e-8)
     np.testing.assert_allclose(warm.phi, ref, atol=1e-8)
+
+
+def test_relax_cold_solve_of_moved_disc_takes_few_iterations():
+    """The reduced system on the black cells needs about half the iterations
+    of CG on the full 5-point system (89 on this grid)."""
+    field = relax(disc_boundary(15, 12))
+    assert field.converged
+    assert field.sweeps <= 50
+
+
+def framed(h, w):
+    labels = np.zeros((h, w), np.int8)
+    labels[0, :] = labels[-1, :] = labels[:, 0] = labels[:, -1] = OBSTACLE
+    return labels
+
+
+def corridor(h, w, vertical=False):
+    """A 1-cell-wide corridor: row (or column) 1 free, the target at its far end."""
+    labels = np.full((h, w), OBSTACLE, np.int8)
+    if vertical:
+        labels[1:-1, 1] = FREE
+        target = (1, h - 2)
+    else:
+        labels[1, 1:-1] = FREE
+        target = (w - 2, 1)
+    labels[target[1], target[0]] = TARGET
+    return BoundaryGrid(labels=labels, target=target)
+
+
+def bent_corridor(h, w):
+    """An L-shaped 1-cell-wide corridor along the top row and the right column."""
+    labels = np.full((h, w), OBSTACLE, np.int8)
+    labels[1, 1:-1] = FREE
+    labels[1:-1, w - 2] = FREE
+    labels[h - 2, w - 2] = TARGET
+    return BoundaryGrid(labels=labels, target=(w - 2, h - 2))
+
+
+def scattered(h, w, seed):
+    rng = np.random.default_rng(seed)
+    labels = framed(h, w)
+    inner = labels[1:-1, 1:-1]
+    inner[rng.random(inner.shape) < 0.2] = OBSTACLE
+    frees = np.argwhere(labels == FREE)
+    ty, tx = frees[len(frees) // 2]
+    labels[ty, tx] = TARGET
+    return BoundaryGrid(labels=labels, target=(int(tx), int(ty)))
+
+
+@pytest.mark.parametrize(
+    "bg",
+    [
+        scattered(10, 13, 1),          # odd width, even n*m
+        scattered(9, 12, 2),           # even width: padded with an obstacle column
+        scattered(11, 13, 3),          # odd n*m
+        scattered(12, 4, 4),           # narrow, even width
+        corridor(3, 17),               # 1-cell-wide corridors
+        corridor(3, 16),
+        corridor(18, 3, vertical=True),
+        corridor(17, 4, vertical=True),
+        bent_corridor(9, 12),
+        bent_corridor(10, 11),
+    ],
+    ids=["odd-w", "even-w", "odd-nm", "narrow-even-w", "row-odd-w", "row-even-w",
+         "column-odd-w", "column-even-w", "bend-even-w", "bend-odd-w"],
+)
+def test_relax_matches_dense_on_every_layout(bg):
+    field = relax(bg)
+    assert field.converged and field.residual <= 1e-10
+    assert field.phi.shape == bg.labels.shape
+    np.testing.assert_allclose(field.phi, dense_solve(bg.labels), atol=1e-8)
+
+
+def test_relax_zero_sweeps_returns_initial_bit_for_bit():
+    bg = scattered(9, 12, 5)
+    initial = np.random.default_rng(5).random(bg.labels.shape)
+    field = relax(bg, max_sweeps=0, initial=initial)
+    free = bg.labels == FREE
+    assert field.sweeps == 0 and not field.converged
+    assert np.array_equal(field.phi[free], initial[free])
+
+
+@pytest.mark.parametrize("max_sweeps", [0, 1, 5, None])
+def test_relax_reports_the_true_residual(max_sweeps):
+    """Whether it stops at the cap or converges, the reported residual is
+    max|mean4 - phi| over the free cells of the returned phi."""
+    bg = scattered(9, 12, 6)
+    field = relax(bg, max_sweeps=max_sweeps)
+    phi = field.phi
+    mean4 = 0.25 * (phi[:-2, 1:-1] + phi[2:, 1:-1] + phi[1:-1, :-2] + phi[1:-1, 2:])
+    true = np.abs(mean4 - phi[1:-1, 1:-1])[bg.labels[1:-1, 1:-1] == FREE].max()
+    assert field.residual == pytest.approx(true, rel=1e-6, abs=1e-15)
+    assert field.converged == (max_sweeps is None)
+
+
+@st.composite
+def boundaries(draw):
+    h = draw(st.integers(3, 14))
+    w = draw(st.integers(3, 14))
+    labels = framed(h, w)
+    inner = draw(st.lists(st.booleans(), min_size=(h - 2) * (w - 2), max_size=(h - 2) * (w - 2)))
+    labels[1:-1, 1:-1] = np.where(np.reshape(inner, (h - 2, w - 2)), OBSTACLE, FREE)
+    ty = draw(st.integers(1, h - 2))
+    tx = draw(st.integers(1, w - 2))
+    labels[ty, tx] = TARGET
+    initial = None
+    if draw(st.booleans()):
+        initial = np.reshape(draw(st.lists(st.floats(0.0, 1.0), min_size=h * w, max_size=h * w)), (h, w))
+    return BoundaryGrid(labels=labels, target=(tx, ty)), initial
+
+
+@settings(max_examples=60, deadline=2000, derandomize=True, database=None)
+@given(boundaries())
+def test_relax_property_matches_dense(case):
+    """Any framed grid, obstacles, target and warm start: relax converges to
+    the dense solution and leaves every fixed cell at exactly 1 or 0."""
+    bg, initial = case
+    field = relax(bg, initial=initial)
+    assert field.converged
+    np.testing.assert_allclose(field.phi, dense_solve(bg.labels), atol=1e-8)
+    assert (field.phi[bg.labels == OBSTACLE] == 1.0).all()
+    assert (field.phi[bg.labels == TARGET] == 0.0).all()
 
 
 def test_relax_options_are_keyword_only():

@@ -8,6 +8,7 @@ import pytest
 from hpfnav.workspace import (
     AgentSpec,
     CameraConfig,
+    ControlConfig,
     DelayConfig,
     Disc,
     GridImage,
@@ -239,6 +240,35 @@ def test_scenario_validation_messages():
 )
 def test_scenario_rejects_non_finite_or_out_of_range_times(field, kwargs):
     with pytest.raises(ValueError, match="^" + re.escape(field) + ": "):
+        Scenario(name="t", **kwargs)
+
+
+@pytest.mark.parametrize(
+    "field, kwargs",
+    [
+        ("delay.constant_s", {"delay": DelayConfig(constant_s=math.nan)}),
+        ("delay.jitter_s", {"delay": DelayConfig(jitter_s=math.nan)}),
+        ("delay.drop_prob", {"delay": DelayConfig(drop_prob=math.nan)}),
+        ("control.alpha", {"control": ControlConfig(alpha=math.inf)}),
+        ("control.beta", {"control": ControlConfig(beta=math.nan)}),
+        ("control.d_max", {"control": ControlConfig(d_max=math.nan)}),
+        ("control.v_limit", {"control": ControlConfig(v_limit=math.nan)}),
+        ("control.omega_limit", {"control": ControlConfig(omega_limit=-math.inf)}),
+        ("agent_radius", {"agent_radius": math.nan}),
+        ("fm_d0", {"fm_d0": math.nan}),
+        ("extent[0]", {"extent": (math.nan, 3.0)}),
+        ("start.theta", {"start": WorldPose(0.5, 1.5, math.nan)}),
+        ("shapes[0].r", {"shapes": [Disc(10.0, 10.0, math.nan)]}),
+        ("agents[1].start.x", {"agents": [AgentSpec(WorldPose(0.5, 0.5), (5, 5)),
+                                          AgentSpec(WorldPose(math.nan, 0.5), (9, 9))]}),
+    ],
+    ids=["constant-nan", "jitter-nan", "drop-nan", "alpha-inf", "beta-nan", "dmax-nan", "vlimit-nan",
+         "omega-neg-inf", "agent-radius-nan", "fm-d0-nan", "extent-nan", "theta-nan", "disc-r-nan",
+         "agent-start-nan"],
+)
+def test_scenario_rejects_every_non_finite_float(field, kwargs):
+    """One rule for every float field: finite, unless declared to allow inf (delay.deadline_s)."""
+    with pytest.raises(ValueError, match="^" + re.escape(field) + ": must be finite, got"):
         Scenario(name="t", **kwargs)
 
 
