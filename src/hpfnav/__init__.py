@@ -22,7 +22,6 @@ from .workspace import (
     load_scenario,
     pixel_to_world,
     rasterize,
-    save_pgm,
     scenario_from_dict,
     world_to_pixel,
     wrap_angle,
@@ -49,13 +48,9 @@ from .netloop import (
     MultiRunLog,
     Packet,
     RunLog,
-    UdpChannel,
-    UdpEndpoint,
-    pack_packet,
     prepare,
     run_loop,
     run_multi,
-    unpack_packet,
 )
 from .analysis import curvature, distance_error, ideal_path, sweep
 from .render import render_svg
@@ -66,7 +61,7 @@ __all__ = [
     "AgentSpec", "CameraConfig", "ControlConfig", "DelayConfig", "Disc",
     "EdgeMap", "GridImage", "LookaheadConfig", "Rect",
     "Scenario", "VisionConfig", "WorldPose",
-    "load_image", "load_scenario", "pixel_to_world", "rasterize", "save_pgm",
+    "load_image", "load_scenario", "pixel_to_world", "rasterize",
     "scenario_from_dict", "world_to_pixel", "wrap_angle",
     "detect_edges", "make_gog", "make_log", "convolve", "zero_cross",
     "FREE", "OBSTACLE", "TARGET", "BoundaryGrid", "GradientField",
@@ -75,8 +70,7 @@ __all__ = [
     "ReferencePoint", "guidance_step", "lookahead", "ref_point",
     "observe", "step",
     "cost_ratio", "fm_arrival", "fm_path", "path_reference",
-    "DelayLine", "MultiRunLog", "Packet", "RunLog", "UdpChannel", "UdpEndpoint",
-    "pack_packet", "prepare", "run_loop", "run_multi", "unpack_packet",
+    "DelayLine", "MultiRunLog", "Packet", "RunLog", "prepare", "run_loop", "run_multi",
     "curvature", "distance_error", "ideal_path", "sweep",
     "render_svg",
 ]

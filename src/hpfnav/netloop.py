@@ -16,11 +16,9 @@ unreachable and ends the run.  A multi-agent run (`run_multi`) re-solves
 each vehicle's field every camera frame around the others, and a flat
 sample there only holds the vehicle until the blocker moves on.
 
-Channels are either simulated ``DelayLine``s (constant delay, optional
-uniform jitter, drops, a packet deadline) or real UDP endpoints speaking the
-little-endian wire format defined here; the loop treats both as push/poll
-queues stamped with simulation time.  A UDP channel drops datagrams that
-do not parse and counts them in ``malformed``.
+Channels are ``DelayLine``s: constant delay, optional uniform jitter, drops
+and a packet deadline, all in simulation time.  ``run_loop`` accepts any
+object with the same push/poll methods in their place.
 """
 
 from __future__ import annotations
@@ -29,8 +27,6 @@ import heapq
 import itertools
 import math
 import random
-import socket
-import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -43,16 +39,6 @@ from .workspace import Scenario, WorldPose, pixel_to_world, world_to_pixel
 
 DT_MICRO = 0.01          # plant integration micro-step, s
 
-# wire format: magic, version u8, kind u8, seq u32, send time in us u64
-WIRE_MAGIC = b"ISPC"
-WIRE_VERSION = 1
-_HEADER = struct.Struct("<4sBBIQ")
-KIND_POSE = 1
-KIND_CMD = 2
-_KIND_CODE = {"pose": KIND_POSE, "cmd": KIND_CMD}
-_KIND_NAME = {KIND_POSE: "pose", KIND_CMD: "cmd"}
-_PAYLOAD_LEN = {KIND_POSE: 3, KIND_CMD: 2}
-
 
 @dataclass(frozen=True)
 class Packet:
@@ -62,38 +48,6 @@ class Packet:
     seq: int
     send_time: float   # s, simulation clock
     payload: tuple     # (x, y, theta) for pose, (v, omega) for cmd
-
-
-def pack_packet(pkt: Packet) -> bytes:
-    """Serialize a packet to the wire format (send time rounded to 1 us)."""
-    code = _KIND_CODE.get(pkt.kind)
-    if code is None:
-        raise ValueError("unknown packet kind %r" % (pkt.kind,))
-    if len(pkt.payload) != _PAYLOAD_LEN[code]:
-        raise ValueError(
-            "%s packet needs %d payload floats, got %d" % (pkt.kind, _PAYLOAD_LEN[code], len(pkt.payload))
-        )
-    head = _HEADER.pack(WIRE_MAGIC, WIRE_VERSION, code, pkt.seq, round(pkt.send_time * 1e6))
-    return head + struct.pack("<%dd" % len(pkt.payload), *pkt.payload)
-
-
-def unpack_packet(data: bytes) -> Packet:
-    """Parse wire bytes back into a packet; malformed input raises ValueError."""
-    if len(data) < _HEADER.size:
-        raise ValueError("datagram shorter than header (%d bytes)" % len(data))
-    magic, version, code, seq, t_us = _HEADER.unpack_from(data)
-    if magic != WIRE_MAGIC:
-        raise ValueError("bad magic %r" % (magic,))
-    if version != WIRE_VERSION:
-        raise ValueError("unsupported wire version %d" % version)
-    if code not in _KIND_NAME:
-        raise ValueError("unknown packet kind code %d" % code)
-    want = _PAYLOAD_LEN[code]
-    body = data[_HEADER.size :]
-    if len(body) != 8 * want:
-        raise ValueError("kind %d expects %d payload bytes, got %d" % (code, 8 * want, len(body)))
-    payload = struct.unpack("<%dd" % want, body)
-    return Packet(_KIND_NAME[code], seq, t_us / 1e6, payload)
 
 
 class DelayLine:
@@ -136,75 +90,6 @@ class DelayLine:
             _, _, pkt, delay = heapq.heappop(self._queue)
             out.append((pkt, delay))
         return out
-
-    def pending(self) -> int:
-        return len(self._queue)
-
-
-class UdpEndpoint:
-    """Non-blocking UDP socket speaking the packet wire format."""
-
-    def __init__(self, bind=("127.0.0.1", 0), peer=None):
-        self._sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-        self._sock.bind(bind)
-        self._sock.setblocking(False)
-        self.address = self._sock.getsockname()
-        self.peer = peer
-
-    def send(self, pkt: Packet) -> None:
-        if self.peer is None:
-            raise ValueError("no peer address configured")
-        self._sock.sendto(pack_packet(pkt), self.peer)
-
-    def recv(self, timeout: float = 0.0):
-        """Next packet, or None when nothing arrives within the timeout."""
-        self._sock.settimeout(timeout if timeout > 0 else None if timeout < 0 else 0.0)
-        try:
-            data, _ = self._sock.recvfrom(4096)
-        except (BlockingIOError, socket.timeout, TimeoutError):
-            return None
-        finally:
-            self._sock.setblocking(False)
-        return unpack_packet(data)
-
-    def close(self) -> None:
-        self._sock.close()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
-
-
-class UdpChannel:
-    """Adapter letting the event loop ride a real UDP leg.
-
-    push() serializes onto the socket; poll() drains whatever has come back
-    and stamps it with the simulation-time lag since it was sent.  Delivery
-    instants are only observed at poll time (the loop polls at least every
-    camera frame), unlike a DelayLine whose deliveries are scheduled exactly.
-    """
-
-    def __init__(self, endpoint: UdpEndpoint):
-        self.endpoint = endpoint
-        self.malformed = 0   # datagrams dropped because they did not parse
-
-    def push(self, pkt: Packet):
-        self.endpoint.send(pkt)
-        return None
-
-    def poll(self, now: float):
-        out = []
-        while True:
-            try:
-                pkt = self.endpoint.recv(0.0)
-            except ValueError:
-                self.malformed += 1   # stray or corrupt datagram: drop it
-                continue
-            if pkt is None:
-                return out
-            out.append((pkt, now - pkt.send_time))
 
 
 # --- run logs ----------------------------------------------------------------

@@ -8,7 +8,6 @@ embedded as a small hand-encoded grayscale PNG.
 from __future__ import annotations
 
 import base64
-import struct
 import zlib
 from pathlib import Path
 
@@ -27,9 +26,10 @@ def encode_png_gray(pixels: np.ndarray) -> bytes:
 
     def chunk(tag: bytes, data: bytes) -> bytes:
         body = tag + data
-        return struct.pack(">I", len(data)) + body + struct.pack(">I", zlib.crc32(body))
+        return len(data).to_bytes(4, "big") + body + zlib.crc32(body).to_bytes(4, "big")
 
-    ihdr = struct.pack(">IIBBBBB", w, h, 8, 0, 0, 0, 0)
+    # width, height, bit depth 8, grayscale, default compression/filter, no interlace
+    ihdr = w.to_bytes(4, "big") + h.to_bytes(4, "big") + bytes([8, 0, 0, 0, 0])
     return (
         b"\x89PNG\r\n\x1a\n"
         + chunk(b"IHDR", ihdr)

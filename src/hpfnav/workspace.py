@@ -96,9 +96,6 @@ class EdgeMap:
     def height(self) -> int:
         return self.cells.shape[0]
 
-    def density(self) -> float:
-        return float(self.cells.mean())
-
 
 # --- obstacle shapes ---------------------------------------------------------
 
@@ -169,7 +166,7 @@ def world_to_pixel(point, gd: float, width: int, height: int):
     return (px, py)
 
 
-# --- PGM I/O -----------------------------------------------------------------
+# --- PGM input ---------------------------------------------------------------
 
 
 def load_image(path) -> GridImage:
@@ -214,18 +211,6 @@ def load_image(path) -> GridImage:
         )
     px = np.frombuffer(payload, dtype=np.uint8).reshape(height, width)
     return GridImage(px.copy())
-
-
-def save_pgm(grid, path) -> None:
-    """Write an array as binary PGM; float grids are rescaled to 0..255."""
-    a = np.asarray(grid)
-    if a.dtype != np.uint8:
-        a = a.astype(float)
-        lo, hi = float(a.min()), float(a.max())
-        scale = 255.0 / (hi - lo) if hi > lo else 0.0
-        a = np.round((a - lo) * scale).astype(np.uint8)
-    header = b"P5\n%d %d\n255\n" % (a.shape[1], a.shape[0])
-    Path(path).write_bytes(header + a.tobytes())
 
 
 # --- scenario ----------------------------------------------------------------
@@ -317,6 +302,14 @@ class Scenario:
             if not (math.isfinite(value) and value > 0):
                 raise ValueError("%s: must be finite and positive, got %r" % (name, value))
         _check_finite(self, "")
+        # np.uint8 raises OverflowError outside 0..255, and a negative radius draws nothing
+        if not 0 <= self.background <= 255:
+            raise ValueError("background: must lie in [0, 255], got %r" % (self.background,))
+        for i, s in enumerate(self.shapes):
+            if not 0 <= s.intensity <= 255:
+                raise ValueError("shapes[%d].intensity: must lie in [0, 255], got %r" % (i, s.intensity))
+            if isinstance(s, Disc) and s.r < 0:
+                raise ValueError("shapes[%d].r: must be non-negative, got %r" % (i, s.r))
         if self.width < MIN_GRID_SIDE or self.height < MIN_GRID_SIDE:
             raise ValueError("width/height: grid must be at least %dx%d" % (MIN_GRID_SIDE, MIN_GRID_SIDE))
         x_a, y_a = self.extent
@@ -344,7 +337,9 @@ class Scenario:
             raise ValueError("lookahead.mode: must be 'dynamic' or 'fixed'")
         if self.lookahead.mode == "fixed" and self.lookahead.delta_l < 1:
             raise ValueError("lookahead.delta_l: must be >= 1")
-        if math.ceil(3 * self.vision.sigma) >= min(self.width, self.height):
+        # ceil(3*sigma) >= side exactly when 3*sigma > side - 1, and this form
+        # cannot overflow when 3*sigma rounds to inf
+        if 3 * self.vision.sigma > min(self.width, self.height) - 1:
             raise ValueError("vision.sigma: kernel radius ceil(3*sigma) must be below the grid side")
         if self.control.d_max < self.gd:
             raise ValueError("control.d_max: must be at least one pixel (%g m)" % self.gd)
@@ -483,7 +478,8 @@ def _nested(cls, convert=None):
 
 
 def _shape(s, path: str):
-    cls = {"disc": Disc, "rect": Rect}.get(s.get("kind") if isinstance(s, dict) else None)
+    kind = s.get("kind") if isinstance(s, dict) else None
+    cls = Disc if kind == "disc" else Rect if kind == "rect" else None
     if cls is None:
         raise ValueError("%s.kind: must be 'disc' or 'rect'" % path)
     return _build(cls, {k: v for k, v in s.items() if k != "kind"}, path)

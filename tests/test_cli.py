@@ -88,9 +88,17 @@ def test_retired_keys_are_rejected(tmp_path, scenario_dir, capsys, edit, message
          "agents[0]: missing field target"),
         (lambda d: d.update(shapes={}), "shapes: expected a list, got {}"),
         (lambda d: d.update(seed=1.5), "seed: expected an integer, got 1.5"),
+        (lambda d: d.update(background=300), "background: must lie in [0, 255], got 300"),
+        (lambda d: d["shapes"][1].update(intensity=-1), "shapes[1].intensity: must lie in [0, 255], got -1"),
+        (lambda d: d["vision"].update(sigma=1e308), "vision.sigma: kernel radius ceil(3*sigma)"),
+        (lambda d: d["shapes"][0].update(kind=[1, 2]), "shapes[0].kind: must be 'disc' or 'rect'"),
+        (lambda d: d["shapes"][0].update(kind={"x": 1}), "shapes[0].kind: must be 'disc' or 'rect'"),
+        (lambda d: d["shapes"][0].update(r=-1e308), "shapes[0].r: must be non-negative"),
+        (lambda d: d["shapes"][0].update(r=-1), "shapes[0].r: must be non-negative"),
     ],
     ids=["start-list", "width-string", "rate-string", "disc-no-cy", "agent-no-target",
-         "shapes-object", "seed-float"],
+         "shapes-object", "seed-float", "background-300", "intensity-negative", "sigma-huge",
+         "kind-list", "kind-object", "disc-r-huge-negative", "disc-r-negative"],
 )
 def test_wrong_json_types_are_rejected(tmp_path, scenario_dir, capsys, edit, message):
     path = _edited_scenario(tmp_path, scenario_dir, edit)
@@ -206,15 +214,35 @@ def test_render_writes_scene(tmp_path, scenario_dir):
     assert svg.startswith("<?xml") and "</svg>" in svg
 
 
-def test_console_script_entry_point(tmp_path, scenario_dir):
-    # the child must import the same hpfnav as this process, installed or not
+def _child_env() -> dict:
+    """Environment for a child process that imports the same hpfnav as this one, installed or not."""
     src = str(Path(hpfnav.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def test_console_script_entry_point(tmp_path, scenario_dir):
     proc = subprocess.run(
         [sys.executable, "-m", "hpfnav.cli", "run",
          "--scenario", str(scenario_dir / "open.json"),
          "--out-dir", str(tmp_path / "sub")],
-        capture_output=True, text=True, env=env,
+        capture_output=True, text=True, env=_child_env(),
     )
     assert proc.returncode == 0
     assert (tmp_path / "sub" / "summary.json").exists()
+
+
+_LOADED_BY_IMPORT = """
+import sys
+before = set(sys.modules)
+import hpfnav
+print(" ".join(sorted({name.partition(".")[0] for name in set(sys.modules) - before})))
+"""
+
+
+def test_package_imports_only_stdlib_and_numpy():
+    # scipy costs 0.25-0.38 s and ~30 MB of peak RSS to import, so src/ stays numpy-only
+    proc = subprocess.run([sys.executable, "-c", _LOADED_BY_IMPORT],
+                          capture_output=True, text=True, env=_child_env(), check=True)
+    loaded = proc.stdout.split()
+    assert "hpfnav" in loaded
+    assert [m for m in loaded if m not in sys.stdlib_module_names and m not in ("numpy", "hpfnav")] == []

@@ -1,7 +1,6 @@
 """Rendering tests: PNG encoder validity, deterministic SVG, layer content."""
 
 import re
-import struct
 import zlib
 
 import numpy as np
@@ -17,10 +16,10 @@ def _chunks(png: bytes) -> dict:
     off = 8
     out = {}
     while off < len(png):
-        (length,) = struct.unpack(">I", png[off : off + 4])
+        length = int.from_bytes(png[off : off + 4], "big")
         tag = png[off + 4 : off + 8]
         data = png[off + 8 : off + 8 + length]
-        (crc,) = struct.unpack(">I", png[off + 8 + length : off + 12 + length])
+        crc = int.from_bytes(png[off + 8 + length : off + 12 + length], "big")
         assert crc == zlib.crc32(tag + data)
         out[tag] = data
         off += 12 + length
@@ -31,7 +30,8 @@ def test_png_encoder_decodes_back():
     pix = (np.arange(48).reshape(6, 8) * 5 % 256).astype(np.uint8)
     png = encode_png_gray(pix)
     ch = _chunks(png)
-    w, h, depth, color = struct.unpack(">IIBB", ch[b"IHDR"][:10])
+    ihdr = ch[b"IHDR"]
+    w, h, depth, color = int.from_bytes(ihdr[0:4], "big"), int.from_bytes(ihdr[4:8], "big"), ihdr[8], ihdr[9]
     assert (w, h, depth, color) == (8, 6, 8, 0)
     raw = zlib.decompress(ch[b"IDAT"])
     assert len(raw) == 6 * (1 + 8)

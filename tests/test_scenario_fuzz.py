@@ -1,0 +1,53 @@
+"""Fuzz test: a hostile value at any field of a committed scenario must end
+in exit 0 or in exit 1 with the documented `error:` line, never a traceback."""
+
+import contextlib
+import copy
+import io
+import json
+import tempfile
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hpfnav.cli import main
+
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+
+# fixed so that no example can ask for a large grid
+HOSTILE = [None, True, -1, 0, 256, -5, 1.5, 1e308, -1e308, "x", [], {}, [1, 2], {"x": 1}]
+
+DOCS = {name: json.loads((SCENARIO_DIR / (name + ".json")).read_text())
+        for name in ("open", "comparison", "multi_star")}
+
+
+def _paths(doc, prefix=()):
+    """Every key and list index in a JSON document, nested ones included."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _paths(value, prefix + (key,))
+
+
+CASES = [(name, path) for name, doc in DOCS.items() for path in _paths(doc)]
+
+
+@settings(max_examples=200, deadline=2000, derandomize=True, database=None)
+@given(st.sampled_from(CASES), st.sampled_from(HOSTILE))
+def test_hostile_field_value_ends_in_exit_0_or_error_line(case, value):
+    name, path = case
+    doc = copy.deepcopy(DOCS[name])
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        scenario = Path(tmp) / "edited.json"
+        scenario.write_text(json.dumps(doc))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["render", "--scenario", str(scenario), "--out-dir", str(Path(tmp) / "out")])
+    assert code in (0, 1)
+    if code == 1:
+        assert err.getvalue().startswith("error: "), err.getvalue()

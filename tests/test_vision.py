@@ -156,7 +156,7 @@ def test_detect_edges_disc_contour_closed():
     img = rasterize([Disc(24, 24, 8, intensity=20)], 48, 48, background=200)
     edges = detect_edges(img, VisionConfig(sigma=2.0, zeta=20.0))
     assert edges.cells.any()
-    assert edges.density() <= 0.15
+    assert edges.cells.mean() <= 0.15
     assert _encloses(edges.cells, (24, 24))
 
 

@@ -20,7 +20,6 @@ from hpfnav.workspace import (
     load_scenario,
     pixel_to_world,
     rasterize,
-    save_pgm,
     scenario_from_dict,
     world_to_pixel,
     wrap_angle,
@@ -57,7 +56,7 @@ def test_load_pgm_roundtrip(tmp_path):
     rng = np.random.default_rng(7)
     pix = rng.integers(0, 256, (20, 30), dtype=np.uint8)
     f = tmp_path / "img.pgm"
-    save_pgm(pix, f)
+    f.write_bytes(b"P5\n30 20\n255\n" + pix.tobytes())
     img = load_image(f)
     assert img.width == 30 and img.height == 20
     np.testing.assert_array_equal(img.pixels, pix)
@@ -90,15 +89,6 @@ def test_load_pgm_errors(tmp_path):
     garbage.write_bytes(b"P5\nxx yy\n255\n")
     with pytest.raises(ValueError):
         load_image(garbage)
-
-
-def test_save_pgm_rescales_floats(tmp_path):
-    grid = np.linspace(0.0, 1.0, 15 * 15).reshape(15, 15)
-    f = tmp_path / "field.pgm"
-    save_pgm(grid, f)
-    img = load_image(f)
-    assert img.pixels.min() == 0
-    assert img.pixels.max() == 255
 
 
 # -- synthetic scenes
@@ -233,10 +223,19 @@ def test_scenario_validation_messages():
         ("delay.deadline_s", {"delay": DelayConfig(deadline_s=math.nan)}),
         ("vision.sigma", {"vision": VisionConfig(sigma=math.nan)}),
         ("vision.sigma", {"vision": VisionConfig(sigma=16.0)}),
+        ("vision.sigma", {"vision": VisionConfig(sigma=1e308)}),
+        ("background", {"background": -1}),
+        ("background", {"background": 300}),
+        ("shapes[0].intensity", {"shapes": [Disc(10.0, 10.0, 3.0, intensity=256)]}),
+        ("shapes[1].intensity", {"shapes": [Disc(10.0, 10.0, 3.0), Rect(1, 1, 4, 4, intensity=-5)]}),
+        ("shapes[0].r", {"shapes": [Disc(10.0, 10.0, -1.0)]}),
+        ("shapes[0].r", {"shapes": [Disc(10.0, 10.0, -1e308)]}),
     ],
     ids=["rate-nan", "rate-inf", "timeout-nan", "timeout-inf", "timeout-negative", "watchdog-zero",
          "watchdog-nan", "goal-negative", "goal-inf", "deadline-negative", "deadline-nan",
-         "sigma-nan", "sigma-kernel-wider-than-grid"],
+         "sigma-nan", "sigma-kernel-wider-than-grid", "sigma-huge", "background-negative",
+         "background-300", "disc-intensity-256", "rect-intensity-negative", "disc-r-negative",
+         "disc-r-huge-negative"],
 )
 def test_scenario_rejects_non_finite_or_out_of_range_times(field, kwargs):
     with pytest.raises(ValueError, match="^" + re.escape(field) + ": "):
