@@ -36,20 +36,7 @@ def ideal_path(scenario: Scenario, state: netloop.PlannerState | None = None) ->
     return np.vstack([start, np.asarray(points) * scenario.gd])
 
 
-def _point_polyline_dist(px: float, py: float, poly: np.ndarray) -> float:
-    """Distance from a point to the nearest segment of a polyline."""
-    if len(poly) == 1:
-        return float(math.hypot(px - poly[0, 0], py - poly[0, 1]))
-    a = poly[:-1]
-    b = poly[1:]
-    d = b - a
-    seg2 = (d**2).sum(axis=1)
-    seg2 = np.where(seg2 == 0.0, 1.0, seg2)
-    t = ((px - a[:, 0]) * d[:, 0] + (py - a[:, 1]) * d[:, 1]) / seg2
-    t = np.clip(t, 0.0, 1.0)
-    cx = a[:, 0] + t * d[:, 0]
-    cy = a[:, 1] + t * d[:, 1]
-    return float(np.min(np.hypot(px - cx, py - cy)))
+PAIR_BLOCK = 1 << 14  # record-segment pairs per distance_error block
 
 
 @dataclass
@@ -75,7 +62,26 @@ def distance_error(log: netloop.RunLog, ideal: np.ndarray) -> ErrorSeries:
     if poly.ndim != 2 or poly.shape[1] != 2 or len(poly) == 0:
         raise ValueError("ideal path must be a non-empty (N, 2) array")
     ts = np.array([r.t for r in log.records])
-    errs = np.array([_point_polyline_dist(r.pose.x, r.pose.y, poly) for r in log.records])
+    if len(poly) == 1:
+        x0, y0 = poly[0].tolist()
+        errs = np.array([math.hypot(r.pose.x - x0, r.pose.y - y0) for r in log.records])
+        return ErrorSeries(ts, errs, log.total_time)
+    pts = np.array([(r.pose.x, r.pose.y) for r in log.records], dtype=float).reshape(-1, 2)
+    a = poly[:-1]
+    d = poly[1:] - a
+    seg2 = (d**2).sum(axis=1)
+    seg2 = np.where(seg2 == 0.0, 1.0, seg2)
+    errs = np.empty(len(pts))
+    # records in blocks of at most PAIR_BLOCK record-segment pairs keep the
+    # temporaries small however long the run or the reference is
+    rows = max(1, PAIR_BLOCK // len(a))
+    for i in range(0, len(pts), rows):
+        px = pts[i:i + rows, 0:1]
+        py = pts[i:i + rows, 1:2]
+        t = np.clip(((px - a[:, 0]) * d[:, 0] + (py - a[:, 1]) * d[:, 1]) / seg2, 0.0, 1.0)
+        cx = a[:, 0] + t * d[:, 0]
+        cy = a[:, 1] + t * d[:, 1]
+        errs[i:i + rows] = np.hypot(px - cx, py - cy).min(axis=1)
     return ErrorSeries(ts, errs, log.total_time)
 
 

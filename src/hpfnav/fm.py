@@ -160,15 +160,14 @@ def path_reference(path: np.ndarray, pose: WorldPose, d_0: float):
     d = np.hypot(path[:, 0] - pose.x, path[:, 1] - pose.y)
     nearest = int(np.argmin(d))
     examined = len(path)
+    hops = np.diff(path[nearest:], axis=0)
     acc = 0.0
-    idx = nearest
-    for j in range(nearest + 1, len(path)):
-        acc += float(np.hypot(*(path[j] - path[j - 1])))
-        idx = j
+    idx = len(path) - 1
+    for j, hop in enumerate(np.hypot(hops[:, 0], hops[:, 1]).tolist(), nearest + 1):
+        acc += hop
         if acc >= d_0:
+            idx = j
             break
-    else:
-        idx = len(path) - 1
     return (float(path[idx, 0]), float(path[idx, 1])), examined
 
 

@@ -246,30 +246,59 @@ class _Vehicle:
         self.outcome = outcome
         self.end_time = t
 
-    def reached_goal(self) -> bool:
-        return math.hypot(self.pose.x - self.target_world[0],
-                          self.pose.y - self.target_world[1]) <= self.goal_radius
-
     def integrate_to(self, t_target: float, gd: float) -> None:
-        """Advance the plant to t_target in micro-steps; flags goal and collisions."""
-        while self.t < t_target - 1e-12 and self.outcome is None:
-            t_next = min(self.t + DT_MICRO, t_target)
-            if self.t < self.cmd_expiry < t_next:
-                t_next = self.cmd_expiry  # split exactly at watchdog expiry
-            self.pose = plant.step(self.pose, self.applied, t_next - self.t)
-            self.t = t_next
-            if self.t >= self.cmd_expiry - 1e-12:
-                self.applied = Command(0.0, 0.0)
-                self.cmd_expiry = math.inf
-            self.trace.append((self.t, self.pose.x, self.pose.y, self.pose.theta,
-                               self.applied.v, self.applied.omega))
-            try:
-                if plant.collides(self.pose, self.state.boundary, gd):
-                    self.any_collision = True
-            except ValueError:
-                self.any_collision = True  # drove out of the workspace
-            if self.reached_goal():
-                self.finish("reached", self.t)
+        """Advance the plant to t_target in DT_MICRO micro-steps.
+
+        A micro-step that the watchdog expiry falls inside is split there,
+        and the held command is zero from then on.  Every micro-step appends
+        one trace sample, flags a collision when the pose lies on an obstacle
+        cell or outside the workspace, and ends the run as "reached" once the
+        pose is within goal_radius of the target.  The loop runs on floats,
+        one `plant.arc` per micro-step, and builds the WorldPose once at the
+        end.
+        """
+        if self.outcome is not None or self.t >= t_target - 1e-12:
+            return
+        arc = plant.arc
+        labels, obstacle = self.state.boundary.labels, hpf.OBSTACLE
+        height, width = labels.shape
+        tx, ty = self.target_world
+        goal_radius = self.goal_radius
+        append = self.trace.append
+        t, expiry = self.t, self.cmd_expiry
+        v, omega = self.applied.v, self.applied.omega
+        x, y, theta = self.pose.x, self.pose.y, self.pose.theta
+        collided = self.any_collision
+        zeroed = reached = False
+        while t < t_target - 1e-12:
+            t_next = t + DT_MICRO
+            if t_next > t_target:
+                t_next = t_target
+            if t < expiry < t_next:
+                t_next = expiry  # split exactly at watchdog expiry
+            x, y, theta = arc(x, y, theta, v, omega, t_next - t)
+            t = t_next
+            if t >= expiry - 1e-12:
+                v = omega = 0.0
+                expiry = math.inf
+                zeroed = True
+            append((t, x, y, theta, v, omega))
+            if not collided:
+                cx = math.floor(x / gd)
+                cy = math.floor(y / gd)
+                # leaving the workspace counts as a collision
+                if not (0 <= cx < width and 0 <= cy < height) or labels[cy, cx] == obstacle:
+                    collided = True
+            if math.hypot(x - tx, y - ty) <= goal_radius:
+                reached = True
+                break
+        self.t, self.cmd_expiry = t, expiry
+        self.pose = WorldPose(x, y, theta)
+        if zeroed:
+            self.applied = Command(0.0, 0.0)
+        self.any_collision = collided
+        if reached:
+            self.finish("reached", t)
 
     def latch(self, t: float, v: float, omega: float) -> None:
         self.applied = Command(v, omega)

@@ -11,30 +11,31 @@ import math
 
 from .controller import Command
 from .hpf import OBSTACLE, BoundaryGrid
-from .workspace import WorldPose, pixel_to_world, world_to_pixel
+from .workspace import WorldPose, pixel_to_world, world_to_pixel, wrap_angle
 
 _OMEGA_STRAIGHT = 1e-12  # below this |omega| the arc degenerates to a line
+
+
+def arc(x: float, y: float, theta: float, v: float, omega: float, dt: float):
+    """Pose (x, y, theta) after dt seconds of a constant (v, omega): the exact arc.
+
+    The float kernel of `step`; the heading comes back wrapped to (-pi, pi].
+    """
+    if abs(omega) < _OMEGA_STRAIGHT:
+        return (x + v * dt * math.cos(theta), y + v * dt * math.sin(theta),
+                wrap_angle(theta + omega * dt))
+    th1 = theta + omega * dt
+    radius = v / omega
+    return (x + radius * (math.sin(th1) - math.sin(theta)),
+            y - radius * (math.cos(th1) - math.cos(theta)),
+            wrap_angle(th1))
 
 
 def step(pose: WorldPose, cmd: Command, dt: float) -> WorldPose:
     """Advance the pose by dt seconds under a constant command (exact arc)."""
     if dt < 0:
         raise ValueError("dt must be non-negative")
-    v, omega = cmd.v, cmd.omega
-    th = pose.theta
-    if abs(omega) < _OMEGA_STRAIGHT:
-        return WorldPose(
-            pose.x + v * dt * math.cos(th),
-            pose.y + v * dt * math.sin(th),
-            th + omega * dt,
-        )
-    th1 = th + omega * dt
-    radius = v / omega
-    return WorldPose(
-        pose.x + radius * (math.sin(th1) - math.sin(th)),
-        pose.y - radius * (math.cos(th1) - math.cos(th)),
-        th1,
-    )
+    return WorldPose(*arc(pose.x, pose.y, pose.theta, cmd.v, cmd.omega, dt))
 
 
 def observe(pose: WorldPose, gd: float, width: int, height: int) -> WorldPose:

@@ -121,25 +121,35 @@ class Rect:
     intensity: int = 40
 
 
+def _gray(value, what: str):
+    """An intensity as np.uint8; outside 0..255 np.uint8 would raise OverflowError."""
+    if not 0 <= value <= 255:
+        raise ValueError("%s must lie in [0, 255], got %r" % (what, value))
+    return np.uint8(value)
+
+
 def rasterize(shapes, width: int, height: int, background: int = 210) -> GridImage:
     """Draw filled shapes over a constant background.
 
     Shapes are painted in list order.  A shape reaching outside the image is
     rejected rather than clipped, so scenario files stay honest about what
-    the camera would actually see.
+    the camera would actually see.  Intensities outside 0..255 and a negative
+    disc radius are rejected too.
     """
-    img = np.full((height, width), np.uint8(background))
+    img = np.full((height, width), _gray(background, "background"))
     ys, xs = np.mgrid[0:height, 0:width]
     for s in shapes:
         if isinstance(s, Disc):
+            if s.r < 0:
+                raise ValueError("disc at (%g, %g) has negative radius %g" % (s.cx, s.cy, s.r))
             if s.cx - s.r < 0 or s.cx + s.r > width - 1 or s.cy - s.r < 0 or s.cy + s.r > height - 1:
                 raise ValueError("disc at (%g, %g) r=%g exceeds image bounds" % (s.cx, s.cy, s.r))
             mask = (xs - s.cx) ** 2 + (ys - s.cy) ** 2 <= s.r**2
-            img[mask] = np.uint8(s.intensity)
+            img[mask] = _gray(s.intensity, "disc intensity")
         elif isinstance(s, Rect):
             if not (0 <= s.x0 <= s.x1 < width and 0 <= s.y0 <= s.y1 < height):
                 raise ValueError("rect (%s, %s)-(%s, %s) exceeds image bounds" % (s.x0, s.y0, s.x1, s.y1))
-            img[s.y0 : s.y1 + 1, s.x0 : s.x1 + 1] = np.uint8(s.intensity)
+            img[s.y0 : s.y1 + 1, s.x0 : s.x1 + 1] = _gray(s.intensity, "rect intensity")
         else:
             raise TypeError("unknown shape %r" % (s,))
     return GridImage(img)
@@ -302,7 +312,7 @@ class Scenario:
             if not (math.isfinite(value) and value > 0):
                 raise ValueError("%s: must be finite and positive, got %r" % (name, value))
         _check_finite(self, "")
-        # np.uint8 raises OverflowError outside 0..255, and a negative radius draws nothing
+        # rasterize rejects these too, but only here does the message name the field
         if not 0 <= self.background <= 255:
             raise ValueError("background: must lie in [0, 255], got %r" % (self.background,))
         for i, s in enumerate(self.shapes):

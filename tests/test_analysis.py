@@ -5,6 +5,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from hpfnav import netloop
 from hpfnav.analysis import (
@@ -115,6 +118,45 @@ def test_distance_error_rejects_bad_polyline():
         distance_error(log, np.zeros((0, 2)))
     with pytest.raises(ValueError):
         distance_error(log, np.zeros((4, 3)))
+
+
+def _point_polyline_dist(px, py, poly):
+    """Distance from one point to the nearest segment of a polyline, one point at a time."""
+    if len(poly) == 1:
+        return float(math.hypot(px - poly[0, 0], py - poly[0, 1]))
+    a = poly[:-1]
+    d = poly[1:] - a
+    seg2 = (d**2).sum(axis=1)
+    seg2 = np.where(seg2 == 0.0, 1.0, seg2)
+    t = ((px - a[:, 0]) * d[:, 0] + (py - a[:, 1]) * d[:, 1]) / seg2
+    t = np.clip(t, 0.0, 1.0)
+    cx = a[:, 0] + t * d[:, 0]
+    cy = a[:, 1] + t * d[:, 1]
+    return float(np.min(np.hypot(px - cx, py - cy)))
+
+
+_coords = st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def polylines(draw):
+    """1 to 200 points; some repeat their predecessor, making zero-length segments."""
+    n = draw(st.integers(1, 200))
+    poly = draw(arrays(np.float64, (n, 2), elements=_coords))
+    repeat = draw(arrays(np.bool_, n))
+    for i in range(1, n):
+        if repeat[i]:
+            poly[i] = poly[i - 1]
+    return poly
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(polylines(), arrays(np.float64, st.tuples(st.integers(0, 300), st.just(2)), elements=_coords))
+@example(np.linspace([0.0, 0.0], [3.0, 1.0], 200), np.linspace([-1.0, 2.0], [4.0, -1.0], 300))  # > 2**14 pairs
+@example(np.zeros((1, 2)), np.ones((5, 2)))
+def test_distance_error_matches_the_per_point_formula(poly, poses):
+    es = distance_error(_log_with_poses(poses), poly)
+    assert es.err.tolist() == [_point_polyline_dist(x, y, poly) for x, y in poses]
 
 
 def _log_with_trace(rows):

@@ -3,6 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from hpfnav.fm import cost_ratio, fm_arrival, fm_path, path_reference
 from hpfnav.hpf import FREE, OBSTACLE, TARGET, BoundaryGrid
@@ -147,6 +150,37 @@ def test_path_reference_off_path_pose():
     path = np.array([[0.0, 0.0], [0.5, 0.0], [1.0, 0.0]])
     (rx, ry), _ = path_reference(path, WorldPose(0.4, 2.0, 0.0), 0.2)
     assert ry == 0.0  # the reference stays on the path no matter the pose
+
+
+def _scalar_path_reference(path, pose, d_0):
+    """path_reference with the arc length summed one numpy-scalar hop at a time."""
+    d = np.hypot(path[:, 0] - pose.x, path[:, 1] - pose.y)
+    nearest = int(np.argmin(d))
+    acc = 0.0
+    idx = nearest
+    for j in range(nearest + 1, len(path)):
+        acc += float(np.hypot(*(path[j] - path[j - 1])))
+        idx = j
+        if acc >= d_0:
+            break
+    else:
+        idx = len(path) - 1
+    return (float(path[idx, 0]), float(path[idx, 1])), len(path)
+
+
+_coords = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
+_LINE = np.linspace([0.0, 0.0], [1.0, 0.5], 9)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(arrays(np.float64, st.tuples(st.integers(1, 60), st.just(2)), elements=_coords),
+       _coords, _coords, st.one_of(st.just(0.0), st.floats(0.0, 2.0), st.just(1e9)))
+@example(_LINE, 1.0, 0.5, 0.3)      # nearest is the last point
+@example(_LINE, 0.2, 0.1, 50.0)     # d_0 beyond the end of the path
+@example(_LINE, 0.2, 0.1, 0.0)      # d_0 = 0: the next point
+def test_path_reference_matches_the_scalar_scan(path, x, y, d_0):
+    pose = WorldPose(x, y, 0.0)
+    assert path_reference(path, pose, d_0) == _scalar_path_reference(path, pose, d_0)
 
 
 def test_cost_ratio_printed_values():

@@ -6,16 +6,19 @@ import math
 import numpy as np
 import pytest
 
-from hpfnav import hpf
+from hpfnav import hpf, plant
+from hpfnav.controller import Command
 from hpfnav.netloop import (
     CSV_COLUMNS,
+    DT_MICRO,
     DelayLine,
     Packet,
+    _Vehicle,
     prepare,
     run_loop,
     run_multi,
 )
-from hpfnav.workspace import AgentSpec, DelayConfig, Scenario, WorldPose, load_scenario
+from hpfnav.workspace import AgentSpec, DelayConfig, Scenario, WorldPose, load_scenario, pixel_to_world
 
 
 # --- delay line ---------------------------------------------------------------
@@ -222,6 +225,81 @@ def test_identical_runs_are_bit_identical(open_scenario, open_state, tmp_path):
     c = tmp_path / "c.csv"
     run_loop(other, state=open_state).to_csv(c)
     assert a.read_bytes() != c.read_bytes()
+
+
+# --- plant loop ------------------------------------------------------------------
+
+
+def _chained_integrate_to(veh, t_target, gd):
+    """Reference plant loop: one plant.step, plant.collides and goal test per micro-step."""
+    while veh.t < t_target - 1e-12 and veh.outcome is None:
+        t_next = min(veh.t + DT_MICRO, t_target)
+        if veh.t < veh.cmd_expiry < t_next:
+            t_next = veh.cmd_expiry
+        veh.pose = plant.step(veh.pose, veh.applied, t_next - veh.t)
+        veh.t = t_next
+        if veh.t >= veh.cmd_expiry - 1e-12:
+            veh.applied = Command(0.0, 0.0)
+            veh.cmd_expiry = math.inf
+        veh.trace.append((veh.t, veh.pose.x, veh.pose.y, veh.pose.theta, veh.applied.v, veh.applied.omega))
+        try:
+            if plant.collides(veh.pose, veh.state.boundary, gd):
+                veh.any_collision = True
+        except ValueError:
+            veh.any_collision = True
+        if math.hypot(veh.pose.x - veh.target_world[0], veh.pose.y - veh.target_world[1]) <= veh.goal_radius:
+            veh.finish("reached", veh.t)
+
+
+# (start pose, command, watchdog_s, integration targets)
+PLANT_CASES = {
+    "straight": ((1.0, 1.5, 0.3), (0.2, 1e-13), 9.0, [0.123, 0.5, 0.5, 1.234]),
+    "arc": ((1.0, 1.5, 3.0), (0.25, 1.3), 9.0, [0.07, 0.731, 2.5]),
+    "negative_arc": ((2.0, 1.0, -2.9), (0.3, -2.0), 9.0, [1.0, 3.0]),
+    "watchdog_mid_step": ((1.0, 1.5, 0.0), (0.2, 0.4), 0.4567, [0.3, 0.9, 1.5]),
+    "goal_mid_segment": ((2.7, 1.53125, 0.0), (0.3, 0.0), 9.0, [0.5, 2.0, 3.0]),
+    "leaves_workspace": ((0.3, 1.5, math.pi), (0.3, 0.1), 9.0, [0.5, 2.0]),
+    "starts_outside": ((-0.01, 1.5, 0.0), (0.05, 0.0), 9.0, [0.2]),
+    "starts_past_far_edge": ((1.0, 3.01, 0.0), (0.05, 0.0), 9.0, [0.2]),
+    "target_not_ahead": ((1.0, 1.5, 0.0), (0.2, 0.5), 9.0, [0.0, -1.0]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PLANT_CASES))
+def test_plant_loop_matches_chained_steps_bitwise(case, open_scenario, open_state):
+    (x, y, theta), (v, omega), watchdog, targets = PLANT_CASES[case]
+    sc = dataclasses.replace(open_scenario, watchdog_s=watchdog)
+    gd = sc.gd
+    target = pixel_to_world(sc.target, gd, sc.width, sc.height)
+    fast, slow = (_Vehicle(sc, WorldPose(x, y, theta), target, open_state, None, None) for _ in range(2))
+    for veh in (fast, slow):
+        veh.latch(0.0, v, omega)
+    for t_target in targets:
+        fast.integrate_to(t_target, gd)
+        _chained_integrate_to(slow, t_target, gd)
+        assert fast.trace == slow.trace
+        assert (fast.pose.x, fast.pose.y, fast.pose.theta) == (slow.pose.x, slow.pose.y, slow.pose.theta)
+        assert (fast.t, fast.applied, fast.cmd_expiry) == (slow.t, slow.applied, slow.cmd_expiry)
+        assert (fast.outcome, fast.end_time) == (slow.outcome, slow.end_time)
+        assert fast.any_collision is slow.any_collision
+    expect = {"watchdog_mid_step": ("applied", Command(0.0, 0.0)), "goal_mid_segment": ("outcome", "reached"),
+              "leaves_workspace": ("any_collision", True), "starts_outside": ("any_collision", True),
+              "starts_past_far_edge": ("any_collision", True),
+              "target_not_ahead": ("trace", [(0.0, x, y, theta, 0.0, 0.0)])}
+    if case in expect:
+        attr, value = expect[case]
+        assert getattr(fast, attr) == value
+    if case == "goal_mid_segment":
+        assert fast.end_time < targets[-1]
+    if case == "leaves_workspace":
+        assert fast.pose.x < 0.0
+
+
+def test_plant_loop_without_a_planner_does_nothing_at_time_zero(open_scenario):
+    # run_multi's vehicles have no planner state before the first frame
+    veh = _Vehicle(open_scenario, WorldPose(1.0, 1.5, 0.0), (3.0, 1.5), None, None, None)
+    veh.integrate_to(0.0, open_scenario.gd)
+    assert veh.t == 0.0 and len(veh.trace) == 1
 
 
 # --- multi-vehicle loop ---------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 
 from hpfnav.controller import Command
 from hpfnav.hpf import OBSTACLE, TARGET, BoundaryGrid, build_boundary
-from hpfnav.plant import collides, observe, step
+from hpfnav.plant import arc, collides, observe, step
 from hpfnav.workspace import WorldPose
 
 
@@ -55,6 +55,23 @@ def test_step_matches_euler_in_the_limit():
         y += cmd.v * math.sin(th) * dt
         th += cmd.omega * dt
     assert (exact.x, exact.y) == pytest.approx((x, y), abs=1e-3)
+
+
+@pytest.mark.parametrize(
+    "pose, v, omega, dt",
+    [
+        ((0.0, 0.0, 0.0), 0.2, 0.0, 1.0),
+        ((1.0, 2.0, 0.3), 0.2, 5e-13, 0.01),       # below the straight-line cutoff
+        ((1.0, 1.0, 0.7), 0.25, 2 * math.pi, 1.0),
+        ((0.5, 0.4, 3.1), 0.3, 1.7, 0.05),          # heading wraps past pi
+        ((0.5, 0.4, -3.1), 0.3, -1.7, 0.05),        # and past -pi
+        ((2.0, 1.0, 1e-17), -0.1, -0.4, 0.0037),
+    ],
+)
+def test_arc_is_the_kernel_of_step(pose, v, omega, dt):
+    start = WorldPose(*pose)
+    p = step(start, Command(v, omega), dt)
+    assert arc(start.x, start.y, start.theta, v, omega, dt) == (p.x, p.y, p.theta)
 
 
 def test_observe_snaps_to_cell_center():

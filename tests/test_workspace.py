@@ -126,6 +126,21 @@ def test_rasterize_rejects_out_of_bounds():
         rasterize([Rect(-1, 0, 4, 4)], 16, 16)
 
 
+@pytest.mark.parametrize(
+    "shapes, background, message",
+    [
+        ([Disc(10, 10, 3, intensity=300)], 210, "disc intensity"),
+        ([Rect(2, 2, 4, 4, intensity=-1)], 210, "rect intensity"),
+        ([], 256, "background"),
+        ([], -0.5, "background"),
+        ([Disc(10, 10, -2)], 210, "negative radius"),
+    ],
+)
+def test_rasterize_rejects_bad_intensity_and_radius(shapes, background, message):
+    with pytest.raises(ValueError, match=message):
+        rasterize(shapes, 16, 16, background=background)
+
+
 def test_grid_image_minimum_side():
     with pytest.raises(ValueError):
         GridImage(np.zeros((8, 40), dtype=np.uint8))
