@@ -28,52 +28,59 @@ def fm_arrival(boundary: BoundaryGrid) -> np.ndarray:
     target are seeded with their exact Euclidean distances, which removes
     most of the rarefaction error the scheme otherwise commits right at
     the source.  Obstacle cells and unreachable free cells stay at +inf.
+
+    The march runs on a flat copy of the grid padded by one cell on every
+    side, with row length w = m + 2, so that every read and write is a
+    plain Python float.  Padding cells are never open and hold +inf, which
+    is the value an out-of-range neighbour takes, so no bounds test is
+    needed.  Heap entries are (t, k) with k = (y + 1) * w + (x + 1); for a
+    fixed w, k orders like (y, x), so equal times pop row-major.
     """
     labels = boundary.labels
     n, m = labels.shape
-    blocked = labels == OBSTACLE
-    T = np.full((n, m), np.inf)
+    w = m + 2
+    grid = np.full((n + 2, w), np.inf)
+    T = memoryview(grid.reshape(-1))
+    mask = np.zeros((n + 2, w), np.uint8)
+    mask[1:-1, 1:-1] = labels != OBSTACLE
+    open_ = bytearray(mask.tobytes())  # 1 until the cell is finalised
     tx, ty = boundary.target
-    T[ty, tx] = 0.0
-    heap = [(0.0, ty, tx)]
+    k0 = (ty + 1) * w + (tx + 1)
+    T[k0] = 0.0
+    heap = [(0.0, k0)]
     for dy in (-1, 0, 1):
         for dx in (-1, 0, 1):
-            if dx == 0 and dy == 0:
-                continue
-            y, x = ty + dy, tx + dx
-            if 0 <= y < n and 0 <= x < m and not blocked[y, x]:
-                T[y, x] = math.hypot(dx, dy)
-                heap.append((T[y, x], y, x))
+            k = k0 + dy * w + dx
+            if (dx or dy) and open_[k]:
+                T[k] = math.hypot(dx, dy)
+                heap.append((T[k], k))
     heapq.heapify(heap)
-    done = np.zeros((n, m), dtype=bool)
-    Tl = T  # local alias; the grid is updated in place
+    pop, push, sqrt, inf = heapq.heappop, heapq.heappush, math.sqrt, math.inf
     while heap:
-        t, y, x = heapq.heappop(heap)
-        if done[y, x] or t > Tl[y, x]:
+        t, k = pop(heap)
+        if not open_[k] or t > T[k]:
             continue
-        done[y, x] = True
-        for dy, dx in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-            yy, xx = y + dy, x + dx
-            if not (0 <= yy < n and 0 <= xx < m) or blocked[yy, xx] or done[yy, xx]:
+        open_[k] = 0
+        for kk in (k + w, k - w, k + 1, k - 1):
+            if not open_[kk]:
                 continue
-            a = min(
-                Tl[yy, xx - 1] if xx > 0 else math.inf,
-                Tl[yy, xx + 1] if xx < m - 1 else math.inf,
-            )
-            b = min(
-                Tl[yy - 1, xx] if yy > 0 else math.inf,
-                Tl[yy + 1, xx] if yy < n - 1 else math.inf,
-            )
+            # min() of each axis pair, inlined: the call costs a fifth of the loop
+            a, c = T[kk - 1], T[kk + 1]
+            if c < a:
+                a = c
+            b, c = T[kk - w], T[kk + w]
+            if c < b:
+                b = c
             if a > b:
                 a, b = b, a
-            if b - a >= 1.0 or b == math.inf:
+            if b - a >= 1.0 or b == inf:
                 t_new = a + 1.0
             else:
-                t_new = 0.5 * (a + b + math.sqrt(2.0 - (a - b) ** 2))
-            if t_new < Tl[yy, xx]:
-                Tl[yy, xx] = t_new
-                heapq.heappush(heap, (t_new, yy, xx))
-    return T
+                t_new = 0.5 * (a + b + sqrt(2.0 - (a - b) ** 2))
+            if t_new < T[kk]:
+                T[kk] = t_new
+                push(heap, (t_new, kk))
+    return grid[1:-1, 1:-1].copy()
 
 
 def _descent_dir(T: np.ndarray, ix: int, iy: int):

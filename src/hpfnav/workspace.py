@@ -128,13 +128,26 @@ def _gray(value, what: str):
     return np.uint8(value)
 
 
+def _inside(s, width: int, height: int) -> bool:
+    """Whether a disc or rect lies wholly inside the image; a reversed rect does not."""
+    if isinstance(s, Disc):
+        return 0 <= s.cx - s.r and s.cx + s.r <= width - 1 and 0 <= s.cy - s.r and s.cy + s.r <= height - 1
+    return 0 <= s.x0 <= s.x1 < width and 0 <= s.y0 <= s.y1 < height
+
+
+def _describe(s) -> str:
+    if isinstance(s, Disc):
+        return "disc at (%g, %g) r=%g" % (s.cx, s.cy, s.r)
+    return "rect (%s, %s)-(%s, %s)" % (s.x0, s.y0, s.x1, s.y1)
+
+
 def rasterize(shapes, width: int, height: int, background: int = 210) -> GridImage:
     """Draw filled shapes over a constant background.
 
     Shapes are painted in list order.  A shape reaching outside the image is
     rejected rather than clipped, so scenario files stay honest about what
-    the camera would actually see.  Intensities outside 0..255 and a negative
-    disc radius are rejected too.
+    the camera would actually see.  Intensities outside 0..255, a negative
+    disc radius and non-integer rect bounds are rejected too.
     """
     img = np.full((height, width), _gray(background, "background"))
     ys, xs = np.mgrid[0:height, 0:width]
@@ -142,13 +155,16 @@ def rasterize(shapes, width: int, height: int, background: int = 210) -> GridIma
         if isinstance(s, Disc):
             if s.r < 0:
                 raise ValueError("disc at (%g, %g) has negative radius %g" % (s.cx, s.cy, s.r))
-            if s.cx - s.r < 0 or s.cx + s.r > width - 1 or s.cy - s.r < 0 or s.cy + s.r > height - 1:
-                raise ValueError("disc at (%g, %g) r=%g exceeds image bounds" % (s.cx, s.cy, s.r))
+            if not _inside(s, width, height):
+                raise ValueError("%s exceeds image bounds" % _describe(s))
             mask = (xs - s.cx) ** 2 + (ys - s.cy) ** 2 <= s.r**2
             img[mask] = _gray(s.intensity, "disc intensity")
         elif isinstance(s, Rect):
-            if not (0 <= s.x0 <= s.x1 < width and 0 <= s.y0 <= s.y1 < height):
-                raise ValueError("rect (%s, %s)-(%s, %s) exceeds image bounds" % (s.x0, s.y0, s.x1, s.y1))
+            bounds = (s.x0, s.y0, s.x1, s.y1)
+            if not all(isinstance(v, int) and not isinstance(v, bool) for v in bounds):
+                raise ValueError("rect bounds must be integers, got %r" % (bounds,))
+            if not _inside(s, width, height):
+                raise ValueError("%s exceeds image bounds" % _describe(s))
             img[s.y0 : s.y1 + 1, s.x0 : s.x1 + 1] = _gray(s.intensity, "rect intensity")
         else:
             raise TypeError("unknown shape %r" % (s,))
@@ -312,16 +328,24 @@ class Scenario:
             if not (math.isfinite(value) and value > 0):
                 raise ValueError("%s: must be finite and positive, got %r" % (name, value))
         _check_finite(self, "")
+        if self.width < MIN_GRID_SIDE or self.height < MIN_GRID_SIDE:
+            raise ValueError("width/height: grid must be at least %dx%d" % (MIN_GRID_SIDE, MIN_GRID_SIDE))
         # rasterize rejects these too, but only here does the message name the field
         if not 0 <= self.background <= 255:
             raise ValueError("background: must lie in [0, 255], got %r" % (self.background,))
         for i, s in enumerate(self.shapes):
+            if not isinstance(s, (Disc, Rect)):
+                raise ValueError("shapes[%d]: expected a Disc or a Rect, got %r" % (i, s))
+            # the type checks a scenario file gets, for shapes built in Python
+            for f in fields(s):
+                _scalar(getattr(s, f.name), f.type, "shapes[%d].%s" % (i, f.name))
             if not 0 <= s.intensity <= 255:
                 raise ValueError("shapes[%d].intensity: must lie in [0, 255], got %r" % (i, s.intensity))
             if isinstance(s, Disc) and s.r < 0:
                 raise ValueError("shapes[%d].r: must be non-negative, got %r" % (i, s.r))
-        if self.width < MIN_GRID_SIDE or self.height < MIN_GRID_SIDE:
-            raise ValueError("width/height: grid must be at least %dx%d" % (MIN_GRID_SIDE, MIN_GRID_SIDE))
+            if not _inside(s, self.width, self.height):
+                raise ValueError("shapes[%d]: %s must lie inside the %dx%d image"
+                                 % (i, _describe(s), self.width, self.height))
         x_a, y_a = self.extent
         if x_a <= 0 or y_a <= 0:
             raise ValueError("extent: workspace size must be positive")

@@ -95,10 +95,16 @@ def test_retired_keys_are_rejected(tmp_path, scenario_dir, capsys, edit, message
         (lambda d: d["shapes"][0].update(kind={"x": 1}), "shapes[0].kind: must be 'disc' or 'rect'"),
         (lambda d: d["shapes"][0].update(r=-1e308), "shapes[0].r: must be non-negative"),
         (lambda d: d["shapes"][0].update(r=-1), "shapes[0].r: must be non-negative"),
+        (lambda d: d["shapes"].append({"kind": "rect", "x0": 10, "y0": 10, "x1": 3, "y1": 3}),
+         "shapes[2]: rect (10, 10)-(3, 3) must lie inside the 96x72 image"),
+        (lambda d: d["shapes"].append({"kind": "rect", "x0": 90, "y0": 0, "x1": 96, "y1": 5}),
+         "shapes[2]: rect (90, 0)-(96, 5) must lie inside the 96x72 image"),
+        (lambda d: d["shapes"][1].update(cx=92), "shapes[1]: disc at (92, 22) r=6 must lie inside the 96x72 image"),
     ],
     ids=["start-list", "width-string", "rate-string", "disc-no-cy", "agent-no-target",
          "shapes-object", "seed-float", "background-300", "intensity-negative", "sigma-huge",
-         "kind-list", "kind-object", "disc-r-huge-negative", "disc-r-negative"],
+         "kind-list", "kind-object", "disc-r-huge-negative", "disc-r-negative", "rect-reversed",
+         "rect-outside", "disc-outside"],
 )
 def test_wrong_json_types_are_rejected(tmp_path, scenario_dir, capsys, edit, message):
     path = _edited_scenario(tmp_path, scenario_dir, edit)

@@ -99,6 +99,91 @@ def test_arrival_with_wall_detours():
     assert math.isfinite(T[25, 10])
 
 
+def _reference_fm_arrival(boundary):
+    """fm_arrival as a (t, y, x) heap over 2-D numpy arrays with bounds tests."""
+    labels = boundary.labels
+    n, m = labels.shape
+    blocked = labels == OBSTACLE
+    T = np.full((n, m), np.inf)
+    tx, ty = boundary.target
+    T[ty, tx] = 0.0
+    heap = [(0.0, ty, tx)]
+    for dy in (-1, 0, 1):
+        for dx in (-1, 0, 1):
+            if dx == 0 and dy == 0:
+                continue
+            y, x = ty + dy, tx + dx
+            if 0 <= y < n and 0 <= x < m and not blocked[y, x]:
+                T[y, x] = math.hypot(dx, dy)
+                heap.append((T[y, x], y, x))
+    heapq.heapify(heap)
+    done = np.zeros((n, m), dtype=bool)
+    while heap:
+        t, y, x = heapq.heappop(heap)
+        if done[y, x] or t > T[y, x]:
+            continue
+        done[y, x] = True
+        for dy, dx in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+            yy, xx = y + dy, x + dx
+            if not (0 <= yy < n and 0 <= xx < m) or blocked[yy, xx] or done[yy, xx]:
+                continue
+            a = min(T[yy, xx - 1] if xx > 0 else math.inf,
+                    T[yy, xx + 1] if xx < m - 1 else math.inf)
+            b = min(T[yy - 1, xx] if yy > 0 else math.inf,
+                    T[yy + 1, xx] if yy < n - 1 else math.inf)
+            if a > b:
+                a, b = b, a
+            if b - a >= 1.0 or b == math.inf:
+                t_new = a + 1.0
+            else:
+                t_new = 0.5 * (a + b + math.sqrt(2.0 - (a - b) ** 2))
+            if t_new < T[yy, xx]:
+                T[yy, xx] = t_new
+                heapq.heappush(heap, (t_new, yy, xx))
+    return T
+
+
+@st.composite
+def _framed_grids(draw):
+    """A closed obstacle frame around random obstacles; the target may sit on the frame."""
+    n, m = draw(st.integers(3, 40)), draw(st.integers(3, 40))
+    density = draw(st.floats(0.0, 0.6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    labels = np.where(rng.random((n, m)) < density, OBSTACLE, FREE).astype(np.int8)
+    labels[0, :] = labels[-1, :] = labels[:, 0] = labels[:, -1] = OBSTACLE
+    tx, ty = draw(st.integers(0, m - 1)), draw(st.integers(0, n - 1))
+    labels[ty, tx] = TARGET
+    return BoundaryGrid(labels=labels, target=(tx, ty))
+
+
+def _assert_matches_reference(bg):
+    T = fm_arrival(bg)
+    assert T.dtype == np.float64
+    assert T.shape == bg.labels.shape
+    assert T.flags["C_CONTIGUOUS"]
+    assert T.tobytes() == _reference_fm_arrival(bg).tobytes()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_framed_grids())
+# some of the 8 seeded neighbours are blocked
+@example(make_boundary(9, 8, (3, 3), obstacles=[(2, 2), (4, 3), (3, 4), (4, 4)]))
+@example(make_boundary(6, 5, (0, 0)))    # target in a corner of the frame
+@example(make_boundary(7, 9, (6, 4)))    # target on the right edge of the frame
+def test_arrival_matches_the_reference_bitwise(bg):
+    _assert_matches_reference(bg)
+
+
+def test_arrival_matches_the_reference_on_fullres(scenario_dir):
+    from hpfnav.hpf import build_boundary
+    from hpfnav.vision import detect_edges
+    from hpfnav.workspace import load_scenario
+
+    sc = load_scenario(scenario_dir / "fullres.json")
+    bg = build_boundary(detect_edges(sc.build_image(), sc.vision), sc.target)
+    _assert_matches_reference(bg)
+
+
 def test_path_neighbor_start():
     bg = make_boundary(20, 20, (10, 10))
     T = fm_arrival(bg)

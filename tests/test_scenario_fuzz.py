@@ -1,13 +1,16 @@
-"""Fuzz test: a hostile value at any field of a committed scenario must end
-in exit 0 or in exit 1 with the documented `error:` line, never a traceback."""
+"""Fuzz tests: a hostile value at any field of a committed scenario, or in
+any scenario-override flag, must end in exit 0 or in exit 1 with the
+documented `error:` line, never a traceback."""
 
 import contextlib
 import copy
 import io
+import itertools
 import json
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -51,3 +54,25 @@ def test_hostile_field_value_ends_in_exit_0_or_error_line(case, value):
     assert code in (0, 1)
     if code == 1:
         assert err.getvalue().startswith("error: "), err.getvalue()
+
+
+FLAGS = ["--delay", "--lookahead", "--seed", "--planner"]
+HOSTILE_FLAG_VALUES = ["nan", "inf", "-inf", "-1", "0", "1e308", "-1e308", "abc", "", "1.5",
+                       "99999999999999999999999", ",", "0,x", "dynamic"]
+
+
+@pytest.mark.parametrize("flag, value", itertools.product(FLAGS, HOSTILE_FLAG_VALUES))
+def test_hostile_flag_value_ends_in_exit_0_or_error_line(tmp_path, flag, value):
+    argv = ["render", "--scenario", str(SCENARIO_DIR / "open.json"),
+            "--out-dir", str(tmp_path / "out"), flag, value]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:   # argparse rejected the value: a usage exit
+            code = exc.code
+    assert code in (0, 1)
+    if code == 1:
+        # ours print "error: ...", argparse prints "<prog>: error: ..."
+        assert any(line.startswith("error: ") or ": error: " in line
+                   for line in err.getvalue().splitlines()), err.getvalue()

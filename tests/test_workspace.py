@@ -134,6 +134,8 @@ def test_rasterize_rejects_out_of_bounds():
         ([], 256, "background"),
         ([], -0.5, "background"),
         ([Disc(10, 10, -2)], 210, "negative radius"),
+        ([Rect(3.5, 3, 10, 10)], 210, "rect bounds must be integers"),
+        ([Rect("3", 3, 10, 10)], 210, "rect bounds must be integers"),
     ],
 )
 def test_rasterize_rejects_bad_intensity_and_radius(shapes, background, message):
@@ -245,12 +247,20 @@ def test_scenario_validation_messages():
         ("shapes[1].intensity", {"shapes": [Disc(10.0, 10.0, 3.0), Rect(1, 1, 4, 4, intensity=-5)]}),
         ("shapes[0].r", {"shapes": [Disc(10.0, 10.0, -1.0)]}),
         ("shapes[0].r", {"shapes": [Disc(10.0, 10.0, -1e308)]}),
+        ("shapes[0].x0", {"shapes": [Rect(3.5, 3, 10, 10)]}),
+        ("shapes[0].x0", {"shapes": [Rect("3", 3, 10, 10)]}),
+        ("shapes[0].x1", {"shapes": [Rect(3, 3, True, 10)]}),
+        ("shapes[0].cx", {"shapes": [Disc("1", 10.0, 3.0)]}),
+        ("shapes[0]", {"shapes": [Rect(10, 10, 3, 3)]}),
+        ("shapes[1]", {"shapes": [Disc(10.0, 10.0, 3.0), Rect(0, 40, 10, 48)]}),
+        ("shapes[0]", {"shapes": [Disc(60.0, 10.0, 5.0)]}),
     ],
     ids=["rate-nan", "rate-inf", "timeout-nan", "timeout-inf", "timeout-negative", "watchdog-zero",
          "watchdog-nan", "goal-negative", "goal-inf", "deadline-negative", "deadline-nan",
          "sigma-nan", "sigma-kernel-wider-than-grid", "sigma-huge", "background-negative",
          "background-300", "disc-intensity-256", "rect-intensity-negative", "disc-r-negative",
-         "disc-r-huge-negative"],
+         "disc-r-huge-negative", "rect-x0-float", "rect-x0-string", "rect-x1-bool", "disc-cx-string",
+         "rect-reversed", "rect-outside", "disc-outside"],
 )
 def test_scenario_rejects_non_finite_or_out_of_range_times(field, kwargs):
     with pytest.raises(ValueError, match="^" + re.escape(field) + ": "):
