@@ -14,9 +14,9 @@ connected to the target always runs downhill to it.  Free components with no
 target in them settle at the constant 1 and are detected as flat, which is
 how an unreachable goal shows up.
 
-Nothing here is set per scenario: the obstacle padding `DILATION`, the
-tolerance and iteration cap of `relax` and the flatness threshold of
-`gradient` are fixed defaults.
+Nothing here is set per scenario: the obstacle padding `DILATION` and the
+solver `TOLERANCE` are constants, and the iteration cap of `relax` and the
+flatness threshold of `gradient` are fixed defaults.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ OBSTACLE = 1
 TARGET = 2
 
 DILATION = 1  # Chebyshev radius by which edge cells are padded into obstacles
+TOLERANCE = 1e-10  # max |mean4 - phi| over free cells at which relax stops
 
 
 @dataclass
@@ -90,19 +91,18 @@ class GradientField:
         return self.vx.shape[0]
 
 
-def build_boundary(edges, target, dilation: int = DILATION) -> BoundaryGrid:
+def build_boundary(edges, target) -> BoundaryGrid:
     """Turn an edge map into boundary labels.
 
-    Edge cells are dilated by a Chebyshev radius (square element) to pad the
-    contour, the outer frame is closed off, and the target cell is pinned.
+    Edge cells are dilated by the Chebyshev radius `DILATION` (square
+    element) to pad the contour, the outer frame is closed off, and the
+    target cell is pinned.
     """
     cells = np.asarray(edges.cells if hasattr(edges, "cells") else edges, dtype=bool)
     n, m = cells.shape
-    if dilation < 0:
-        raise ValueError("dilation must be >= 0")
     obst = cells.copy()
-    for dy in range(-dilation, dilation + 1):
-        for dx in range(-dilation, dilation + 1):
+    for dy in range(-DILATION, DILATION + 1):
+        for dx in range(-DILATION, DILATION + 1):
             if dx == 0 and dy == 0:
                 continue
             src_y = slice(max(0, -dy), min(n, n - dy))
@@ -125,7 +125,6 @@ def build_boundary(edges, target, dilation: int = DILATION) -> BoundaryGrid:
 def relax(
     boundary: BoundaryGrid,
     *,
-    tolerance: float = 1e-10,
     max_sweeps: int | None = None,
     initial: np.ndarray | None = None,
 ) -> PotentialField:
@@ -144,12 +143,12 @@ def relax(
     means, so the stopping test below has the same meaning as on the full grid.
 
     Free cells start at 1 (or at `initial` for warm starts).  If that already
-    meets the tolerance, or `max_sweeps` is 0, phi is returned as it started.
+    meets `TOLERANCE`, or `max_sweeps` is 0, phi is returned as it started.
     A free component that contains no target and starts at 1 stays exactly
     at 1, so it comes out exactly flat.
 
     Stops when the residual max|mean4 - phi| over free cells drops to
-    `tolerance`, or after `max_sweeps` (default 20 * max(side)) iterations
+    `TOLERANCE`, or after `max_sweeps` (default 20 * max(side)) iterations
     of the reduced system; hitting the cap is reported via `converged`, it
     is not an error.  The test is made on the true residual, recomputed from
     phi whenever the recurrence says the tolerance is met (the max-norm is
@@ -229,7 +228,7 @@ def relax(
     r = black_residual(np.empty(b1 - b0))
     residual = max(max_abs(r), max_abs((red_means() - xr[r0:r1]) * red_free))
     sweeps = 0
-    if residual > tolerance and max_sweeps > 0:
+    if residual > TOLERANCE and max_sweeps > 0:
         solve_red()
         residual = max_abs(black_residual(r))
         # The search direction p spans every black cell so that its
@@ -240,8 +239,8 @@ def relax(
         q = np.empty_like(r)
         xbc = xb[b0:b1]
         rr = float(np.dot(r, r))
-        rr_stop = tolerance * tolerance * np.count_nonzero(black_mask)
-        while residual > tolerance and sweeps < max_sweeps:
+        rr_stop = TOLERANCE * TOLERANCE * np.count_nonzero(black_mask)
+        while residual > TOLERANCE and sweeps < max_sweeps:
             sweeps += 1
             to_red(p, tc)  # q = S' p
             tc *= red_weight
@@ -253,9 +252,9 @@ def relax(
             q *= alpha
             r -= q
             rr_next = float(np.dot(r, r))
-            if rr_next <= rr_stop:  # rms(r) <= tolerance, so max|r| may be too
+            if rr_next <= rr_stop:  # rms(r) <= TOLERANCE, so max|r| may be too
                 residual = max_abs(r)
-                if residual <= tolerance:
+                if residual <= TOLERANCE:
                     # the recurrence drifts from the true residual: recompute
                     # it, and restart from it if the tolerance is not met
                     solve_red()
@@ -266,10 +265,10 @@ def relax(
             pc *= rr_next / rr
             pc += r
             rr = rr_next
-        if residual > tolerance:  # stopped at the cap: fill in red, report the true residual
+        if residual > TOLERANCE:  # stopped at the cap: fill in red, report the true residual
             solve_red()
             residual = max_abs(black_residual(r))
-    return PotentialField(np.ascontiguousarray(phi), sweeps, residual, residual <= tolerance)
+    return PotentialField(np.ascontiguousarray(phi), sweeps, residual, residual <= TOLERANCE)
 
 
 def gradient(field: PotentialField, boundary: BoundaryGrid, eps_flat: float = 1e-12) -> GradientField:

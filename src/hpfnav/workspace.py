@@ -10,12 +10,18 @@ Coordinate conventions used across the package:
   ``((px + 0.5) * G_D, (py + 0.5) * G_D)`` where ``G_D`` is the ground
   distance covered by one pixel.
 * Headings: theta measured from +x toward +y, wrapped to (-pi, pi].
+
+The scenario schema is the dataclass declarations below: field types
+(e.g. ``target: tuple[int, int]``, ``shapes: list[Disc | Rect]``) plus the
+field metadata ``allow_inf`` and ``positive``.  One walker reads them both
+to build a scenario from JSON and to check one built in Python.
 """
 
-from __future__ import annotations
-
+import functools
 import json
 import math
+import types
+import typing
 from dataclasses import MISSING, dataclass, field, fields, asdict, is_dataclass
 from pathlib import Path
 
@@ -42,7 +48,9 @@ class WorldPose:
     theta: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "theta", wrap_angle(float(self.theta)))
+        # a theta that is not a number is left for Scenario.validate to name
+        if _is(self.theta, float):
+            object.__setattr__(self, "theta", wrap_angle(float(self.theta)))
 
 
 @dataclass
@@ -123,7 +131,7 @@ class Rect:
 
 def _gray(value, what: str):
     """An intensity as np.uint8; outside 0..255 np.uint8 would raise OverflowError."""
-    if not 0 <= value <= 255:
+    if not (_is(value, float) and 0 <= value <= 255):
         raise ValueError("%s must lie in [0, 255], got %r" % (what, value))
     return np.uint8(value)
 
@@ -147,12 +155,16 @@ def rasterize(shapes, width: int, height: int, background: int = 210) -> GridIma
     Shapes are painted in list order.  A shape reaching outside the image is
     rejected rather than clipped, so scenario files stay honest about what
     the camera would actually see.  Intensities outside 0..255, a negative
-    disc radius and non-integer rect bounds are rejected too.
+    disc radius, a non-numeric disc centre or radius and non-integer rect
+    bounds are rejected too.
     """
     img = np.full((height, width), _gray(background, "background"))
     ys, xs = np.mgrid[0:height, 0:width]
     for s in shapes:
         if isinstance(s, Disc):
+            values = (s.cx, s.cy, s.r)
+            if not all(_is(v, float) for v in values):
+                raise ValueError("disc centre and radius must be numbers, got %r" % (values,))
             if s.r < 0:
                 raise ValueError("disc at (%g, %g) has negative radius %g" % (s.cx, s.cy, s.r))
             if not _inside(s, width, height):
@@ -161,7 +173,7 @@ def rasterize(shapes, width: int, height: int, background: int = 210) -> GridIma
             img[mask] = _gray(s.intensity, "disc intensity")
         elif isinstance(s, Rect):
             bounds = (s.x0, s.y0, s.x1, s.y1)
-            if not all(isinstance(v, int) and not isinstance(v, bool) for v in bounds):
+            if not all(_is(v, int) for v in bounds):
                 raise ValueError("rect bounds must be integers, got %r" % (bounds,))
             if not _inside(s, width, height):
                 raise ValueError("%s exceeds image bounds" % _describe(s))
@@ -244,7 +256,7 @@ def load_image(path) -> GridImage:
 
 @dataclass
 class CameraConfig:
-    rate_hz: float = 5.0
+    rate_hz: float = field(default=5.0, metadata={"positive": True})
 
 
 @dataclass
@@ -268,7 +280,8 @@ class ControlConfig:
 
 @dataclass
 class VisionConfig:
-    sigma: float = 2.0         # Gaussian scale, pixels; kernels reach ceil(3*sigma)
+    # Gaussian scale, pixels; kernels reach ceil(3*sigma)
+    sigma: float = field(default=2.0, metadata={"positive": True})
     zeta: float = 40.0         # contrast threshold
 
 
@@ -281,7 +294,7 @@ class LookaheadConfig:
 @dataclass
 class AgentSpec:
     start: WorldPose
-    target: tuple
+    target: tuple[int, int]
 
 
 @dataclass
@@ -291,11 +304,11 @@ class Scenario:
     name: str = "scenario"
     width: int = 64
     height: int = 48
-    extent: tuple = (4.0, 3.0)      # (x_a, y_a) meters
+    extent: tuple[float, float] = (4.0, 3.0)    # (x_a, y_a) meters
     background: int = 210
-    shapes: list = field(default_factory=list)
+    shapes: list[Disc | Rect] = field(default_factory=list)
     image_path: str | None = None   # PGM alternative to shapes
-    target: tuple = (32, 24)        # pixel cell
+    target: tuple[int, int] = (32, 24)          # pixel cell
     start: WorldPose = field(default_factory=lambda: WorldPose(0.5, 1.5, 0.0))
     planner: str = "hpf"
     camera: CameraConfig = field(default_factory=CameraConfig)
@@ -304,11 +317,12 @@ class Scenario:
     vision: VisionConfig = field(default_factory=VisionConfig)
     lookahead: LookaheadConfig = field(default_factory=LookaheadConfig)
     fm_d0: float | None = None      # tracker look-ahead, m; None means control.d_max
-    goal_radius: float = 0.1        # m
-    timeout_s: float = 60.0
-    watchdog_s: float = 1.0
+    goal_radius: float = field(default=0.1, metadata={"positive": True})   # m
+    # a NaN or infinite frame rate or timeout keeps the event loop from ever ending
+    timeout_s: float = field(default=60.0, metadata={"positive": True})
+    watchdog_s: float = field(default=1.0, metadata={"positive": True})
     seed: int = 0
-    agents: list = field(default_factory=list)   # AgentSpec for multi-agent runs
+    agents: list[AgentSpec] = field(default_factory=list)   # for multi-agent runs
     agent_radius: float = 0.15      # m, footprint disc other agents must avoid
     awareness: str = "all"          # "all" or "nearest"
 
@@ -321,24 +335,18 @@ class Scenario:
         return self.extent[0] / self.width
 
     def validate(self):
-        # a NaN or infinite frame rate or timeout keeps the event loop from ever ending
-        for name, value in (("camera.rate_hz", self.camera.rate_hz), ("timeout_s", self.timeout_s),
-                            ("watchdog_s", self.watchdog_s), ("goal_radius", self.goal_radius),
-                            ("vision.sigma", self.vision.sigma)):
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError("%s: must be finite and positive, got %r" % (name, value))
-        _check_finite(self, "")
+        """Raise ValueError, naming the field path, on the first fault found.
+
+        Every field is first checked against its declaration (see `_walk`);
+        then come the range checks and the checks that relate fields.
+        """
+        _walk(self, Scenario, "", build=False)
         if self.width < MIN_GRID_SIDE or self.height < MIN_GRID_SIDE:
             raise ValueError("width/height: grid must be at least %dx%d" % (MIN_GRID_SIDE, MIN_GRID_SIDE))
         # rasterize rejects these too, but only here does the message name the field
         if not 0 <= self.background <= 255:
             raise ValueError("background: must lie in [0, 255], got %r" % (self.background,))
         for i, s in enumerate(self.shapes):
-            if not isinstance(s, (Disc, Rect)):
-                raise ValueError("shapes[%d]: expected a Disc or a Rect, got %r" % (i, s))
-            # the type checks a scenario file gets, for shapes built in Python
-            for f in fields(s):
-                _scalar(getattr(s, f.name), f.type, "shapes[%d].%s" % (i, f.name))
             if not 0 <= s.intensity <= 255:
                 raise ValueError("shapes[%d].intensity: must lie in [0, 255], got %r" % (i, s.intensity))
             if isinstance(s, Disc) and s.r < 0:
@@ -375,6 +383,8 @@ class Scenario:
         # cannot overflow when 3*sigma rounds to inf
         if 3 * self.vision.sigma > min(self.width, self.height) - 1:
             raise ValueError("vision.sigma: kernel radius ceil(3*sigma) must be below the grid side")
+        if self.vision.zeta < 0:
+            raise ValueError("vision.zeta: must be non-negative, got %r" % (self.vision.zeta,))
         if self.control.d_max < self.gd:
             raise ValueError("control.d_max: must be at least one pixel (%g m)" % self.gd)
         if not 0.0 <= self.delay.drop_prob <= 1.0:
@@ -393,17 +403,14 @@ class Scenario:
 
     # -- image / file handling
 
-    def build_image(self, base_dir=None) -> GridImage:
+    def build_image(self) -> GridImage:
         """Materialize the workspace image from shapes or a PGM file."""
         if self.image_path is not None:
-            p = Path(self.image_path)
-            if base_dir is not None and not p.is_absolute():
-                p = Path(base_dir) / p
-            img = load_image(p)
+            img = load_image(self.image_path)
             if img.width != self.width or img.height != self.height:
                 raise ValueError(
                     "image %s is %dx%d but scenario declares %dx%d"
-                    % (p, img.width, img.height, self.width, self.height)
+                    % (self.image_path, img.width, img.height, self.width, self.height)
                 )
             return img
         return rasterize(self.shapes, self.width, self.height, self.background)
@@ -411,126 +418,109 @@ class Scenario:
     def to_dict(self) -> dict:
         d = asdict(self)
         d["schema_version"] = SCENARIO_SCHEMA_VERSION
-        d["shapes"] = [_shape_to_dict(s) for s in self.shapes]
-        d["agents"] = [
-            {"start": asdict(a.start), "target": list(a.target)} for a in self.agents
-        ]
+        d["shapes"] = [{"kind": _kind(type(s)), **sd} for s, sd in zip(self.shapes, d["shapes"])]
         return d
 
     def save(self, path) -> None:
         Path(path).write_text(json.dumps(self.to_dict(), indent=2) + "\n")
 
 
-def _check_finite(value, path: str, allow_inf: bool = False) -> None:
-    """Every float in a scenario, nested configs and lists included, must be
-    finite; a field declared with metadata allow_inf may also be +-inf.
+_SCALARS = {float: ((int, float), "a number"), int: (int, "an integer"), str: (str, "a string")}
 
-    NaN fails every range comparison and inf passes most of them, so either
-    would otherwise run as if the value were absent or unbounded (a NaN delay
-    acts as no delay, a NaN limit never saturates, an infinite rate never ends).
+
+def _is(value, kind) -> bool:
+    """Whether value has the declared scalar type kind; an int is a number, a bool is neither."""
+    return isinstance(value, _SCALARS[kind][0]) and not isinstance(value, bool)
+
+
+def _kind(cls) -> str:
+    """A shape's `kind` in JSON: 'disc' for Disc, 'rect' for Rect."""
+    return cls.__name__.lower()
+
+
+def _one_of(classes) -> str:
+    """'a Disc or a Rect' for (Disc, Rect)."""
+    return " or ".join(("an " if c.__name__[0] in "AEIOU" else "a ") + c.__name__ for c in classes)
+
+
+@functools.cache
+def _declared(cls) -> tuple:
+    """(name, resolved type, metadata) per field of a dataclass, e.g. ('target', tuple[int, int], {})."""
+    hints = typing.get_type_hints(cls)
+    return tuple((f.name, hints[f.name], f.metadata) for f in fields(cls))
+
+
+def _walk(value, hint, path: str, build: bool, meta=types.MappingProxyType({})):
+    """Check value against its declared type hint; every error names the field path.
+
+    With build, value is parsed JSON and the declared value is returned: an
+    object becomes the dataclass, with unknown and missing keys rejected (a
+    shape picks its class by `kind`), and a list becomes the declared list or
+    tuple.  Without it, value must already be the declared dataclass, shape,
+    list or tuple; nothing is converted.  Scalars are checked alike either
+    way: the declared type, then for a number finiteness, because NaN fails
+    every range comparison and inf passes most of them.  A field whose
+    metadata has `positive` must be finite and above 0; one with `allow_inf`
+    may also be +-inf.
     """
-    if is_dataclass(value):
-        for f in fields(value):
-            _check_finite(getattr(value, f.name), path + "." + f.name if path else f.name,
-                          f.metadata.get("allow_inf", False))
-    elif isinstance(value, (list, tuple)):
-        for i, item in enumerate(value):
-            _check_finite(item, "%s[%d]" % (path, i))
-    elif isinstance(value, float) and not (math.isfinite(value) or allow_inf and not math.isnan(value)):
-        raise ValueError("%s: must be %s, got %r" % (path, "a number" if allow_inf else "finite", value))
-
-
-def _shape_to_dict(s) -> dict:
-    if isinstance(s, Disc):
-        return {"kind": "disc", "cx": s.cx, "cy": s.cy, "r": s.r, "intensity": s.intensity}
-    if isinstance(s, Rect):
-        return {"kind": "rect", "x0": s.x0, "y0": s.y0, "x1": s.x1, "y1": s.y1, "intensity": s.intensity}
-    raise TypeError("unknown shape %r" % (s,))
-
-
-_SCALARS = {"float": ((int, float), "a number"), "int": (int, "an integer"), "str": (str, "a string")}
-
-
-def _scalar(value, annotation: str, path: str):
-    """Check a JSON value against a field annotation such as 'float' or 'str | None'."""
-    kind, _, optional = annotation.partition(" | ")
-    if value is None and optional == "None":
+    if hint in _SCALARS:
+        if not _is(value, hint):
+            raise ValueError("%s: expected %s, got %r" % (path, _SCALARS[hint][1], value))
+        allow_inf = meta.get("allow_inf", False)
+        if meta.get("positive"):
+            if not 0 < value < math.inf:
+                raise ValueError("%s: must be finite and positive, got %r" % (path, value))
+        elif isinstance(value, float) and not (math.isfinite(value) or allow_inf and not math.isnan(value)):
+            raise ValueError("%s: must be %s, got %r" % (path, "a number" if allow_inf else "finite", value))
         return value
-    types, what = _SCALARS[kind]
-    if isinstance(value, bool) or not isinstance(value, types):
-        raise ValueError("%s: expected %s, got %r" % (path, what, value))
-    return value
-
-
-def _each(item):
-    """Converter for a JSON list that applies item(value, path) to each entry."""
-    def convert(value, path: str) -> list:
-        if not isinstance(value, list):
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is types.UnionType:
+        if value is None and type(None) in args:
+            return None
+        classes = [c for c in args if c is not type(None)]
+        if len(classes) == 1:
+            return _walk(value, classes[0], path, build, meta)
+        if build:
+            kind = value.get("kind") if isinstance(value, dict) else None
+            cls = next((c for c in classes if _kind(c) == kind), None)
+            if cls is None:
+                raise ValueError("%s.kind: must be %s" % (path, " or ".join(repr(_kind(c)) for c in classes)))
+            return _walk({k: v for k, v in value.items() if k != "kind"}, cls, path, build)
+        cls = next((c for c in classes if isinstance(value, c)), None)
+        if cls is None:
+            raise ValueError("%s: expected %s, got %r" % (path, _one_of(classes), value))
+        return _walk(value, cls, path, build)
+    if is_dataclass(hint):
+        where = path or "scenario"
+        if build:
+            if not isinstance(value, dict):
+                raise ValueError("%s: expected an object, got %r" % (where, value))
+            extra = set(value) - {f.name for f in fields(hint)}
+            if extra:
+                raise ValueError("%s: unknown field %s" % (where, ", ".join(sorted(extra))))
+            missing = [f.name for f in fields(hint) if f.name not in value
+                       and f.default is MISSING and f.default_factory is MISSING]
+            if missing:
+                raise ValueError("%s: missing field %s" % (where, ", ".join(missing)))
+        elif not isinstance(value, hint):
+            raise ValueError("%s: expected %s, got %r" % (where, _one_of([hint]), value))
+        kwargs = {}
+        for name, sub, sub_meta in _declared(hint):
+            sub_path = path + "." + name if path else name
+            if not build:
+                _walk(getattr(value, name), sub, sub_path, build, sub_meta)
+            elif name in value:   # an absent key keeps its default
+                kwargs[name] = _walk(value[name], sub, sub_path, build, sub_meta)
+        return hint(**kwargs) if build else value
+    if origin in (list, tuple):
+        if not isinstance(value, (list, tuple)):
             raise ValueError("%s: expected a list, got %r" % (path, value))
-        return [item(v, "%s[%d]" % (path, i)) for i, v in enumerate(value)]
-    return convert
-
-
-def _pair(kind: str):
-    def convert(value, path: str) -> tuple:
-        items = _each(lambda v, p: _scalar(v, kind, p))(value, path)
-        if len(items) != 2:
-            raise ValueError("%s: expected 2 values, got %r" % (path, value))
-        return tuple(items)
-    return convert
-
-
-def _build(cls, data, context: str, convert=None):
-    """Construct a dataclass from a JSON object, rejecting unknown or missing keys.
-
-    A value must have its field's scalar type unless `convert` maps the field
-    to a converter(value, path).  Errors carry the field path, e.g. shapes[0].cy.
-    """
-    where = context or "scenario"
-    if not isinstance(data, dict):
-        raise ValueError("%s: expected an object, got %r" % (where, data))
-    fields = cls.__dataclass_fields__
-    extra = set(data) - set(fields)
-    if extra:
-        raise ValueError("%s: unknown field %s" % (where, ", ".join(sorted(extra))))
-    missing = [name for name, f in fields.items()
-               if name not in data and f.default is MISSING and f.default_factory is MISSING]
-    if missing:
-        raise ValueError("%s: missing field %s" % (where, ", ".join(missing)))
-    kwargs = {}
-    for name, value in data.items():
-        path = context + "." + name if context else name
-        if convert and name in convert:
-            kwargs[name] = convert[name](value, path)
-        else:
-            kwargs[name] = _scalar(value, fields[name].type, path)
-    return cls(**kwargs)
-
-
-def _nested(cls, convert=None):
-    return lambda value, path: _build(cls, value, path, convert)
-
-
-def _shape(s, path: str):
-    kind = s.get("kind") if isinstance(s, dict) else None
-    cls = Disc if kind == "disc" else Rect if kind == "rect" else None
-    if cls is None:
-        raise ValueError("%s.kind: must be 'disc' or 'rect'" % path)
-    return _build(cls, {k: v for k, v in s.items() if k != "kind"}, path)
-
-
-_SCENARIO_FIELDS = {
-    "extent": _pair("float"),
-    "shapes": _each(_shape),
-    "target": _pair("int"),
-    "start": _nested(WorldPose),
-    "camera": _nested(CameraConfig),
-    "delay": _nested(DelayConfig),
-    "control": _nested(ControlConfig),
-    "vision": _nested(VisionConfig),
-    "lookahead": _nested(LookaheadConfig),
-    "agents": _each(_nested(AgentSpec, {"start": _nested(WorldPose), "target": _pair("int")})),
-}
+        if origin is tuple and len(value) != len(args):
+            raise ValueError("%s: expected %d values, got %r" % (path, len(args), value))
+        items = [_walk(v, args[i] if origin is tuple else args[0], "%s[%d]" % (path, i), build)
+                 for i, v in enumerate(value)]
+        return origin(items) if build else value
+    raise TypeError("no rule for the declared type %r at %s" % (hint, path))
 
 
 def scenario_from_dict(d: dict) -> Scenario:
@@ -540,7 +530,7 @@ def scenario_from_dict(d: dict) -> Scenario:
         raise ValueError(
             "schema_version: expected %d, got %r" % (SCENARIO_SCHEMA_VERSION, version)
         )
-    return _build(Scenario, d, "", _SCENARIO_FIELDS)
+    return _walk(d, Scenario, "", build=True)
 
 
 def load_scenario(path) -> Scenario:

@@ -100,11 +100,12 @@ def test_retired_keys_are_rejected(tmp_path, scenario_dir, capsys, edit, message
         (lambda d: d["shapes"].append({"kind": "rect", "x0": 90, "y0": 0, "x1": 96, "y1": 5}),
          "shapes[2]: rect (90, 0)-(96, 5) must lie inside the 96x72 image"),
         (lambda d: d["shapes"][1].update(cx=92), "shapes[1]: disc at (92, 22) r=6 must lie inside the 96x72 image"),
+        (lambda d: d["vision"].update(zeta=-1.0), "vision.zeta: must be non-negative, got -1.0"),
     ],
     ids=["start-list", "width-string", "rate-string", "disc-no-cy", "agent-no-target",
          "shapes-object", "seed-float", "background-300", "intensity-negative", "sigma-huge",
          "kind-list", "kind-object", "disc-r-huge-negative", "disc-r-negative", "rect-reversed",
-         "rect-outside", "disc-outside"],
+         "rect-outside", "disc-outside", "zeta-negative"],
 )
 def test_wrong_json_types_are_rejected(tmp_path, scenario_dir, capsys, edit, message):
     path = _edited_scenario(tmp_path, scenario_dir, edit)

@@ -84,7 +84,7 @@ def test_build_boundary_counts():
 def test_build_boundary_dilation():
     edges = np.zeros((15, 15), bool)
     edges[6, 6] = True
-    bg = build_boundary(edges, (12, 12), dilation=1)
+    bg = build_boundary(edges, (12, 12))
     assert bg.labels[5:8, 5:8].tolist() == [[OBSTACLE] * 3] * 3
     assert bg.labels[4, 6] == FREE
 
@@ -95,7 +95,7 @@ def test_build_boundary_target_on_edge():
     with pytest.raises(ValueError):
         build_boundary(edges, (6, 6))
     with pytest.raises(ValueError):
-        build_boundary(edges, (7, 7), dilation=1)  # covered by the dilated block
+        build_boundary(edges, (7, 7))  # covered by the dilated block
 
 
 def test_boundary_grid_rejects_open_frame():

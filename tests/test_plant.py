@@ -98,7 +98,7 @@ def test_observe_out_of_frame():
 def test_collides():
     edges = np.zeros((24, 32), bool)
     edges[10, 16] = True
-    bg = build_boundary(edges, (28, 20), dilation=1)
+    bg = build_boundary(edges, (28, 20))
     gd = 0.1
     assert collides(WorldPose(16.5 * gd, 10.5 * gd, 0.0), bg, gd)   # edge cell
     assert collides(WorldPose(15.5 * gd, 9.5 * gd, 0.0), bg, gd)    # dilated ring

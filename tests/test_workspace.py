@@ -1,6 +1,9 @@
+import dataclasses
 import json
 import math
 import re
+import types
+import typing
 
 import numpy as np
 import pytest
@@ -136,6 +139,7 @@ def test_rasterize_rejects_out_of_bounds():
         ([Disc(10, 10, -2)], 210, "negative radius"),
         ([Rect(3.5, 3, 10, 10)], 210, "rect bounds must be integers"),
         ([Rect("3", 3, 10, 10)], 210, "rect bounds must be integers"),
+        ([Disc("1", 2, 3)], 210, "disc centre and radius must be numbers"),
     ],
 )
 def test_rasterize_rejects_bad_intensity_and_radius(shapes, background, message):
@@ -254,13 +258,14 @@ def test_scenario_validation_messages():
         ("shapes[0]", {"shapes": [Rect(10, 10, 3, 3)]}),
         ("shapes[1]", {"shapes": [Disc(10.0, 10.0, 3.0), Rect(0, 40, 10, 48)]}),
         ("shapes[0]", {"shapes": [Disc(60.0, 10.0, 5.0)]}),
+        ("vision.zeta", {"vision": VisionConfig(zeta=-1.0)}),
     ],
     ids=["rate-nan", "rate-inf", "timeout-nan", "timeout-inf", "timeout-negative", "watchdog-zero",
          "watchdog-nan", "goal-negative", "goal-inf", "deadline-negative", "deadline-nan",
          "sigma-nan", "sigma-kernel-wider-than-grid", "sigma-huge", "background-negative",
          "background-300", "disc-intensity-256", "rect-intensity-negative", "disc-r-negative",
          "disc-r-huge-negative", "rect-x0-float", "rect-x0-string", "rect-x1-bool", "disc-cx-string",
-         "rect-reversed", "rect-outside", "disc-outside"],
+         "rect-reversed", "rect-outside", "disc-outside", "zeta-negative"],
 )
 def test_scenario_rejects_non_finite_or_out_of_range_times(field, kwargs):
     with pytest.raises(ValueError, match="^" + re.escape(field) + ": "):
@@ -294,6 +299,64 @@ def test_scenario_rejects_every_non_finite_float(field, kwargs):
     """One rule for every float field: finite, unless declared to allow inf (delay.deadline_s)."""
     with pytest.raises(ValueError, match="^" + re.escape(field) + ": must be finite, got"):
         Scenario(name="t", **kwargs)
+
+
+# one shape of each kind and one agent, so that every declared field is reached
+TYPED_BASE = Scenario(name="t", shapes=[Disc(10.0, 10.0, 3.0), Rect(1, 1, 4, 4)],
+                      agents=[AgentSpec(WorldPose(0.5, 0.5), (5, 5))], fm_d0=0.2)
+
+
+def _scalar_fields(value, hint, steps=()):
+    """(steps, declared type) of every scalar field reachable from value, read
+    from the dataclass declarations; steps are field names and list indices."""
+    if typing.get_origin(hint) is types.UnionType:   # a shape, or an optional scalar
+        hint = type(value) if dataclasses.is_dataclass(value) else typing.get_args(hint)[0]
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if dataclasses.is_dataclass(hint):
+        hints = typing.get_type_hints(hint)
+        for f in dataclasses.fields(hint):
+            yield from _scalar_fields(getattr(value, f.name), hints[f.name], steps + (f.name,))
+    elif origin in (list, tuple):
+        for i, item in enumerate(value):
+            yield from _scalar_fields(item, args[i] if origin is tuple else args[0], steps + (i,))
+    else:
+        yield steps, hint
+
+
+def _path(steps):
+    return "".join("[%d]" % s if isinstance(s, int) else "." + s for s in steps).lstrip(".")
+
+
+def _replaced(value, steps, new):
+    """value with the field or item at steps set to new; the outermost replace validates."""
+    if not steps:
+        return new
+    head, rest = steps[0], steps[1:]
+    if isinstance(head, int):
+        items = list(value)
+        items[head] = _replaced(items[head], rest, new)
+        return type(value)(items)
+    return dataclasses.replace(value, **{head: _replaced(getattr(value, head), rest, new)})
+
+
+WRONG_TYPES = {float: ["1", True], int: ["1", True, 2.5], str: [1]}
+WRONG_TYPE_CASES = [
+    (steps, bad, _path(steps) + ": expected ")
+    for steps, hint in _scalar_fields(TYPED_BASE, Scenario)
+    for bad in WRONG_TYPES[hint]
+] + [
+    (("shapes", 0), {"kind": "disc", "cx": 10.0, "cy": 10.0, "r": 3.0}, "shapes[0]: expected a Disc or a Rect"),
+    (("camera",), {"rate_hz": 5.0}, "camera: expected a CameraConfig, got "),
+    (("start",), {"x": 0.5, "y": 1.5, "theta": 0.0}, "start: expected a WorldPose, got "),
+]
+
+
+@pytest.mark.parametrize("steps, bad, message", WRONG_TYPE_CASES,
+                         ids=["%s=%r" % (_path(steps), bad) for steps, bad, _ in WRONG_TYPE_CASES])
+def test_python_built_scenario_gets_the_declared_types(steps, bad, message):
+    """Every declared field of a scenario built in Python is type-checked as a file is."""
+    with pytest.raises(ValueError, match="^" + re.escape(message)):
+        _replaced(TYPED_BASE, steps, bad)
 
 
 def test_scenario_accepts_infinite_deadline():
