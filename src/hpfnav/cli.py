@@ -23,7 +23,7 @@ EXIT_UNREACHABLE = 3
 
 _OUTCOME_EXIT = {"reached": EXIT_OK, "timeout": EXIT_TIMEOUT, "unreachable": EXIT_UNREACHABLE}
 
-SUMMARY_SCHEMA_VERSION = 1
+SUMMARY_SCHEMA_VERSION = 2
 
 
 class _Parser(argparse.ArgumentParser):

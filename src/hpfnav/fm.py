@@ -19,6 +19,7 @@ from .hpf import OBSTACLE, BoundaryGrid
 from .workspace import WorldPose
 
 SQRT2 = math.sqrt(2.0)
+PATH_STEP = 0.5  # fm_path's step along the descent direction, pixels
 
 
 def fm_arrival(boundary: BoundaryGrid) -> np.ndarray:
@@ -121,11 +122,11 @@ def _descent_dir(T: np.ndarray, ix: int, iy: int):
     return -gx / mag, -gy / mag
 
 
-def fm_path(T: np.ndarray, start, gd: float, step: float = 0.5) -> np.ndarray:
+def fm_path(T: np.ndarray, start, gd: float) -> np.ndarray:
     """Steepest-descent polyline from a start cell to the target, in meters.
 
-    Steps are `step` pixels long (default half a cell), so consecutive
-    points are never more than 1.5 * G_D apart.
+    Steps are `PATH_STEP` (half a cell) long, so consecutive points are never
+    more than 1.5 * G_D apart.
     """
     sx, sy = start
     if not math.isfinite(T[sy, sx]):
@@ -135,7 +136,7 @@ def fm_path(T: np.ndarray, start, gd: float, step: float = 0.5) -> np.ndarray:
     px, py = sx + 0.5, sy + 0.5
     points = [(px, py)]
     n, m = T.shape
-    max_steps = int(40 * (n + m) / step)
+    max_steps = int(40 * (n + m) / PATH_STEP)
     for _ in range(max_steps):
         if math.hypot(px - tcx, py - tcy) <= 1.5:
             break
@@ -144,8 +145,8 @@ def fm_path(T: np.ndarray, start, gd: float, step: float = 0.5) -> np.ndarray:
         dx, dy = _descent_dir(T, ix, iy)
         if dx == 0.0 and dy == 0.0:
             raise RuntimeError("descent stalled at (%g, %g)" % (px, py))
-        px += step * dx
-        py += step * dy
+        px += PATH_STEP * dx
+        py += PATH_STEP * dy
         points.append((px, py))
     else:
         raise RuntimeError("descent did not reach the target in %d steps" % max_steps)

@@ -14,9 +14,9 @@ connected to the target always runs downhill to it.  Free components with no
 target in them settle at the constant 1 and are detected as flat, which is
 how an unreachable goal shows up.
 
-Nothing here is set per scenario: the obstacle padding `DILATION` and the
-solver `TOLERANCE` are constants, and the iteration cap of `relax` and the
-flatness threshold of `gradient` are fixed defaults.
+Nothing here is set per scenario: the obstacle padding `DILATION`, the
+solver `TOLERANCE` and the flatness threshold `EPS_FLAT` are constants, and
+the step caps of `relax` and `descend` follow from the grid size.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ TARGET = 2
 
 DILATION = 1  # Chebyshev radius by which edge cells are padded into obstacles
 TOLERANCE = 1e-10  # max |mean4 - phi| over free cells at which relax stops
+EPS_FLAT = 1e-12  # gradient magnitude below which a free cell counts as flat
 
 
 @dataclass
@@ -271,12 +272,12 @@ def relax(
     return PotentialField(np.ascontiguousarray(phi), sweeps, residual, residual <= TOLERANCE)
 
 
-def gradient(field: PotentialField, boundary: BoundaryGrid, eps_flat: float = 1e-12) -> GradientField:
+def gradient(field: PotentialField, boundary: BoundaryGrid) -> GradientField:
     """Unit descent directions -grad(phi)/|grad(phi)|.
 
     Central differences on free cells; next to a fixed cell the difference
     is one-sided over the free pair so pinned values never enter.  Cells
-    whose raw gradient magnitude is below eps_flat (and all fixed cells)
+    whose raw gradient magnitude is below `EPS_FLAT` (and all fixed cells)
     get an exact zero vector and the flat flag.
     """
     phi = field.phi
@@ -303,45 +304,38 @@ def gradient(field: PotentialField, boundary: BoundaryGrid, eps_flat: float = 1e
     dy[fixed] = 0.0
 
     mag = np.hypot(dx, dy)
-    flat = fixed | (mag < eps_flat)
+    flat = fixed | (mag < EPS_FLAT)
     with np.errstate(invalid="ignore", divide="ignore"):
         vx = np.where(flat, 0.0, -dx / mag)
         vy = np.where(flat, 0.0, -dy / mag)
     return GradientField(vx, vy, flat, labels, boundary.target)
 
 
-def descend(grad: GradientField, start, max_steps: int | None = None):
+def descend(grad: GradientField, start):
     """Follow unit gradient hops from a cell center toward the target.
 
     Returns (points, reason) where points are continuous pixel coordinates
     (the first is the start cell center) and reason is one of "reached"
-    (within 1.5 cells of the target center), "flat", or "exhausted".
+    (within 1.5 cells of the target center), "flat", or "exhausted" (after
+    10 * (width + height) hops).
     """
     sx, sy = start
-    labels = grad.labels
-    if labels[sy, sx] == OBSTACLE:
+    if grad.labels[sy, sx] == OBSTACLE:
         raise ValueError("descend start (%d, %d) is an obstacle cell" % (sx, sy))
-    if max_steps is None:
-        max_steps = 10 * (grad.width + grad.height)
+    max_steps = 10 * (grad.width + grad.height)
     tx, ty = grad.target
     tcx, tcy = tx + 0.5, ty + 0.5
     vx, vy, flat = grad.vx, grad.vy, grad.flat
     px, py = sx + 0.5, sy + 0.5
     points = [(px, py)]
-    reason = "exhausted"
     for _ in range(max_steps):
         if math.hypot(px - tcx, py - tcy) <= 1.5:
-            reason = "reached"
             break
         cx, cy = int(px), int(py)
         if flat[cy, cx]:
-            reason = "flat"
-            break
+            return points, "flat"
         px += float(vx[cy, cx])
         py += float(vy[cy, cx])
         points.append((px, py))
-    else:
-        if math.hypot(px - tcx, py - tcy) <= 1.5:
-            reason = "reached"
-    return points, reason
+    return points, "reached" if math.hypot(px - tcx, py - tcy) <= 1.5 else "exhausted"
 

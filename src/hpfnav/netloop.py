@@ -8,6 +8,8 @@ command, and ships it through a downlink channel; when the command arrives
 the plant latches it (zero-order hold).  Between events the plant integrates
 exactly, in dt = 0.01 s micro-steps that only set the logging granularity.
 A watchdog zeroes the held command after a configurable silence window.
+Every micro-step also applies `plant`'s collision rule, on the scene's
+obstacle mask: the planner's labels (its pad, other agents' discs) play no part.
 
 One event engine drives every run; each vehicle in it carries its own
 channels and planner state.  A single run (`run_loop`) is the one-vehicle
@@ -140,25 +142,10 @@ class RunLog:
         lines = [CSV_COLUMNS]
         for i, r in enumerate(self.records):
             err = float(dist_err[i]) if dist_err is not None else math.nan
-            lines.append(
-                ",".join(
-                    [
-                        repr(float(r.t)),
-                        repr(float(r.pose.x)),
-                        repr(float(r.pose.y)),
-                        repr(float(r.pose.theta)),
-                        repr(float(r.obs.x)),
-                        repr(float(r.obs.y)),
-                        repr(float(r.v_cmd)),
-                        repr(float(r.omega_cmd)),
-                        str(int(r.delta_l)),
-                        repr(float(r.delay_up)),
-                        repr(float(r.delay_down)),
-                        repr(err),
-                        str(int(r.collision)),
-                    ]
-                )
-            )
+            head = (r.t, r.pose.x, r.pose.y, r.pose.theta, r.obs.x, r.obs.y, r.v_cmd, r.omega_cmd)
+            lines.append(",".join([*(repr(float(f)) for f in head), str(int(r.delta_l)),
+                                   repr(float(r.delay_up)), repr(float(r.delay_down)), repr(err),
+                                   str(int(r.collision))]))
         Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -186,23 +173,24 @@ class PlannerState:
     grad: hpf.GradientField | None = None
     potential: hpf.PotentialField | None = None
     path: np.ndarray | None = None
+    obstacle: np.ndarray | None = None   # scene mask of the collision rule, see plant
 
 
 def prepare(scenario: Scenario) -> PlannerState:
     """Run the static pipeline: image -> edges -> boundary -> field or path."""
     img = scenario.build_image()
-    edges = vision.detect_edges(img, scenario.vision)
-    boundary = hpf.build_boundary(edges, scenario.target)
-    if scenario.planner == "hpf":
-        pot = hpf.relax(boundary)
-        return PlannerState("hpf", boundary, grad=hpf.gradient(pot, boundary), potential=pot)
+    boundary = hpf.build_boundary(vision.detect_edges(img, scenario.vision), scenario.target)
+    state = PlannerState(scenario.planner, boundary, obstacle=plant.scene_obstacles(img, scenario.background))
+    if state.kind == "hpf":
+        state.potential = hpf.relax(boundary)
+        state.grad = hpf.gradient(state.potential, boundary)
+        return state
     arrival = fm.fm_arrival(boundary)
     start_cell = world_to_pixel((scenario.start.x, scenario.start.y), scenario.gd,
                                 scenario.width, scenario.height)
-    path = None
     if math.isfinite(arrival[start_cell[1], start_cell[0]]):
-        path = fm.fm_path(arrival, start_cell, scenario.gd)
-    return PlannerState("fm", boundary, path=path)
+        state.path = fm.fm_path(arrival, start_cell, scenario.gd)
+    return state
 
 
 def _make_lines(scenario: Scenario, k: int):
@@ -223,16 +211,19 @@ def _make_lines(scenario: Scenario, k: int):
 
 
 class _Vehicle:
-    """One plant with its own channels and planner state."""
+    """One plant with its own channels and planner state, on the scene's obstacle mask."""
 
-    def __init__(self, scenario, start: WorldPose, target_world, state, uplink, downlink):
+    def __init__(self, scenario, start: WorldPose, target_world, obstacle, state, uplink, downlink):
         self.pose = start
         self.applied = Command(0.0, 0.0)
         self.cmd_expiry = math.inf
         self.t = 0.0
         self.trace = [(0.0, start.x, start.y, start.theta, 0.0, 0.0)]
         self.records = []
-        self.any_collision = False
+        self.obstacle_shape = obstacle.shape
+        self.obstacle_flat = obstacle.ravel().tolist()   # row-major, for the float loop
+        # collision: the current pose's status; any_collision: any pose's so far, the start's included
+        self.collision = self.any_collision = plant.collides(start, obstacle, scenario.gd)
         self.outcome = None
         self.end_time = None
         self.target_world = target_world
@@ -251,24 +242,23 @@ class _Vehicle:
 
         A micro-step that the watchdog expiry falls inside is split there,
         and the held command is zero from then on.  Every micro-step appends
-        one trace sample, flags a collision when the pose lies on an obstacle
-        cell or outside the workspace, and ends the run as "reached" once the
-        pose is within goal_radius of the target.  The loop runs on floats,
-        one `plant.arc` per micro-step, and builds the WorldPose once at the
-        end.
+        one trace sample, applies `plant.collides`'s rule to the new pose (it
+        leaves the workspace or lies on a scene obstacle pixel), and ends the
+        run as "reached" once the pose is within goal_radius of the target.
+        The loop runs on floats, one `plant.arc` per micro-step, and builds
+        the WorldPose once at the end.
         """
         if self.outcome is not None or self.t >= t_target - 1e-12:
             return
         arc = plant.arc
-        labels, obstacle = self.state.boundary.labels, hpf.OBSTACLE
-        height, width = labels.shape
+        hits, (height, width) = self.obstacle_flat, self.obstacle_shape
         tx, ty = self.target_world
         goal_radius = self.goal_radius
         append = self.trace.append
         t, expiry = self.t, self.cmd_expiry
         v, omega = self.applied.v, self.applied.omega
         x, y, theta = self.pose.x, self.pose.y, self.pose.theta
-        collided = self.any_collision
+        hit, collided = self.collision, self.any_collision
         zeroed = reached = False
         while t < t_target - 1e-12:
             t_next = t + DT_MICRO
@@ -283,12 +273,11 @@ class _Vehicle:
                 expiry = math.inf
                 zeroed = True
             append((t, x, y, theta, v, omega))
-            if not collided:
-                cx = math.floor(x / gd)
-                cy = math.floor(y / gd)
-                # leaving the workspace counts as a collision
-                if not (0 <= cx < width and 0 <= cy < height) or labels[cy, cx] == obstacle:
-                    collided = True
+            cx = math.floor(x / gd)
+            cy = math.floor(y / gd)
+            hit = not (0 <= cx < width and 0 <= cy < height) or hits[cy * width + cx]
+            if hit:
+                collided = True
             if math.hypot(x - tx, y - ty) <= goal_radius:
                 reached = True
                 break
@@ -296,7 +285,7 @@ class _Vehicle:
         self.pose = WorldPose(x, y, theta)
         if zeroed:
             self.applied = Command(0.0, 0.0)
-        self.any_collision = collided
+        self.collision, self.any_collision = hit, collided
         if reached:
             self.finish("reached", t)
 
@@ -361,13 +350,8 @@ def _simulate(scenario: Scenario, vehicles: list, replan=None):
                 if d is not None:
                     delay_down = d
                     heapq.heappush(heap, (t + d, 0, next(order), v))
-            try:
-                col = plant.collides(v.pose, v.state.boundary, gd)
-            except ValueError:
-                col = True
-            v.records.append(Record(t, v.pose, obs, cmd.v, cmd.omega,
-                                    v.applied.v, v.applied.omega,
-                                    delta_l, dly, delay_down, col))
+            v.records.append(Record(t, v.pose, obs, cmd.v, cmd.omega, v.applied.v, v.applied.omega,
+                                    delta_l, dly, delay_down, v.collision))
             if flat and replan is None:
                 v.finish("unreachable", t)
         for pkt, _ in v.downlink.poll(t):
@@ -407,11 +391,10 @@ def _simulate(scenario: Scenario, vehicles: list, replan=None):
             try:
                 obs = plant.observe(v.pose, gd, scenario.width, scenario.height)
             except ValueError:
-                obs = None  # vehicle out of frame: camera has nothing to report
-            if obs is not None:
-                d = v.uplink.push(Packet("pose", frame_seq, t_ev, (obs.x, obs.y, obs.theta)))
-                if d is not None:
-                    heapq.heappush(heap, (t_ev + d, 0, next(order), v))
+                continue  # vehicle out of frame: camera has nothing to report
+            d = v.uplink.push(Packet("pose", frame_seq, t_ev, (obs.x, obs.y, obs.theta)))
+            if d is not None:
+                heapq.heappush(heap, (t_ev + d, 0, next(order), v))
         frame_seq += 1
         heapq.heappush(heap, (t_ev + frame_dt, 1, next(order), None))
     return max(v.end_time for v in vehicles), dm_times, dm_values
@@ -435,7 +418,10 @@ def run_loop(scenario: Scenario, state: PlannerState | None = None,
         uplink = uplink or up
         downlink = downlink or down
     target_world = pixel_to_world(scenario.target, scenario.gd, scenario.width, scenario.height)
-    veh = _Vehicle(scenario, scenario.start, target_world, state, uplink, downlink)
+    obstacle = state.obstacle   # None in a state assembled by hand
+    if obstacle is None:
+        obstacle = plant.scene_obstacles(scenario.build_image(), scenario.background)
+    veh = _Vehicle(scenario, scenario.start, target_world, obstacle, state, uplink, downlink)
     if state.kind == "fm" and state.path is None:
         veh.finish("unreachable", 0.0)  # no path to track: the loop never starts
     _simulate(scenario, [veh])
@@ -476,24 +462,26 @@ def run_multi(scenario: Scenario) -> MultiRunLog:
     started from the previous frame, and otherwise runs the same networked
     loop as a single vehicle.  A flat sample here means "blocked right now"
     and holds the vehicle instead of ending the run, since the blocker moves.
+    Collisions are with the scene only; how close the agents come to each
+    other is measured by the minimum pairwise distance (`MultiRunLog.min_dm`).
     """
     k = len(scenario.agents)
     if k < 2:
         raise ValueError("run_multi needs at least 2 agents (use run_loop for one)")
     gd = scenario.gd
-    for i in range(k):
-        for j in range(i + 1, k):
-            a, b = scenario.agents[i].start, scenario.agents[j].start
-            if math.hypot(a.x - b.x, a.y - b.y) < 2 * scenario.agent_radius:
-                raise ValueError("agents %d and %d start overlapping" % (i, j))
-            if scenario.agents[i].target == scenario.agents[j].target:
-                raise ValueError("agents %d and %d share a target cell" % (i, j))
+    for i, j in itertools.combinations(range(k), 2):
+        a, b = scenario.agents[i].start, scenario.agents[j].start
+        if math.hypot(a.x - b.x, a.y - b.y) < 2 * scenario.agent_radius:
+            raise ValueError("agents %d and %d start overlapping" % (i, j))
+        if scenario.agents[i].target == scenario.agents[j].target:
+            raise ValueError("agents %d and %d share a target cell" % (i, j))
 
     img = scenario.build_image()
+    obstacle = plant.scene_obstacles(img, scenario.background)
     static_edges = vision.detect_edges(img, scenario.vision).cells
     vehicles = [
         _Vehicle(scenario, spec.start, pixel_to_world(spec.target, gd, scenario.width, scenario.height),
-                 None, up, down)
+                 obstacle, None, up, down)
         for spec, (up, down) in zip(scenario.agents, _make_lines(scenario, k))
     ]
 

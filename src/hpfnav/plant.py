@@ -1,17 +1,22 @@
-"""Differential-drive plant and the overhead camera observing it.
+"""Differential-drive plant, the overhead camera observing it, and the collision rule.
 
 The plant integrates a constant (v, omega) command exactly along a circular
 arc, so splitting an interval into sub-steps changes nothing but the number
 of samples taken along the way.
+
+A vehicle collides when it leaves the workspace or lies on a scene obstacle
+pixel (`scene_obstacles`); the planner's obstacle pad and the other agents'
+discs are not part of the scene.
 """
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .controller import Command
-from .hpf import OBSTACLE, BoundaryGrid
-from .workspace import WorldPose, pixel_to_world, world_to_pixel, wrap_angle
+from .workspace import GridImage, WorldPose, pixel_to_world, world_to_pixel, wrap_angle
 
 _OMEGA_STRAIGHT = 1e-12  # below this |omega| the arc degenerates to a line
 
@@ -50,7 +55,13 @@ def observe(pose: WorldPose, gd: float, width: int, height: int) -> WorldPose:
     return WorldPose(cx, cy, pose.theta)
 
 
-def collides(pose: WorldPose, boundary: BoundaryGrid, gd: float) -> bool:
-    """True when the pose's cell is an obstacle cell."""
-    cx, cy = world_to_pixel((pose.x, pose.y), gd, boundary.width, boundary.height)
-    return bool(boundary.labels[cy, cx] == OBSTACLE)
+def scene_obstacles(image: GridImage, background: int) -> np.ndarray:
+    """Obstacle mask (height x width) of the collision rule: pixels that differ from the background."""
+    return image.pixels != background
+
+
+def collides(pose: WorldPose, obstacle: np.ndarray, gd: float) -> bool:
+    """True when the pose leaves the workspace or lies on an obstacle pixel of the mask."""
+    height, width = obstacle.shape
+    cx, cy = math.floor(pose.x / gd), math.floor(pose.y / gd)
+    return not (0 <= cx < width and 0 <= cy < height) or bool(obstacle[cy, cx])

@@ -28,6 +28,7 @@ from pathlib import Path
 import numpy as np
 
 MIN_GRID_SIDE = 15
+MAX_FRAMES = 100_000   # camera frames one run may take: timeout_s * camera.rate_hz
 SCENARIO_SCHEMA_VERSION = 1
 
 
@@ -341,6 +342,9 @@ class Scenario:
         then come the range checks and the checks that relate fields.
         """
         _walk(self, Scenario, "", build=False)
+        if self.timeout_s * self.camera.rate_hz > MAX_FRAMES:
+            raise ValueError("timeout_s: timeout_s * camera.rate_hz is %g camera frames, above the "
+                             "budget of %d" % (self.timeout_s * self.camera.rate_hz, MAX_FRAMES))
         if self.width < MIN_GRID_SIDE or self.height < MIN_GRID_SIDE:
             raise ValueError("width/height: grid must be at least %dx%d" % (MIN_GRID_SIDE, MIN_GRID_SIDE))
         # rasterize rejects these too, but only here does the message name the field

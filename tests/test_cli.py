@@ -19,7 +19,7 @@ def test_run_reaches_and_writes_artifacts(tmp_path, scenario_dir):
     assert (out / "runlog.csv").exists()
     assert (out / "trajectory.svg").exists()
     summary = json.loads((out / "summary.json").read_text())
-    assert summary["schema_version"] == 1
+    assert summary["schema_version"] == 2
     assert summary["outcome"] == "reached"
     assert summary["scenario"]["name"] == "open"
     assert summary["collision"] is False
@@ -101,11 +101,15 @@ def test_retired_keys_are_rejected(tmp_path, scenario_dir, capsys, edit, message
          "shapes[2]: rect (90, 0)-(96, 5) must lie inside the 96x72 image"),
         (lambda d: d["shapes"][1].update(cx=92), "shapes[1]: disc at (92, 22) r=6 must lie inside the 96x72 image"),
         (lambda d: d["vision"].update(zeta=-1.0), "vision.zeta: must be non-negative, got -1.0"),
+        (lambda d: d["camera"].update(rate_hz=1e20),
+         "timeout_s: timeout_s * camera.rate_hz is 2.4e+22 camera frames, above the budget of 100000"),
+        (lambda d: d.update(timeout_s=1e12),
+         "timeout_s: timeout_s * camera.rate_hz is 5e+12 camera frames, above the budget of 100000"),
     ],
     ids=["start-list", "width-string", "rate-string", "disc-no-cy", "agent-no-target",
          "shapes-object", "seed-float", "background-300", "intensity-negative", "sigma-huge",
          "kind-list", "kind-object", "disc-r-huge-negative", "disc-r-negative", "rect-reversed",
-         "rect-outside", "disc-outside", "zeta-negative"],
+         "rect-outside", "disc-outside", "zeta-negative", "frames-rate-huge", "frames-timeout-huge"],
 )
 def test_wrong_json_types_are_rejected(tmp_path, scenario_dir, capsys, edit, message):
     path = _edited_scenario(tmp_path, scenario_dir, edit)

@@ -1,0 +1,34 @@
+"""Smoke test of the replay-digest script, tools/digest.py, on one case.
+
+The committed hashes in DIGESTS.json pin one machine's libm and numpy build,
+so they are not compared here; replay on any machine is criterion 12.  This
+only checks that the script runs, that a case replays, and that its case
+list and DIGESTS.json name the same entries.
+"""
+
+import importlib.util
+import json
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _digest_module():
+    spec = importlib.util.spec_from_file_location("digest", ROOT / "tools" / "digest.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_digest_script_replays_one_case():
+    digest = _digest_module()
+    case = "run/open/hpf/lossy/seed1"
+    entries = digest.compute([case])
+    assert sorted(entries) == [case + "/" + part for part in ("collision", "csv", "outcome", "trace")]
+    assert all(len(h) == 64 for h in entries.values())
+    assert digest.compute([case]) == entries
+    committed = json.loads((ROOT / "DIGESTS.json").read_text())
+    cases = digest.cases()
+    assert set(entries) <= set(committed)
+    assert all(any(e == c or e.startswith(c + "/") for c in cases) for e in committed)
+    assert all(any(e == c or e.startswith(c + "/") for e in committed) for c in cases)

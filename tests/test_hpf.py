@@ -412,7 +412,7 @@ def test_descend_rejects_obstacle_start():
 
 def scatter_discs(rng, labels, lo, hi, n_discs, r_lo=2, r_hi=5, clearance=3):
     """Random discs kept clear of the frame and of each other, so no channel
-    narrows to the point where the potential saturates below eps_flat."""
+    narrows to the point where the potential saturates below EPS_FLAT."""
     yy, xx = np.mgrid[0 : labels.shape[0], 0 : labels.shape[1]]
     placed = []
     for _ in range(n_discs):

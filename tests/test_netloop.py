@@ -13,12 +13,23 @@ from hpfnav.netloop import (
     DT_MICRO,
     DelayLine,
     Packet,
+    _stamp_agents,
     _Vehicle,
     prepare,
     run_loop,
     run_multi,
 )
-from hpfnav.workspace import AgentSpec, DelayConfig, Scenario, WorldPose, load_scenario, pixel_to_world
+from hpfnav.workspace import (
+    AgentSpec,
+    DelayConfig,
+    Rect,
+    Scenario,
+    VisionConfig,
+    WorldPose,
+    load_scenario,
+    pixel_to_world,
+    world_to_pixel,
+)
 
 
 # --- delay line ---------------------------------------------------------------
@@ -230,7 +241,7 @@ def test_identical_runs_are_bit_identical(open_scenario, open_state, tmp_path):
 # --- plant loop ------------------------------------------------------------------
 
 
-def _chained_integrate_to(veh, t_target, gd):
+def _chained_integrate_to(veh, t_target, gd, obstacle):
     """Reference plant loop: one plant.step, plant.collides and goal test per micro-step."""
     while veh.t < t_target - 1e-12 and veh.outcome is None:
         t_next = min(veh.t + DT_MICRO, t_target)
@@ -242,11 +253,8 @@ def _chained_integrate_to(veh, t_target, gd):
             veh.applied = Command(0.0, 0.0)
             veh.cmd_expiry = math.inf
         veh.trace.append((veh.t, veh.pose.x, veh.pose.y, veh.pose.theta, veh.applied.v, veh.applied.omega))
-        try:
-            if plant.collides(veh.pose, veh.state.boundary, gd):
-                veh.any_collision = True
-        except ValueError:
-            veh.any_collision = True
+        veh.collision = plant.collides(veh.pose, obstacle, gd)
+        veh.any_collision = veh.any_collision or veh.collision
         if math.hypot(veh.pose.x - veh.target_world[0], veh.pose.y - veh.target_world[1]) <= veh.goal_radius:
             veh.finish("reached", veh.t)
 
@@ -271,17 +279,19 @@ def test_plant_loop_matches_chained_steps_bitwise(case, open_scenario, open_stat
     sc = dataclasses.replace(open_scenario, watchdog_s=watchdog)
     gd = sc.gd
     target = pixel_to_world(sc.target, gd, sc.width, sc.height)
-    fast, slow = (_Vehicle(sc, WorldPose(x, y, theta), target, open_state, None, None) for _ in range(2))
+    fast, slow = (_Vehicle(sc, WorldPose(x, y, theta), target, open_state.obstacle, open_state, None, None)
+                  for _ in range(2))
     for veh in (fast, slow):
         veh.latch(0.0, v, omega)
     for t_target in targets:
         fast.integrate_to(t_target, gd)
-        _chained_integrate_to(slow, t_target, gd)
+        _chained_integrate_to(slow, t_target, gd, open_state.obstacle)
         assert fast.trace == slow.trace
         assert (fast.pose.x, fast.pose.y, fast.pose.theta) == (slow.pose.x, slow.pose.y, slow.pose.theta)
         assert (fast.t, fast.applied, fast.cmd_expiry) == (slow.t, slow.applied, slow.cmd_expiry)
         assert (fast.outcome, fast.end_time) == (slow.outcome, slow.end_time)
-        assert fast.any_collision is slow.any_collision
+        assert (fast.collision, fast.any_collision) == (slow.collision, slow.any_collision)
+        assert isinstance(fast.collision, bool) and isinstance(fast.any_collision, bool)
     expect = {"watchdog_mid_step": ("applied", Command(0.0, 0.0)), "goal_mid_segment": ("outcome", "reached"),
               "leaves_workspace": ("any_collision", True), "starts_outside": ("any_collision", True),
               "starts_past_far_edge": ("any_collision", True),
@@ -295,11 +305,105 @@ def test_plant_loop_matches_chained_steps_bitwise(case, open_scenario, open_stat
         assert fast.pose.x < 0.0
 
 
-def test_plant_loop_without_a_planner_does_nothing_at_time_zero(open_scenario):
+def test_plant_loop_without_a_planner_does_nothing_at_time_zero(open_scenario, open_state):
     # run_multi's vehicles have no planner state before the first frame
-    veh = _Vehicle(open_scenario, WorldPose(1.0, 1.5, 0.0), (3.0, 1.5), None, None, None)
+    veh = _Vehicle(open_scenario, WorldPose(1.0, 1.5, 0.0), (3.0, 1.5), open_state.obstacle, None, None, None)
     veh.integrate_to(0.0, open_scenario.gd)
     assert veh.t == 0.0 and len(veh.trace) == 1
+
+
+# --- collision rule --------------------------------------------------------------
+
+
+def _scene_hit(scenario, trace) -> bool:
+    """Independent check: a trace position outside the workspace or on a pixel unlike the background."""
+    obstacle = scenario.build_image().pixels != scenario.background
+    cells = np.floor(np.asarray(trace)[:, 1:3] / scenario.gd).astype(int)
+    inside = ((cells >= 0) & (cells < (scenario.width, scenario.height))).all(axis=1)
+    return not inside.all() or bool(obstacle[cells[:, 1], cells[:, 0]].any())
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_any_collision_is_contact_with_the_scene(comparison_scenario, seed):
+    """Delayed fm runs cut through the planner's pad; only scene pixels count."""
+    sc = dataclasses.replace(comparison_scenario, planner="fm", seed=seed,
+                             delay=dataclasses.replace(comparison_scenario.delay, constant_s=0.6))
+    log = run_loop(sc)
+    assert log.any_collision is _scene_hit(sc, log.trace)
+    assert not any(r.collision for r in log.records) or log.any_collision
+
+
+def _driven(sc, state, pose, v, t_targets):
+    """A vehicle holding (v, 0) from pose; any_collision after each integration target."""
+    target = pixel_to_world(sc.target, sc.gd, sc.width, sc.height)
+    veh = _Vehicle(sc, pose, target, state.obstacle, state, None, None)
+    veh.latch(0.0, v, 0.0)
+    flags = []
+    for t in t_targets:
+        veh.integrate_to(t, sc.gd)
+        flags.append(veh.any_collision)
+    return veh, flags
+
+
+def test_pad_ring_beside_a_rect_is_not_a_collision():
+    sc = Scenario(name="rect", shapes=[Rect(30, 20, 40, 30)], target=(5, 5), watchdog_s=60.0,
+                  vision=VisionConfig(zeta=20.0))
+    state = prepare(sc)
+    gd, row = sc.gd, 25
+    labels, obstacle = state.boundary.labels[row], state.obstacle[row]
+    pad = [x for x in range(1, 30) if labels[x] == hpf.OBSTACLE and not obstacle[x]]
+    assert pad == [28, 29] and obstacle[30]   # the planner's pad ring lies right before the rect
+    # 0.2 m/s along the row from the centre of cell 20: to the centre of the pad
+    # cell 29, then on into the rect's first column
+    veh, flags = _driven(sc, state, WorldPose(20.5 * gd, (row + 0.5) * gd, 0.0), 0.2,
+                         [9.0 * gd / 0.2, 10.0 * gd / 0.2])
+    assert flags == [False, True]
+    assert veh.collision and math.floor(veh.pose.x / gd) == 30
+
+
+def test_frame_ring_is_free_and_leaving_the_workspace_is_a_collision(open_scenario, open_state):
+    sc = dataclasses.replace(open_scenario, watchdog_s=60.0)
+    gd = sc.gd
+    assert (open_state.boundary.labels[0] == hpf.OBSTACLE).all()   # the planner pins the frame
+    # along row 0 from cell 40 at 0.2 m/s: cell 63 (the last) at 23.5 cells, outside at 24.5
+    veh, flags = _driven(sc, open_state, WorldPose(40.5 * gd, 0.5 * gd, 0.0), 0.2,
+                         [23.0 * gd / 0.2, 24.0 * gd / 0.2])
+    assert flags == [False, True]
+    assert veh.collision and veh.pose.x > sc.extent[0]
+
+
+def test_start_on_an_obstacle_pixel_is_a_collision(tmp_path):
+    """The rule for an image_path scene: a pixel that differs from `background` is an obstacle."""
+    pixels = np.full((48, 64), 210, np.uint8)
+    pixels[10:38, 20:44] = 90
+    pgm = tmp_path / "block.pgm"
+    pgm.write_bytes(b"P5\n64 48\n255\n" + pixels.tobytes())
+    sc = Scenario(name="block", image_path=str(pgm), start=WorldPose(2.0, 1.5, 0.0), target=(5, 5),
+                  timeout_s=2.0)
+    log = run_loop(sc)
+    assert log.any_collision and log.records[0].collision
+    state = prepare(sc)
+    assert (state.obstacle == (pixels != 210)).all()
+    clear = run_loop(dataclasses.replace(sc, start=WorldPose(0.5, 0.5, 0.0)), state)
+    assert not clear.any_collision
+
+
+def test_another_agents_disc_is_not_a_scene_collision():
+    """Two agents start inside each other's stamped disc: that is spacing, measured by dm."""
+    sc = Scenario(name="pair", agents=[AgentSpec(WorldPose(1.5, 1.5, 0.0), (56, 24)),
+                                       AgentSpec(WorldPose(1.6, 1.5, math.pi), (8, 24))],
+                  agent_radius=0.05, timeout_s=2.0)
+    edges = np.zeros((sc.height, sc.width), bool)
+    for i, spec in enumerate(sc.agents):
+        cells = _stamp_agents(edges, [a.start for a in sc.agents], i, spec.target, sc)
+        labels = hpf.build_boundary(cells, spec.target).labels
+        cx, cy = world_to_pixel((spec.start.x, spec.start.y), sc.gd, sc.width, sc.height)
+        assert labels[cy, cx] == hpf.OBSTACLE   # the planner sees the other agent here
+    log = run_multi(sc)
+    for agent in log.agent_logs:
+        assert agent.records
+        assert not agent.any_collision and not any(r.collision for r in agent.records)
+    assert log.min_dm() == pytest.approx(0.1)
 
 
 # --- multi-vehicle loop ---------------------------------------------------------

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from hpfnav.controller import Command
-from hpfnav.hpf import OBSTACLE, TARGET, BoundaryGrid, build_boundary
 from hpfnav.plant import arc, collides, observe, step
 from hpfnav.workspace import WorldPose
 
@@ -96,12 +95,13 @@ def test_observe_out_of_frame():
 
 
 def test_collides():
-    edges = np.zeros((24, 32), bool)
-    edges[10, 16] = True
-    bg = build_boundary(edges, (28, 20))
+    """The scene rule: an obstacle pixel or outside the workspace, and nothing else."""
+    obstacle = np.zeros((24, 32), bool)
+    obstacle[10, 16] = True
     gd = 0.1
-    assert collides(WorldPose(16.5 * gd, 10.5 * gd, 0.0), bg, gd)   # edge cell
-    assert collides(WorldPose(15.5 * gd, 9.5 * gd, 0.0), bg, gd)    # dilated ring
-    assert not collides(WorldPose(5.5 * gd, 5.5 * gd, 0.0), bg, gd)
-    # target cell is not a collision
-    assert not collides(WorldPose(28.5 * gd, 20.5 * gd, 0.0), bg, gd)
+    assert collides(WorldPose(16.5 * gd, 10.5 * gd, 0.0), obstacle, gd)       # obstacle pixel
+    assert not collides(WorldPose(15.5 * gd, 9.5 * gd, 0.0), obstacle, gd)    # its neighbour
+    assert not collides(WorldPose(0.05, 0.05, 0.0), obstacle, gd)             # frame ring
+    assert not collides(WorldPose(3.19, 2.39, 0.0), obstacle, gd)             # far corner pixel
+    for x, y in ((-0.01, 1.0), (3.21, 1.0), (1.0, -1e-9), (1.0, 2.41)):
+        assert collides(WorldPose(x, y, 0.0), obstacle, gd)                   # outside

@@ -259,13 +259,17 @@ def test_scenario_validation_messages():
         ("shapes[1]", {"shapes": [Disc(10.0, 10.0, 3.0), Rect(0, 40, 10, 48)]}),
         ("shapes[0]", {"shapes": [Disc(60.0, 10.0, 5.0)]}),
         ("vision.zeta", {"vision": VisionConfig(zeta=-1.0)}),
+        ("timeout_s", {"camera": CameraConfig(rate_hz=1e20)}),
+        ("timeout_s", {"timeout_s": 1e12}),
+        ("timeout_s", {"camera": CameraConfig(rate_hz=1e308), "timeout_s": 1e308}),
     ],
     ids=["rate-nan", "rate-inf", "timeout-nan", "timeout-inf", "timeout-negative", "watchdog-zero",
          "watchdog-nan", "goal-negative", "goal-inf", "deadline-negative", "deadline-nan",
          "sigma-nan", "sigma-kernel-wider-than-grid", "sigma-huge", "background-negative",
          "background-300", "disc-intensity-256", "rect-intensity-negative", "disc-r-negative",
          "disc-r-huge-negative", "rect-x0-float", "rect-x0-string", "rect-x1-bool", "disc-cx-string",
-         "rect-reversed", "rect-outside", "disc-outside", "zeta-negative"],
+         "rect-reversed", "rect-outside", "disc-outside", "zeta-negative", "frames-rate-huge",
+         "frames-timeout-huge", "frames-overflow"],
 )
 def test_scenario_rejects_non_finite_or_out_of_range_times(field, kwargs):
     with pytest.raises(ValueError, match="^" + re.escape(field) + ": "):

@@ -1,0 +1,158 @@
+"""Replay digests: SHA-256 of hpfnav's deterministic outputs on a fixed case list.
+
+    python3 tools/digest.py            # write DIGESTS.json at the repo root
+    python3 tools/digest.py --check    # same/differs per entry; exit 1 on any difference
+
+The cases:
+
+- ``scenario/<name>``: ``to_dict`` of every committed scenario;
+- ``fm_arrival/<name>``: the arrival-time array on each single-vehicle boundary;
+- ``run/<name>/<planner>/<channel>/seed<k>``: ``run_loop`` for both planners on
+  the six single-vehicle scenarios, over three channels and two seeds;
+- ``sweep/comparison``: the ``analysis.sweep`` rows on comparison;
+- ``multi/<awareness>``: ``run_multi(multi_star)`` with ``all`` and ``nearest``.
+
+A run is hashed as four entries, so a diff tells what moved: ``trace`` (the
+micro-step samples), ``csv`` (the runlog, collision column included),
+``outcome`` (outcome and total time) and ``collision`` (``any_collision``).
+
+The hashes depend on libm and the numpy build, so DIGESTS.json pins one
+machine; replay on any machine is what acceptance criterion 12 checks.  A
+change that keeps output runs ``--check``.  A change that moves output on
+purpose rewrites the file, and the diff of DIGESTS.json shows which entries
+moved.
+"""
+
+from __future__ import annotations
+
+import argparse
+import dataclasses
+import functools
+import hashlib
+import json
+import sys
+import tempfile
+from dataclasses import replace
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+
+from hpfnav import analysis, fm, netloop  # noqa: E402
+from hpfnav.workspace import DelayConfig, load_scenario  # noqa: E402
+
+SCENARIOS = ROOT / "scenarios"
+DIGESTS = ROOT / "DIGESTS.json"
+
+SINGLE = ("barrier", "comparison", "fullres", "open", "reversal", "robust")
+PLANNERS = ("hpf", "fm")
+CHANNELS = {
+    "ideal": DelayConfig(),
+    "delay0.6": DelayConfig(constant_s=0.6),
+    "lossy": DelayConfig(constant_s=0.3, jitter_s=0.1, drop_prob=0.1),
+}
+RUN_SEEDS = (0, 1)
+SWEEP_DELAYS = (0.0, 0.3, 0.6, 0.9)
+SWEEP_SEEDS = (0, 1)
+AWARENESS = ("all", "nearest")
+
+
+@functools.cache
+def scenario(name: str):
+    return load_scenario(SCENARIOS / (name + ".json"))
+
+
+@functools.cache
+def prepared(name: str, planner: str):
+    return netloop.prepare(replace(scenario(name), planner=planner))
+
+
+def _log_entries(prefix: str, log: netloop.RunLog) -> dict:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "runlog.csv"
+        log.to_csv(path)
+        csv = path.read_bytes()
+    return {prefix + "/trace": repr(log.trace).encode(),
+            prefix + "/csv": csv,
+            prefix + "/outcome": repr((log.outcome, log.total_time)).encode(),
+            prefix + "/collision": repr(log.any_collision).encode()}
+
+
+def _scenario(name: str) -> dict:
+    return {"scenario/" + name: json.dumps(scenario(name).to_dict(), sort_keys=True).encode()}
+
+
+def _arrival(name: str) -> dict:
+    return {"fm_arrival/" + name: fm.fm_arrival(prepared(name, "fm").boundary).tobytes()}
+
+
+def _run(name: str, planner: str, channel: str, seed: int) -> dict:
+    sc = replace(scenario(name), planner=planner, delay=CHANNELS[channel], seed=seed)
+    log = netloop.run_loop(sc, prepared(name, planner))
+    return _log_entries("run/%s/%s/%s/seed%d" % (name, planner, channel, seed), log)
+
+
+def _sweep() -> dict:
+    result = analysis.sweep(scenario("comparison"), SWEEP_DELAYS, SWEEP_SEEDS, PLANNERS)
+    return {"sweep/comparison": repr([dataclasses.astuple(r) for r in result.rows]).encode()}
+
+
+def _multi(awareness: str) -> dict:
+    log = netloop.run_multi(replace(scenario("multi_star"), awareness=awareness))
+    prefix = "multi/" + awareness
+    out = {prefix + "/dm": repr((log.dm_times, log.dm_values, log.outcome, log.total_time)).encode()}
+    for i, agent in enumerate(log.agent_logs):
+        out.update(_log_entries("%s/agent%d" % (prefix, i), agent))
+    return out
+
+
+def cases() -> dict:
+    """Case name -> thunk returning {entry name: bytes}; every entry name starts with its case's."""
+    table = {"scenario/" + p.stem: functools.partial(_scenario, p.stem)
+             for p in sorted(SCENARIOS.glob("*.json"))}
+    for name in SINGLE:
+        table["fm_arrival/" + name] = functools.partial(_arrival, name)
+    for name in SINGLE:
+        for planner in PLANNERS:
+            for channel in CHANNELS:
+                for seed in RUN_SEEDS:
+                    key = "run/%s/%s/%s/seed%d" % (name, planner, channel, seed)
+                    table[key] = functools.partial(_run, name, planner, channel, seed)
+    table["sweep/comparison"] = _sweep
+    for awareness in AWARENESS:
+        table["multi/" + awareness] = functools.partial(_multi, awareness)
+    return table
+
+
+def compute(names=None) -> dict:
+    """{entry name: SHA-256 hex} for the named cases (default: all of them)."""
+    table = cases()
+    digests = {}
+    for name in table if names is None else names:
+        for entry, data in table[name]().items():
+            digests[entry] = hashlib.sha256(data).hexdigest()
+    return digests
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--check", action="store_true",
+                    help="compare with DIGESTS.json instead of writing it; exit 1 on any difference")
+    args = ap.parse_args(argv)
+    digests = compute()
+    if not args.check:
+        DIGESTS.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
+        print("wrote %d digests to %s" % (len(digests), DIGESTS))
+        return 0
+    committed = json.loads(DIGESTS.read_text())
+    moved = 0
+    for entry in sorted(set(committed) | set(digests)):
+        same = committed.get(entry) == digests.get(entry)
+        moved += not same
+        print("%-7s %s" % ("same" if same else "differs", entry))
+    print("%d of %d entries differ" % (moved, len(set(committed) | set(digests))))
+    return 1 if moved else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
