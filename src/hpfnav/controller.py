@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from .workspace import ControlConfig, WorldPose, wrap_angle
 
 EX_EPS = 1e-6  # below this |e_x| the parabola fit degenerates
+A_CAP = 1e3    # fit coefficient substituted when it degenerates
 
 
 def sign(x: float) -> float:
@@ -51,10 +52,15 @@ def body_errors(pose: WorldPose, ref) -> BodyError:
 
 
 def curve_coeff(e: BodyError) -> float:
-    """Coefficient of the parabola y = A x^2 through the reference point."""
+    """Coefficient of the parabola y = A x^2 through the reference point.
+
+    A reference (nearly) abeam of the vehicle, |e_x| < EX_EPS, admits no
+    parabola; the fit is capped at A_CAP, turning towards the reference.
+    """
     if abs(e.e_x) < EX_EPS:
-        raise ValueError("degenerate fit: |e_x| = %g below %g" % (abs(e.e_x), EX_EPS))
+        return sign(e.e_y) * A_CAP
     return sign(e.e_x) * e.e_y / e.e_x**2
+
 
 def command(a_coeff: float, e: BodyError, params: ControlConfig) -> Command:
     """Speed pair for the fitted curve, saturated without bending it.

@@ -2,10 +2,10 @@
 
 The guidance layer walks the normalized gradient from the vehicle's cell and
 hands a look-ahead reference to the tracking controller.  The walk length
-delta_L adapts to path bend: a probe one hop ahead estimates the curve
-coefficient A, the admissible look-ahead distance shrinks as
-d_0 = d_max / (1 + beta |A|), and delta_L = floor(d_0 / G_D) hops of the
-field are taken (clamped to [1, DELTA_L_MAX]).
+delta_L adapts to path bend: the first hop is a probe whose curve
+coefficient A shrinks the admissible look-ahead distance to
+d_0 = d_max / (1 + beta |A|), and the walk goes on from the probe until
+delta_L = floor(d_0 / G_D) hops (clamped to [1, DELTA_L_MAX]) are taken.
 """
 
 from __future__ import annotations
@@ -13,12 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import controller
-from .controller import BodyError, sign
 from .hpf import OBSTACLE, GradientField
 from .workspace import ControlConfig, LookaheadConfig, WorldPose, world_to_pixel
 
 DELTA_L_MAX = 32
-A_CAP = 1e3  # fit coefficient substituted when |e_x| < controller.EX_EPS
 
 
 @dataclass(frozen=True)
@@ -35,42 +33,25 @@ class ReferencePoint:
         return (self.x, self.y)
 
 
-def safe_curve_coeff(e: BodyError) -> float:
-    """Curve coefficient with the lateral-degenerate case capped."""
-    if abs(e.e_x) < controller.EX_EPS:
-        return sign(e.e_y) * A_CAP
-    return controller.curve_coeff(e)
+def ref_point(grad: GradientField, point, hops: int):
+    """Walk up to `hops` unit hops of the gradient field from a continuous pixel point.
 
-
-def ref_point(grad: GradientField, cell, delta_l: int):
-    """Walk delta_l unit hops of the gradient field from a cell center.
-
-    Returns (point, hops, hit_flat) with the point in continuous pixel
-    coordinates.  The walk stops short on a flat cell.
+    Returns (point, hops taken); the walk stops short on a flat cell.
     """
-    cx, cy = cell
-    if grad.labels[cy, cx] == OBSTACLE:
-        raise ValueError("reference walk started on obstacle cell (%d, %d)" % (cx, cy))
-    if delta_l < 1:
-        raise ValueError("delta_l must be >= 1")
-    px, py = cx + 0.5, cy + 0.5
-    hops = 0
-    for _ in range(delta_l):
+    px, py = point
+    for taken in range(hops):
         ix, iy = int(px), int(py)
         if grad.flat[iy, ix]:
-            return (px, py), hops, True
+            return (px, py), taken
         px += float(grad.vx[iy, ix])
         py += float(grad.vy[iy, ix])
-        hops += 1
-    return (px, py), hops, False
+    return (px, py), hops
 
 
-def lookahead(a_coeff: float, params: ControlConfig, gd: float):
-    """Curvature-adaptive look-ahead: distance d_0 and hop count delta_L."""
+def lookahead(a_coeff: float, params: ControlConfig, gd: float) -> int:
+    """Curvature-adaptive hop count delta_L for the look-ahead distance d_0."""
     d_0 = params.d_max / (1.0 + params.beta * abs(a_coeff))
-    delta_l = int(d_0 / gd)
-    delta_l = max(1, min(DELTA_L_MAX, delta_l))
-    return d_0, delta_l
+    return max(1, min(DELTA_L_MAX, int(d_0 / gd)))
 
 
 def guidance_step(
@@ -82,29 +63,25 @@ def guidance_step(
 ) -> ReferencePoint:
     """Pick the reference point for one control sample.
 
-    A one-hop probe estimates the bend ahead; in dynamic mode that fixes
-    delta_L, in fixed mode the configured value is used.  If the vehicle's
-    cell is flat (no target reachable from here) the reference degenerates
-    to the pose itself with the flat flag set, which callers turn into a
-    zero command.
+    The walk starts at the centre of the vehicle's cell.  Its first hop is a
+    probe: in dynamic mode the bend it shows fixes delta_L, in fixed mode the
+    configured value is used, and the walk continues from the probe for the
+    remaining hops.  If the vehicle's cell is flat (no target reachable from
+    here) the reference degenerates to the pose itself with the flat flag
+    set, which callers turn into a zero command.
     """
-    cell = world_to_pixel((pose.x, pose.y), gd, grad.width, grad.height)
-    cx, cy = cell
+    cx, cy = world_to_pixel((pose.x, pose.y), gd, grad.width, grad.height)
     if grad.labels[cy, cx] == OBSTACLE:
         raise ValueError("pose cell (%d, %d) is an obstacle cell" % (cx, cy))
-
-    probe, hops, hit_flat = ref_point(grad, cell, 1)
-    if hops == 0 and hit_flat:
+    if grad.flat[cy, cx]:
         return ReferencePoint(pose.x, pose.y, 0, flat=True)
 
-    probe_world = (probe[0] * gd, probe[1] * gd)
-    e_probe = controller.body_errors(pose, probe_world)
-    a_probe = safe_curve_coeff(e_probe)
-
+    probe, _ = ref_point(grad, (cx + 0.5, cy + 0.5), 1)
     if la.mode == "fixed":
         delta_l = max(1, min(DELTA_L_MAX, la.delta_l))
     else:
-        _, delta_l = lookahead(a_probe, control, gd)
+        e_probe = controller.body_errors(pose, (probe[0] * gd, probe[1] * gd))
+        delta_l = lookahead(controller.curve_coeff(e_probe), control, gd)
 
-    point, taken, _ = ref_point(grad, cell, delta_l)
-    return ReferencePoint(point[0] * gd, point[1] * gd, max(taken, 1), flat=False)
+    point, taken = ref_point(grad, probe, delta_l - 1)
+    return ReferencePoint(point[0] * gd, point[1] * gd, 1 + taken)

@@ -173,14 +173,13 @@ class PlannerState:
     grad: hpf.GradientField | None = None
     potential: hpf.PotentialField | None = None
     path: np.ndarray | None = None
-    obstacle: np.ndarray | None = None   # scene mask of the collision rule, see plant
 
 
 def prepare(scenario: Scenario) -> PlannerState:
     """Run the static pipeline: image -> edges -> boundary -> field or path."""
-    img = scenario.build_image()
-    boundary = hpf.build_boundary(vision.detect_edges(img, scenario.vision), scenario.target)
-    state = PlannerState(scenario.planner, boundary, obstacle=plant.scene_obstacles(img, scenario.background))
+    boundary = hpf.build_boundary(vision.detect_edges(scenario.build_image(), scenario.vision),
+                                  scenario.target)
+    state = PlannerState(scenario.planner, boundary)
     if state.kind == "hpf":
         state.potential = hpf.relax(boundary)
         state.grad = hpf.gradient(state.potential, boundary)
@@ -299,24 +298,26 @@ class _Vehicle:
 
 
 def _control_sample(scenario, state, obs: WorldPose):
-    """One controller evaluation: returns (cmd, delta_l, flat)."""
-    gd = scenario.gd
+    """One controller evaluation: returns (cmd, delta_l, flat).
+
+    Each planner picks the reference point its own way; the curve tracker
+    turns it into the command.
+    """
     if state.kind == "hpf":
         try:
-            ref = guidance.guidance_step(state.grad, obs, scenario.control, scenario.lookahead, gd)
+            ref = guidance.guidance_step(state.grad, obs, scenario.control, scenario.lookahead, scenario.gd)
         except ValueError:
             return Command(0.0, 0.0), 0, False  # observed cell blocked: hold
         if ref.flat:
             return Command(0.0, 0.0), 0, True
-        e = ctl.body_errors(obs, ref.point)
-        a = guidance.safe_curve_coeff(e)
-        return ctl.command(a, e, scenario.control), ref.delta_l, False
-    # fast-marching baseline: track the precomputed path
-    d0 = scenario.fm_d0 if scenario.fm_d0 is not None else scenario.control.d_max
-    refpt, _ = fm.path_reference(state.path, obs, d0)
-    e = ctl.body_errors(obs, refpt)
-    a = guidance.safe_curve_coeff(e)
-    return ctl.command(a, e, scenario.control), 0, False
+        point, delta_l = ref.point, ref.delta_l
+    else:
+        # fast-marching baseline: track the precomputed path
+        d0 = scenario.fm_d0 if scenario.fm_d0 is not None else scenario.control.d_max
+        point, _ = fm.path_reference(state.path, obs, d0)
+        delta_l = 0
+    e = ctl.body_errors(obs, point)
+    return ctl.command(ctl.curve_coeff(e), e, scenario.control), delta_l, False
 
 
 def _simulate(scenario: Scenario, vehicles: list, replan=None):
@@ -418,9 +419,7 @@ def run_loop(scenario: Scenario, state: PlannerState | None = None,
         uplink = uplink or up
         downlink = downlink or down
     target_world = pixel_to_world(scenario.target, scenario.gd, scenario.width, scenario.height)
-    obstacle = state.obstacle   # None in a state assembled by hand
-    if obstacle is None:
-        obstacle = plant.scene_obstacles(scenario.build_image(), scenario.background)
+    obstacle = plant.scene_obstacles(scenario.build_image(), scenario.background)
     veh = _Vehicle(scenario, scenario.start, target_world, obstacle, state, uplink, downlink)
     if state.kind == "fm" and state.path is None:
         veh.finish("unreachable", 0.0)  # no path to track: the loop never starts

@@ -283,7 +283,7 @@ class ControlConfig:
 class VisionConfig:
     # Gaussian scale, pixels; kernels reach ceil(3*sigma)
     sigma: float = field(default=2.0, metadata={"positive": True})
-    zeta: float = 40.0         # contrast threshold
+    zeta: float = 20.0         # contrast threshold, intensity units per pixel
 
 
 @dataclass

@@ -243,15 +243,18 @@ def test_console_script_entry_point(tmp_path, scenario_dir):
 
 
 _LOADED_BY_IMPORT = """
-import sys
+import importlib, pkgutil, sys
 before = set(sys.modules)
 import hpfnav
+for mod in pkgutil.iter_modules(hpfnav.__path__):
+    importlib.import_module("hpfnav." + mod.name)
 print(" ".join(sorted({name.partition(".")[0] for name in set(sys.modules) - before})))
 """
 
 
 def test_package_imports_only_stdlib_and_numpy():
-    # scipy costs 0.25-0.38 s and ~30 MB of peak RSS to import, so src/ stays numpy-only
+    # scipy costs 0.25-0.38 s and ~30 MB of peak RSS to import, so src/ stays numpy-only;
+    # the package root imports no module, so every module is imported by name
     proc = subprocess.run([sys.executable, "-c", _LOADED_BY_IMPORT],
                           capture_output=True, text=True, env=_child_env(), check=True)
     loaded = proc.stdout.split()

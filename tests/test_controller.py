@@ -52,8 +52,9 @@ def test_curve_coeff():
     assert curve_coeff(BodyError(0.5, 0.25, 0.0)) == pytest.approx(1.0)
     assert curve_coeff(BodyError(-0.5, 0.25, 0.0)) == pytest.approx(-1.0)
     assert curve_coeff(BodyError(0.7, 0.0, 0.0)) == 0.0
-    with pytest.raises(ValueError):
-        curve_coeff(BodyError(1e-9, 0.5, 0.0))
+    # a reference abeam of the vehicle caps the fit, turning towards it
+    assert curve_coeff(BodyError(1e-9, 0.5, 0.0)) == 1e3
+    assert curve_coeff(BodyError(1e-9, -0.5, 0.0)) == -1e3
 
 
 def test_command_law():

@@ -1,18 +1,19 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from hpfnav.controller import BodyError
+from hpfnav.controller import body_errors, curve_coeff
 from hpfnav.guidance import (
     DELTA_L_MAX,
     ReferencePoint,
     guidance_step,
     lookahead,
     ref_point,
-    safe_curve_coeff,
 )
 from hpfnav.hpf import FREE, OBSTACLE, GradientField
+from hpfnav.netloop import prepare
 from hpfnav.workspace import ControlConfig, LookaheadConfig, WorldPose
 
 
@@ -41,52 +42,35 @@ def flat_grad(w=21, h=21):
 
 def test_lookahead_table():
     p = ControlConfig()  # d_max=0.1, beta=1
-    assert lookahead(0.0, p, 0.0125) == (pytest.approx(0.1), 8)
-    d0, dl = lookahead(7.0, p, 0.0125)
-    assert d0 == pytest.approx(0.0125)
-    assert dl == 1
-    assert lookahead(1e12, p, 0.0125)[1] == 1  # never drops to 0
+    assert lookahead(0.0, p, 0.0125) == 8
+    assert lookahead(7.0, p, 0.0125) == 1   # d_0 = 0.0125, one cell
+    assert lookahead(1e12, p, 0.0125) == 1  # never drops to 0
 
 
 def test_lookahead_clamps_high():
     p = ControlConfig(d_max=1.0)
-    assert lookahead(0.0, p, 0.0125)[1] == DELTA_L_MAX
-
-
-def test_safe_curve_coeff_caps_singularity():
-    assert safe_curve_coeff(BodyError(1e-9, 0.5, 0.0)) == 1e3
-    assert safe_curve_coeff(BodyError(1e-9, -0.5, 0.0)) == -1e3
-    assert safe_curve_coeff(BodyError(0.5, 0.25, 0.0)) == pytest.approx(1.0)
+    assert lookahead(0.0, p, 0.0125) == DELTA_L_MAX
 
 
 def test_ref_point_uniform_field():
-    pt, hops, hit_flat = ref_point(uniform_grad(), (10, 10), 2)
+    pt, hops = ref_point(uniform_grad(), (10.5, 10.5), 2)
     assert (int(pt[0]), int(pt[1])) == (12, 10)
     assert hops == 2
-    assert not hit_flat
 
 
 def test_ref_point_flat_field():
-    pt, hops, hit_flat = ref_point(flat_grad(), (10, 10), 2)
+    pt, hops = ref_point(flat_grad(), (10.5, 10.5), 2)
     assert pt == (10.5, 10.5)
     assert hops == 0
-    assert hit_flat
 
 
 def test_ref_point_stops_early_on_flat():
     grad = uniform_grad()
     grad.flat[10, 12] = True
     grad.vx[10, 12] = 0.0
-    pt, hops, hit_flat = ref_point(grad, (10, 10), 6)
-    assert hops < 6
-    assert hit_flat
-
-
-def test_ref_point_rejects_obstacle_start():
-    grad = uniform_grad()
-    grad.labels[10, 10] = OBSTACLE
-    with pytest.raises(ValueError):
-        ref_point(grad, (10, 10), 1)
+    pt, hops = ref_point(grad, (10.5, 10.5), 6)
+    assert hops == 2
+    assert pt == (12.5, 10.5)
 
 
 def test_guidance_step_straight_dynamic():
@@ -146,3 +130,44 @@ def test_guidance_step_dynamic_shrinks_on_bend():
 def test_reference_point_shape():
     r = ReferencePoint(1.0, 2.0, 4, flat=False)
     assert r.point == (1.0, 2.0)
+
+
+def _two_walks(grad, pose, control, la, gd):
+    """Reference for guidance_step: a one-hop probe from the cell centre, then delta_L hops anew from it."""
+    cx, cy = math.floor(pose.x / gd), math.floor(pose.y / gd)
+
+    def walk(n):
+        px, py = cx + 0.5, cy + 0.5
+        for hops in range(n):
+            ix, iy = int(px), int(py)
+            if grad.flat[iy, ix]:
+                return (px, py), hops
+            px += float(grad.vx[iy, ix])
+            py += float(grad.vy[iy, ix])
+        return (px, py), n
+
+    probe, hops = walk(1)
+    if hops == 0:
+        return (pose.x, pose.y), 0, True
+    if la.mode == "fixed":
+        delta_l = max(1, min(DELTA_L_MAX, la.delta_l))
+    else:
+        a = curve_coeff(body_errors(pose, (probe[0] * gd, probe[1] * gd)))
+        delta_l = max(1, min(DELTA_L_MAX, int(control.d_max / (1.0 + control.beta * abs(a)) / gd)))
+    point, hops = walk(delta_l)
+    return (point[0] * gd, point[1] * gd), max(hops, 1), False
+
+
+@pytest.mark.parametrize("la", [LookaheadConfig("dynamic"), LookaheadConfig("fixed", 8)],
+                         ids=["dynamic", "fixed"])
+def test_guidance_step_matches_two_walks_on_every_free_cell(comparison_scenario, la):
+    """Continuing from the probe gives exactly the reference of walking again from the cell centre."""
+    sc = dataclasses.replace(comparison_scenario, planner="hpf")
+    grad, gd = prepare(sc).grad, sc.gd
+    ys, xs = np.nonzero(grad.labels == FREE)
+    assert len(xs) > 1000
+    for cx, cy in zip(xs.tolist(), ys.tolist()):
+        theta = ((7 * cx + 3 * cy) % 12) * (math.pi / 6) - math.pi   # a spread of headings
+        pose = WorldPose((cx + 0.5) * gd, (cy + 0.5) * gd, theta)
+        ref = guidance_step(grad, pose, sc.control, la, gd)
+        assert (ref.point, ref.delta_l, ref.flat) == _two_walks(grad, pose, sc.control, la, gd)

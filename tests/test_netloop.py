@@ -241,6 +241,11 @@ def test_identical_runs_are_bit_identical(open_scenario, open_state, tmp_path):
 # --- plant loop ------------------------------------------------------------------
 
 
+def _mask(sc):
+    """The scene's obstacle mask, as run_loop builds it for the collision rule."""
+    return plant.scene_obstacles(sc.build_image(), sc.background)
+
+
 def _chained_integrate_to(veh, t_target, gd, obstacle):
     """Reference plant loop: one plant.step, plant.collides and goal test per micro-step."""
     while veh.t < t_target - 1e-12 and veh.outcome is None:
@@ -279,13 +284,14 @@ def test_plant_loop_matches_chained_steps_bitwise(case, open_scenario, open_stat
     sc = dataclasses.replace(open_scenario, watchdog_s=watchdog)
     gd = sc.gd
     target = pixel_to_world(sc.target, gd, sc.width, sc.height)
-    fast, slow = (_Vehicle(sc, WorldPose(x, y, theta), target, open_state.obstacle, open_state, None, None)
+    obstacle = _mask(sc)
+    fast, slow = (_Vehicle(sc, WorldPose(x, y, theta), target, obstacle, open_state, None, None)
                   for _ in range(2))
     for veh in (fast, slow):
         veh.latch(0.0, v, omega)
     for t_target in targets:
         fast.integrate_to(t_target, gd)
-        _chained_integrate_to(slow, t_target, gd, open_state.obstacle)
+        _chained_integrate_to(slow, t_target, gd, obstacle)
         assert fast.trace == slow.trace
         assert (fast.pose.x, fast.pose.y, fast.pose.theta) == (slow.pose.x, slow.pose.y, slow.pose.theta)
         assert (fast.t, fast.applied, fast.cmd_expiry) == (slow.t, slow.applied, slow.cmd_expiry)
@@ -305,9 +311,9 @@ def test_plant_loop_matches_chained_steps_bitwise(case, open_scenario, open_stat
         assert fast.pose.x < 0.0
 
 
-def test_plant_loop_without_a_planner_does_nothing_at_time_zero(open_scenario, open_state):
+def test_plant_loop_without_a_planner_does_nothing_at_time_zero(open_scenario):
     # run_multi's vehicles have no planner state before the first frame
-    veh = _Vehicle(open_scenario, WorldPose(1.0, 1.5, 0.0), (3.0, 1.5), open_state.obstacle, None, None, None)
+    veh = _Vehicle(open_scenario, WorldPose(1.0, 1.5, 0.0), (3.0, 1.5), _mask(open_scenario), None, None, None)
     veh.integrate_to(0.0, open_scenario.gd)
     assert veh.t == 0.0 and len(veh.trace) == 1
 
@@ -336,7 +342,7 @@ def test_any_collision_is_contact_with_the_scene(comparison_scenario, seed):
 def _driven(sc, state, pose, v, t_targets):
     """A vehicle holding (v, 0) from pose; any_collision after each integration target."""
     target = pixel_to_world(sc.target, sc.gd, sc.width, sc.height)
-    veh = _Vehicle(sc, pose, target, state.obstacle, state, None, None)
+    veh = _Vehicle(sc, pose, target, _mask(sc), state, None, None)
     veh.latch(0.0, v, 0.0)
     flags = []
     for t in t_targets:
@@ -350,7 +356,7 @@ def test_pad_ring_beside_a_rect_is_not_a_collision():
                   vision=VisionConfig(zeta=20.0))
     state = prepare(sc)
     gd, row = sc.gd, 25
-    labels, obstacle = state.boundary.labels[row], state.obstacle[row]
+    labels, obstacle = state.boundary.labels[row], _mask(sc)[row]
     pad = [x for x in range(1, 30) if labels[x] == hpf.OBSTACLE and not obstacle[x]]
     assert pad == [28, 29] and obstacle[30]   # the planner's pad ring lies right before the rect
     # 0.2 m/s along the row from the centre of cell 20: to the centre of the pad
@@ -359,6 +365,15 @@ def test_pad_ring_beside_a_rect_is_not_a_collision():
                          [9.0 * gd / 0.2, 10.0 * gd / 0.2])
     assert flags == [False, True]
     assert veh.collision and math.floor(veh.pose.x / gd) == 30
+
+
+def test_default_vision_sees_a_default_shape():
+    """Default zeta finds a default-intensity rect on the default background, so the run steers round it."""
+    sc = Scenario(name="r", shapes=[Rect(20, 14, 30, 34)], start=WorldPose(0.5, 1.5, 0.0), target=(50, 24))
+    state = prepare(sc)
+    assert (state.boundary.labels[14:35, 20:31] == hpf.OBSTACLE).sum() == 71
+    log = run_loop(sc, state)
+    assert log.outcome == "reached" and not log.any_collision
 
 
 def test_frame_ring_is_free_and_leaving_the_workspace_is_a_collision(open_scenario, open_state):
@@ -382,9 +397,8 @@ def test_start_on_an_obstacle_pixel_is_a_collision(tmp_path):
                   timeout_s=2.0)
     log = run_loop(sc)
     assert log.any_collision and log.records[0].collision
-    state = prepare(sc)
-    assert (state.obstacle == (pixels != 210)).all()
-    clear = run_loop(dataclasses.replace(sc, start=WorldPose(0.5, 0.5, 0.0)), state)
+    assert (_mask(sc) == (pixels != 210)).all()
+    clear = run_loop(dataclasses.replace(sc, start=WorldPose(0.5, 0.5, 0.0)), prepare(sc))
     assert not clear.any_collision
 
 
