@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from hpfnav.controller import body_errors, curve_coeff
+from hpfnav.controller import BodyError, body_errors, curve_coeff
 from hpfnav.guidance import (
     DELTA_L_MAX,
     ReferencePoint,
@@ -50,6 +50,21 @@ def test_lookahead_table():
 def test_lookahead_clamps_high():
     p = ControlConfig(d_max=1.0)
     assert lookahead(0.0, p, 0.0125) == DELTA_L_MAX
+
+
+def test_safe_curve_coeff_caps_singularity():
+    # the fit that sizes the dynamic lookahead caps instead of raising
+    assert curve_coeff(BodyError(1e-9, 0.5, 0.0)) == 1e3
+    assert curve_coeff(BodyError(1e-9, -0.5, 0.0)) == -1e3
+    assert curve_coeff(BodyError(0.5, 0.25, 0.0)) == pytest.approx(1.0)
+    # a probe abeam of the vehicle (facing +y, field along +x) gives the
+    # capped fit, so the step takes the shortest lookahead
+    gd = 0.0125
+    pose = WorldPose(10.5 * gd, 10.5 * gd, math.pi / 2)
+    ref = guidance_step(uniform_grad(), pose, ControlConfig(), LookaheadConfig("dynamic"), gd)
+    assert ref.delta_l == 1
+    assert ref.point == pytest.approx((11.5 * gd, 10.5 * gd))
+    assert not ref.flat
 
 
 def test_ref_point_uniform_field():
