@@ -23,7 +23,7 @@ EXIT_UNREACHABLE = 3
 
 _OUTCOME_EXIT = {"reached": EXIT_OK, "timeout": EXIT_TIMEOUT, "unreachable": EXIT_UNREACHABLE}
 
-SUMMARY_SCHEMA_VERSION = 2
+SUMMARY_SCHEMA_VERSION = 3
 
 
 class _Parser(argparse.ArgumentParser):
@@ -71,6 +71,11 @@ def _parse_delays(text: str) -> list:
             raise ValueError("--delays: %r must be finite and non-negative" % item)
         delays.append(d)
     return delays
+
+
+def _metric(x: float):
+    """A metric for summary.json: an undefined one (nan) is written as null, which strict JSON reads."""
+    return None if math.isnan(x) else x
 
 
 def _write_summary(out_dir: Path, payload: dict) -> Path:
@@ -121,8 +126,8 @@ def cmd_run(args) -> int:
         "scenario": sc.to_dict(),
         "outcome": log.outcome,
         "total_time": log.total_time,
-        "mean_error": mean_err,
-        "max_error": max_err,
+        "mean_error": _metric(mean_err),
+        "max_error": _metric(max_err),
         "collision": log.any_collision,
         "samples": len(log.records),
     })
@@ -139,7 +144,7 @@ def cmd_sweep_delay(args) -> int:
     out = _ensure_out(args)
     result = analysis.sweep(sc, delays, seeds, planners=(sc.planner,))
     result.to_csv(out / "sweep.csv")
-    medians = {repr(d): result.median_max_err(sc.planner, d) for d in delays}
+    medians = {repr(d): _metric(result.median_max_err(sc.planner, d)) for d in delays}
     _write_summary(out, {
         "command": "sweep-delay",
         "scenario": sc.to_dict(),
@@ -172,7 +177,8 @@ def cmd_compare_lookahead(args) -> int:
         "command": "compare-lookahead",
         "scenario": sc.to_dict(),
         "rows": [
-            {"lookahead": v, "outcome": outc, "total_time": tt, "mean_err": me, "max_err": mx}
+            {"lookahead": v, "outcome": outc, "total_time": tt,
+             "mean_err": _metric(me), "max_err": _metric(mx)}
             for v, outc, tt, me, mx in rows
         ],
     })

@@ -51,7 +51,7 @@ def ref_point(grad: GradientField, point, hops: int):
 def lookahead(a_coeff: float, params: ControlConfig, gd: float) -> int:
     """Curvature-adaptive hop count delta_L for the look-ahead distance d_0."""
     d_0 = params.d_max / (1.0 + params.beta * abs(a_coeff))
-    return max(1, min(DELTA_L_MAX, int(d_0 / gd)))
+    return max(1, int(min(DELTA_L_MAX, d_0 / gd)))   # clamp first: d_0 / gd may overflow to inf
 
 
 def guidance_step(

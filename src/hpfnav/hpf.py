@@ -9,10 +9,13 @@ eliminated exactly and CG runs on the reduced system of the black cells
 (Saad, Iterative Methods for Sparse Linear Systems, 2nd ed. 2003, on
 red-black ordering): half the unknowns and about half the iterations.
 Because harmonic functions take their extrema on the boundary, the interior
-has no local minima, so following the negative gradient from any free cell
-connected to the target always runs downhill to it.  Free components with no
-target in them settle at the constant 1 and are detected as flat, which is
-how an unreachable goal shows up.
+has no local minima, so in exact arithmetic following the negative gradient
+from any free cell connected to the target runs downhill to it.  In floating
+point 1 - phi decays exponentially away from the target, and where it falls
+below the solver tolerance the field is flat although the target is
+connected: deep in a long corridor `descend` stops "flat".  Free components
+with no target in them settle at the constant 1 and are detected as flat,
+which is how an unreachable goal shows up.
 
 Nothing here is set per scenario: the obstacle padding `DILATION`, the
 solver `TOLERANCE` and the flatness threshold `EPS_FLAT` are constants, and

@@ -18,9 +18,13 @@ unreachable and ends the run.  A multi-agent run (`run_multi`) re-solves
 each vehicle's field every camera frame around the others, and a flat
 sample there only holds the vehicle until the blocker moves on.
 
-Channels are ``DelayLine``s: constant delay, optional uniform jitter, drops
-and a packet deadline, all in simulation time.  ``run_loop`` accepts any
-object with the same push/poll methods in their place.
+All events sit on one heap, ordered by time, then packets before the camera
+frame of the same instant, then push order.  Each delivered packet is one
+event at its own delivery time.  Channels only sample: a ``DelayLine`` draws
+each packet's delay (constant, optional uniform jitter, drops and a
+deadline, all in simulation time) and the engine queues the delivery.
+``run_loop`` accepts any object with the same ``push(packet) -> delay or
+None`` method in their place.
 """
 
 from __future__ import annotations
@@ -58,7 +62,8 @@ class DelayLine:
     Each pushed packet draws a delay (constant + uniform jitter, clamped at
     zero) and a drop decision from the line's own seeded RNG.  Packets whose
     sampled delay exceeds the deadline would arrive stale and are discarded
-    at once.  With zero jitter deliveries keep push order (FIFO).
+    at once.  The line holds no packets: the event engine queues each
+    delivery at send time + delay.
     """
 
     def __init__(self, constant: float, jitter: float = 0.0, drop_prob: float = 0.0,
@@ -72,26 +77,15 @@ class DelayLine:
         self.drop_prob = drop_prob
         self.deadline = deadline
         self._rng = random.Random(seed)
-        self._queue = []   # (delivery_time, order, packet, delay)
-        self._order = itertools.count()
 
     def push(self, pkt: Packet):
-        """Accept a packet; returns the sampled delay, or None if it is lost."""
+        """Sample a packet's fate: its delay, or None if it is lost."""
         u = self._rng.random()
         delay = max(0.0, self.constant + (2.0 * u - 1.0) * self.jitter)
         dropped = self._rng.random() < self.drop_prob
         if dropped or delay > self.deadline:
             return None
-        heapq.heappush(self._queue, (pkt.send_time + delay, next(self._order), pkt, delay))
         return delay
-
-    def poll(self, now: float):
-        """Packets whose delivery time has come, oldest delivery first."""
-        out = []
-        while self._queue and self._queue[0][0] <= now + 1e-12:
-            _, _, pkt, delay = heapq.heappop(self._queue)
-            out.append((pkt, delay))
-        return out
 
 
 # --- run logs ----------------------------------------------------------------
@@ -106,8 +100,6 @@ class Record:
     obs: WorldPose           # stale camera pose the controller acted on
     v_cmd: float
     omega_cmd: float
-    v_applied: float
-    omega_applied: float
     delta_l: int
     delay_up: float
     delay_down: float        # nan when the command was lost
@@ -125,7 +117,6 @@ class RunLog:
     trace: list              # (t, x, y, theta, v_applied, omega_applied) at micro-steps
     outcome: str             # "reached" | "timeout" | "unreachable"
     total_time: float
-    scenario: Scenario
     any_collision: bool = False
 
     def trace_array(self) -> np.ndarray:
@@ -292,9 +283,8 @@ class _Vehicle:
         self.applied = Command(v, omega)
         self.cmd_expiry = t + self.watchdog
 
-    def log(self, scenario: Scenario) -> RunLog:
-        return RunLog(self.records, self.trace, self.outcome, self.end_time, scenario,
-                      any_collision=self.any_collision)
+    def log(self) -> RunLog:
+        return RunLog(self.records, self.trace, self.outcome, self.end_time, self.any_collision)
 
 
 def _control_sample(scenario, state, obs: WorldPose):
@@ -330,53 +320,51 @@ def _simulate(scenario: Scenario, vehicles: list, replan=None):
     holds the vehicle, since the blocker moves on.  Returns (end time,
     dm_times, dm_values), the last two holding the minimum pairwise distance
     at each camera frame when there are several vehicles.
+
+    The scenario is validated first: a run takes at most MAX_FRAMES camera
+    frames, and each frame leads to at most two packets per vehicle.
     """
+    scenario.validate()
     gd = scenario.gd
     frame_dt = 1.0 / scenario.camera.rate_hz
-    heap = []   # (time, priority, order, vehicle woken or None for a frame)
-    order = itertools.count()
-    heapq.heappush(heap, (0.0, 1, next(order), None))
+    # (time, 0 for a packet or 1 for a frame, push order, vehicle, packet, sampled delay)
+    heap = [(0.0, 1, 0, None, None, None)]
+    order = itertools.count(1)
     frame_seq = 0
     dm_times, dm_values = [], []
 
-    def pump(v: _Vehicle, t: float) -> None:
-        for pkt, dly in v.uplink.poll(t):
+    while any(v.outcome is None for v in vehicles):
+        t_ev, _, _, v, pkt, delay = heapq.heappop(heap)
+        if t_ev > scenario.timeout_s:
+            for v in vehicles:
+                v.integrate_to(scenario.timeout_s, gd)   # a no-op once a vehicle has an outcome
+                if v.outcome is None:
+                    v.finish("timeout", scenario.timeout_s)
+            return scenario.timeout_s, dm_times, dm_values
+        if pkt is not None:
+            v.integrate_to(t_ev, gd)
             if v.outcome is not None:
+                continue
+            if pkt.kind == "cmd":
+                v.latch(t_ev, *pkt.payload)
                 continue
             obs = WorldPose(*pkt.payload)
             cmd, delta_l, flat = _control_sample(scenario, v.state, obs)
             delay_down = math.nan
             if replan is not None or not flat:
-                d = v.downlink.push(Packet("cmd", pkt.seq, t, (cmd.v, cmd.omega)))
+                cmd_pkt = Packet("cmd", pkt.seq, t_ev, (cmd.v, cmd.omega))
+                d = v.downlink.push(cmd_pkt)
                 if d is not None:
                     delay_down = d
-                    heapq.heappush(heap, (t + d, 0, next(order), v))
-            v.records.append(Record(t, v.pose, obs, cmd.v, cmd.omega, v.applied.v, v.applied.omega,
-                                    delta_l, dly, delay_down, v.collision))
+                    heapq.heappush(heap, (t_ev + d, 0, next(order), v, cmd_pkt, d))
+            v.records.append(Record(t_ev, v.pose, obs, cmd.v, cmd.omega, delta_l, delay, delay_down,
+                                    v.collision))
             if flat and replan is None:
-                v.finish("unreachable", t)
-        for pkt, _ in v.downlink.poll(t):
-            if v.outcome is None:
-                v.latch(t, pkt.payload[0], pkt.payload[1])
-
-    while any(v.outcome is None for v in vehicles):
-        t_ev, _, _, woken = heapq.heappop(heap)
-        if t_ev > scenario.timeout_s:
-            for v in vehicles:
-                if v.outcome is None:
-                    v.integrate_to(scenario.timeout_s, gd)
-                    if v.outcome is None:
-                        v.finish("timeout", scenario.timeout_s)
-            return scenario.timeout_s, dm_times, dm_values
-        if woken is not None:
-            if woken.outcome is None:
-                woken.integrate_to(t_ev, gd)
-            pump(woken, t_ev)
+                v.finish("unreachable", t_ev)
             continue
-        # camera frame: move everyone, measure spacing, replan, sample, observe
+        # camera frame: move everyone, measure spacing, replan, observe
         for v in vehicles:
-            if v.outcome is None:
-                v.integrate_to(t_ev, gd)
+            v.integrate_to(t_ev, gd)
         if len(vehicles) > 1:
             dm_times.append(t_ev)
             dm_values.append(min(math.hypot(a.pose.x - b.pose.x, a.pose.y - b.pose.y)
@@ -386,18 +374,18 @@ def _simulate(scenario: Scenario, vehicles: list, replan=None):
                 if v.outcome is None:
                     replan(i)
         for v in vehicles:
-            pump(v, t_ev)
             if v.outcome is not None:
                 continue
             try:
                 obs = plant.observe(v.pose, gd, scenario.width, scenario.height)
             except ValueError:
                 continue  # vehicle out of frame: camera has nothing to report
-            d = v.uplink.push(Packet("pose", frame_seq, t_ev, (obs.x, obs.y, obs.theta)))
+            pose_pkt = Packet("pose", frame_seq, t_ev, (obs.x, obs.y, obs.theta))
+            d = v.uplink.push(pose_pkt)
             if d is not None:
-                heapq.heappush(heap, (t_ev + d, 0, next(order), v))
+                heapq.heappush(heap, (t_ev + d, 0, next(order), v, pose_pkt, d))
         frame_seq += 1
-        heapq.heappush(heap, (t_ev + frame_dt, 1, next(order), None))
+        heapq.heappush(heap, (t_ev + frame_dt, 1, next(order), None, None, None))
     return max(v.end_time for v in vehicles), dm_times, dm_values
 
 
@@ -410,7 +398,7 @@ def run_loop(scenario: Scenario, state: PlannerState | None = None,
 
     `state` may carry a planner prepared earlier for the same scenario
     (the static field does not depend on delay or seed).  `uplink` and
-    `downlink` default to seeded DelayLines; any push/poll channel works.
+    `downlink` default to seeded DelayLines; any object with the same push works.
     """
     if state is None:
         state = prepare(scenario)
@@ -424,7 +412,7 @@ def run_loop(scenario: Scenario, state: PlannerState | None = None,
     if state.kind == "fm" and state.path is None:
         veh.finish("unreachable", 0.0)  # no path to track: the loop never starts
     _simulate(scenario, [veh])
-    return veh.log(scenario)
+    return veh.log()
 
 
 def _stamp_agents(static_edges: np.ndarray, poses, me: int, own_target, scenario) -> np.ndarray:
@@ -496,4 +484,4 @@ def run_multi(scenario: Scenario) -> MultiRunLog:
 
     t_end, dm_times, dm_values = _simulate(scenario, vehicles, replan)
     outcome = "reached" if all(v.outcome == "reached" for v in vehicles) else "timeout"
-    return MultiRunLog([v.log(scenario) for v in vehicles], dm_times, dm_values, outcome, t_end)
+    return MultiRunLog([v.log() for v in vehicles], dm_times, dm_values, outcome, t_end)

@@ -1,7 +1,9 @@
+import os
 import pathlib
 
 import pytest
 
+import hpfnav
 from hpfnav.workspace import load_scenario
 
 SCENARIO_DIR = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
@@ -12,6 +14,13 @@ _ACCEPTANCE = {}
 @pytest.fixture(scope="session")
 def scenario_dir():
     return SCENARIO_DIR
+
+
+@pytest.fixture(scope="session")
+def child_env():
+    """Environment for a child process that imports the same hpfnav as this one, installed or not."""
+    src = str(pathlib.Path(hpfnav.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 @pytest.fixture(scope="session")

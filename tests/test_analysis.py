@@ -17,7 +17,7 @@ from hpfnav.analysis import (
     ideal_path,
     sweep,
 )
-from hpfnav.workspace import Scenario, WorldPose, load_scenario, world_to_pixel
+from hpfnav.workspace import WorldPose, load_scenario, world_to_pixel
 
 
 @pytest.fixture(scope="module")
@@ -80,10 +80,10 @@ def test_ideal_path_fm_uses_planner_path(open_scenario):
 def _log_with_poses(poses, total_time=1.0):
     records = [
         netloop.Record(0.1 * i, WorldPose(x, y, 0.0), WorldPose(x, y, 0.0),
-                       0.0, 0.0, 0.0, 0.0, 1, 0.0, 0.0, False)
+                       0.0, 0.0, 1, 0.0, 0.0, False)
         for i, (x, y) in enumerate(poses)
     ]
-    return netloop.RunLog(records, [], "reached", total_time, Scenario(name="t"))
+    return netloop.RunLog(records, [], "reached", total_time)
 
 
 def test_distance_error_against_dense_sampling():
@@ -160,7 +160,7 @@ def test_distance_error_matches_the_per_point_formula(poly, poses):
 
 
 def _log_with_trace(rows):
-    return netloop.RunLog([], rows, "reached", rows[-1][0], Scenario(name="t"))
+    return netloop.RunLog([], rows, "reached", rows[-1][0])
 
 
 def test_curvature_straight_and_arc():

@@ -1,14 +1,11 @@
 """Command line tests: exit codes, artifacts, determinism."""
 
 import json
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-import hpfnav
 from hpfnav.cli import EXIT_OK, EXIT_TIMEOUT, EXIT_UNREACHABLE, EXIT_USAGE, main
 
 
@@ -19,7 +16,7 @@ def test_run_reaches_and_writes_artifacts(tmp_path, scenario_dir):
     assert (out / "runlog.csv").exists()
     assert (out / "trajectory.svg").exists()
     summary = json.loads((out / "summary.json").read_text())
-    assert summary["schema_version"] == 2
+    assert summary["schema_version"] == 3
     assert summary["outcome"] == "reached"
     assert summary["scenario"]["name"] == "open"
     assert summary["collision"] is False
@@ -33,6 +30,17 @@ def test_run_unreachable_exit_code(tmp_path, scenario_dir):
     assert code == EXIT_UNREACHABLE == 3
     summary = json.loads((tmp_path / "b" / "summary.json").read_text())
     assert summary["outcome"] == "unreachable"
+
+
+def _strict(constant):
+    raise ValueError("not JSON: %s" % constant)
+
+
+def test_summary_is_strict_json(tmp_path, scenario_dir):
+    """The barrier run has no error metrics: they are null, not NaN."""
+    main(["run", "--scenario", str(scenario_dir / "barrier.json"), "--out-dir", str(tmp_path / "b")])
+    summary = json.loads((tmp_path / "b" / "summary.json").read_text(), parse_constant=_strict)
+    assert summary["mean_error"] is None and summary["max_error"] is None
 
 
 def test_run_timeout_exit_code(tmp_path, scenario_dir, capsys):
@@ -225,18 +233,12 @@ def test_render_writes_scene(tmp_path, scenario_dir):
     assert svg.startswith("<?xml") and "</svg>" in svg
 
 
-def _child_env() -> dict:
-    """Environment for a child process that imports the same hpfnav as this one, installed or not."""
-    src = str(Path(hpfnav.__file__).resolve().parents[1])
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-
-
-def test_console_script_entry_point(tmp_path, scenario_dir):
+def test_console_script_entry_point(tmp_path, scenario_dir, child_env):
     proc = subprocess.run(
         [sys.executable, "-m", "hpfnav.cli", "run",
          "--scenario", str(scenario_dir / "open.json"),
          "--out-dir", str(tmp_path / "sub")],
-        capture_output=True, text=True, env=_child_env(),
+        capture_output=True, text=True, env=child_env,
     )
     assert proc.returncode == 0
     assert (tmp_path / "sub" / "summary.json").exists()
@@ -252,11 +254,11 @@ print(" ".join(sorted({name.partition(".")[0] for name in set(sys.modules) - bef
 """
 
 
-def test_package_imports_only_stdlib_and_numpy():
+def test_package_imports_only_stdlib_and_numpy(child_env):
     # scipy costs 0.25-0.38 s and ~30 MB of peak RSS to import, so src/ stays numpy-only;
     # the package root imports no module, so every module is imported by name
     proc = subprocess.run([sys.executable, "-c", _LOADED_BY_IMPORT],
-                          capture_output=True, text=True, env=_child_env(), check=True)
+                          capture_output=True, text=True, env=child_env, check=True)
     loaded = proc.stdout.split()
     assert "hpfnav" in loaded
     assert [m for m in loaded if m not in sys.stdlib_module_names and m not in ("numpy", "hpfnav")] == []

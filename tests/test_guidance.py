@@ -50,6 +50,8 @@ def test_lookahead_table():
 def test_lookahead_clamps_high():
     p = ControlConfig(d_max=1.0)
     assert lookahead(0.0, p, 0.0125) == DELTA_L_MAX
+    # d_max / gd overflows to inf: still the cap, not an OverflowError
+    assert lookahead(0.0, ControlConfig(d_max=1e308), 0.0625) == DELTA_L_MAX
 
 
 def test_safe_curve_coeff_caps_singularity():

@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -42,37 +44,55 @@ def _pkt(seq, t):
 def test_delayline_zero_delay_delivers_at_once():
     line = DelayLine(0.0)
     assert line.push(_pkt(0, 0.0)) == 0.0
-    out = line.poll(0.0)
-    assert [p.seq for p, _ in out] == [0]
 
 
 def test_delayline_constant_delay():
     line = DelayLine(0.3)
-    assert line.push(_pkt(0, 1.0)) == 0.3
-    assert line.poll(1.29) == []
-    out = line.poll(1.3)
-    assert [(p.seq, d) for p, d in out] == [(0, 0.3)]
-    assert line.poll(math.inf) == []
+    assert [line.push(_pkt(k, 1.0 + k)) for k in range(3)] == [0.3, 0.3, 0.3]
 
 
 def test_delayline_deadline_discards():
     line = DelayLine(0.6, deadline=0.5)
     assert line.push(_pkt(0, 0.0)) is None
-    assert line.poll(math.inf) == []
+    assert DelayLine(0.5, deadline=0.5).push(_pkt(0, 0.0)) == 0.5
 
 
 def test_delayline_drop_all():
     line = DelayLine(0.1, drop_prob=1.0)
-    for k in range(5):
-        assert line.push(_pkt(k, 0.1 * k)) is None
-    assert line.poll(math.inf) == []
+    assert [line.push(_pkt(k, 0.1 * k)) for k in range(5)] == [None] * 5
 
 
-def test_delayline_fifo_order():
-    line = DelayLine(0.3, seed=5)
-    for k in range(3):
-        line.push(_pkt(k, 2.0))
-    assert [p.seq for p, _ in line.poll(2.3)] == [0, 1, 2]
+class _Recording:
+    """A channel that keeps every packet pushed through it."""
+
+    def __init__(self, line):
+        self.line = line
+        self.sent = []
+
+    def push(self, pkt):
+        self.sent.append(pkt)
+        return self.line.push(pkt)
+
+
+def test_delayline_fifo_order(open_scenario, open_state):
+    """With zero jitter the engine delivers poses in frame order, one record per frame."""
+    uplink = _Recording(DelayLine(0.3))
+    log = run_loop(open_scenario, open_state, uplink=uplink, downlink=DelayLine(0.3))
+    assert log.outcome == "reached"
+    assert [p.seq for p in uplink.sent] == list(range(len(uplink.sent)))
+    assert [r.obs for r in log.records] == [WorldPose(*p.payload) for p in uplink.sent[:len(log.records)]]
+    assert [r.t for r in log.records] == [p.send_time + 0.3 for p in uplink.sent[:len(log.records)]]
+
+
+def test_packet_is_handled_at_its_own_delivery_time(open_scenario, open_state):
+    """0.4 s each way is two 5 Hz frame periods, yet no sample moves to a frame's time."""
+    sc = dataclasses.replace(open_scenario, delay=dataclasses.replace(open_scenario.delay, constant_s=0.8))
+    log = run_loop(sc, open_state)
+    assert log.outcome == "reached" and len(log.records) > 100
+    f = 0.0
+    for r in log.records:   # no drops and no jitter: record k carries frame k's pose
+        assert r.t == f + r.delay_up
+        f += 1.0 / sc.camera.rate_hz
 
 
 def test_delayline_jitter_bounds():
@@ -169,20 +189,13 @@ class _OneShotDownlink:
     """Delivers the first command instantly, silently loses the rest."""
 
     def __init__(self):
-        self._pending = []
         self._used = False
 
     def push(self, pkt):
         if self._used:
             return None
         self._used = True
-        self._pending.append(pkt)
         return 0.0
-
-    def poll(self, now):
-        out = [(p, 0.0) for p in self._pending if p.send_time <= now + 1e-12]
-        self._pending = [p for p in self._pending if p.send_time > now + 1e-12]
-        return out
 
 
 def test_watchdog_zeroes_stale_command(open_scenario, open_state):
@@ -236,6 +249,29 @@ def test_identical_runs_are_bit_identical(open_scenario, open_state, tmp_path):
     c = tmp_path / "c.csv"
     run_loop(other, state=open_state).to_csv(c)
     assert a.read_bytes() != c.read_bytes()
+
+
+# A scenario edited after construction: a frame rate the constructor would
+# have refused.  The child prints the error that ends the run.
+_EDITED_RUN = """
+import sys
+from hpfnav import netloop
+from hpfnav.workspace import load_scenario
+sc = load_scenario(sys.argv[1])
+sc.camera.rate_hz = 1e20
+try:
+    getattr(netloop, sys.argv[2])(sc)
+except ValueError as e:
+    print(e)
+"""
+
+
+@pytest.mark.parametrize("entry, name", [("run_loop", "open"), ("run_multi", "multi_star")])
+def test_a_run_always_ends_even_after_an_edit(scenario_dir, child_env, entry, name):
+    proc = subprocess.run([sys.executable, "-c", _EDITED_RUN, str(scenario_dir / (name + ".json")), entry],
+                          capture_output=True, text=True, env=child_env, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("timeout_s: ") and "above the budget of 100000" in proc.stdout
 
 
 # --- plant loop ------------------------------------------------------------------

@@ -8,7 +8,7 @@ The cases:
 - ``scenario/<name>``: ``to_dict`` of every committed scenario;
 - ``fm_arrival/<name>``: the arrival-time array on each single-vehicle boundary;
 - ``run/<name>/<planner>/<channel>/seed<k>``: ``run_loop`` for both planners on
-  the six single-vehicle scenarios, over three channels and two seeds;
+  the six single-vehicle scenarios, over four channels and two seeds;
 - ``sweep/comparison``: the ``analysis.sweep`` rows on comparison;
 - ``multi/<awareness>``: ``run_multi(multi_star)`` with ``all`` and ``nearest``.
 
@@ -49,6 +49,7 @@ PLANNERS = ("hpf", "fm")
 CHANNELS = {
     "ideal": DelayConfig(),
     "delay0.6": DelayConfig(constant_s=0.6),
+    "delay0.8": DelayConfig(constant_s=0.8),   # 0.4 s each way: a packet lands on a 5 Hz frame time
     "lossy": DelayConfig(constant_s=0.3, jitter_s=0.1, drop_prob=0.1),
 }
 RUN_SEEDS = (0, 1)
