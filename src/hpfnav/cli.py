@@ -37,13 +37,13 @@ class _Parser(argparse.ArgumentParser):
 def _apply_overrides(sc: Scenario, args) -> Scenario:
     if getattr(args, "delay", None) is not None:
         sc = replace(sc, delay=replace(sc.delay, constant_s=args.delay))
-    if getattr(args, "planner", None):
+    if getattr(args, "planner", None) is not None:
         sc = replace(sc, planner=args.planner)
-    if getattr(args, "lookahead", None):
+    if getattr(args, "lookahead", None) is not None:
         sc = replace(sc, lookahead=_parse_lookahead(args.lookahead))
     if getattr(args, "seed", None) is not None:
         sc = replace(sc, seed=args.seed)
-    if getattr(args, "awareness", None):
+    if getattr(args, "awareness", None) is not None:
         sc = replace(sc, awareness=args.awareness)
     return sc
 
@@ -256,7 +256,7 @@ def build_parser() -> _Parser:
     def common(sp, seeds=False, agents=False):
         sp.add_argument("--scenario", required=True, help="scenario JSON file")
         sp.add_argument("--delay", type=float, help="override total constant delay, s")
-        sp.add_argument("--planner", choices=("hpf", "fm"), help="override planner")
+        sp.add_argument("--planner", help="override planner")
         sp.add_argument("--lookahead", help="'dynamic' or a fixed hop count")
         sp.add_argument("--seed", type=int, help="override run seed")
         sp.add_argument("--out-dir", default="out", help="artifact directory")
@@ -264,7 +264,7 @@ def build_parser() -> _Parser:
             sp.add_argument("--seeds", type=int, default=10, help="seeds per grid point")
         if agents:
             sp.add_argument("--agents", type=int, help="use only the first N agents")
-            sp.add_argument("--awareness", choices=("all", "nearest"), help="override awareness")
+            sp.add_argument("--awareness", help="override awareness")
 
     sp = sub.add_parser("run", help="single networked run")
     common(sp)

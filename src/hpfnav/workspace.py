@@ -12,9 +12,12 @@ Coordinate conventions used across the package:
 * Headings: theta measured from +x toward +y, wrapped to (-pi, pi].
 
 The scenario schema is the dataclass declarations below: field types
-(e.g. ``target: tuple[int, int]``, ``shapes: list[Disc | Rect]``) plus the
-field metadata ``allow_inf`` and ``positive``.  One walker reads them both
-to build a scenario from JSON and to check one built in Python.
+(e.g. ``target: tuple[int, int]``, ``shapes: list[Disc | Rect]``) plus each
+field's domain in its metadata: ``gt`` (above), ``ge`` (at least), ``le``
+(at most, with ``ge``), ``choices`` (the allowed strings) and ``allow_inf``
+(may be +-inf).  One walker reads them to build a scenario from JSON and to
+check one built in Python; `Scenario.validate` adds only the rules that
+relate fields.
 """
 
 import functools
@@ -30,6 +33,11 @@ import numpy as np
 MIN_GRID_SIDE = 15
 MAX_FRAMES = 100_000   # camera frames one run may take: timeout_s * camera.rate_hz
 SCENARIO_SCHEMA_VERSION = 1
+
+
+def _domain(default=MISSING, **meta):
+    """A dataclass field whose metadata declares its domain, e.g. _domain(0.2, gt=0)."""
+    return field(default=default, metadata=meta)
 
 
 def wrap_angle(angle: float) -> float:
@@ -115,8 +123,8 @@ class Disc:
 
     cx: float
     cy: float
-    r: float
-    intensity: int = 40
+    r: float = _domain(ge=0)
+    intensity: int = _domain(40, ge=0, le=255)
 
 
 @dataclass(frozen=True)
@@ -127,7 +135,7 @@ class Rect:
     y0: int
     x1: int
     y1: int
-    intensity: int = 40
+    intensity: int = _domain(40, ge=0, le=255)
 
 
 def _gray(value, what: str):
@@ -257,39 +265,39 @@ def load_image(path) -> GridImage:
 
 @dataclass
 class CameraConfig:
-    rate_hz: float = field(default=5.0, metadata={"positive": True})
+    rate_hz: float = _domain(5.0, gt=0)
 
 
 @dataclass
 class DelayConfig:
-    constant_s: float = 0.0
-    jitter_s: float = 0.0      # uniform half-width added to the constant part
-    drop_prob: float = 0.0
+    constant_s: float = _domain(0.0, ge=0)
+    jitter_s: float = _domain(0.0, ge=0)       # uniform half-width added to the constant part
+    drop_prob: float = _domain(0.0, ge=0, le=1)
     # packets older than this at delivery are discarded; inf turns the deadline off
-    deadline_s: float = field(default=1.0, metadata={"allow_inf": True})
-    up_fraction: float = 0.5   # share of the constant delay on the uplink
+    deadline_s: float = _domain(1.0, ge=0, allow_inf=True)
+    up_fraction: float = _domain(0.5, ge=0, le=1)   # share of the constant delay on the uplink
 
 
 @dataclass
 class ControlConfig:
-    alpha: float = 0.2         # speed gain, m/s
-    beta: float = 1.0          # look-ahead shrink per unit |A|
-    d_max: float = 0.1         # max look-ahead distance, m
-    v_limit: float = 0.3       # m/s
-    omega_limit: float = 2.0   # rad/s
+    alpha: float = _domain(0.2, gt=0)          # speed gain, m/s
+    beta: float = _domain(1.0, ge=0)           # look-ahead shrink per unit |A|
+    d_max: float = _domain(0.1, gt=0)          # max look-ahead distance, m
+    v_limit: float = _domain(0.3, gt=0)        # m/s
+    omega_limit: float = _domain(2.0, gt=0)    # rad/s
 
 
 @dataclass
 class VisionConfig:
     # Gaussian scale, pixels; kernels reach ceil(3*sigma)
-    sigma: float = field(default=2.0, metadata={"positive": True})
-    zeta: float = 20.0         # contrast threshold, intensity units per pixel
+    sigma: float = _domain(2.0, gt=0)
+    zeta: float = _domain(20.0, ge=0)          # contrast threshold, intensity units per pixel
 
 
 @dataclass
 class LookaheadConfig:
-    mode: str = "dynamic"           # "dynamic" or "fixed"
-    delta_l: int = 1                # used when mode == "fixed"
+    mode: str = _domain("dynamic", choices=("dynamic", "fixed"))
+    delta_l: int = _domain(1, ge=1)            # used when mode == "fixed"
 
 
 @dataclass
@@ -303,29 +311,29 @@ class Scenario:
     """Complete description of one experiment."""
 
     name: str = "scenario"
-    width: int = 64
-    height: int = 48
-    extent: tuple[float, float] = (4.0, 3.0)    # (x_a, y_a) meters
-    background: int = 210
+    width: int = _domain(64, ge=MIN_GRID_SIDE)
+    height: int = _domain(48, ge=MIN_GRID_SIDE)
+    extent: tuple[float, float] = _domain((4.0, 3.0), gt=0)   # (x_a, y_a) meters
+    background: int = _domain(210, ge=0, le=255)
     shapes: list[Disc | Rect] = field(default_factory=list)
     image_path: str | None = None   # PGM alternative to shapes
     target: tuple[int, int] = (32, 24)          # pixel cell
     start: WorldPose = field(default_factory=lambda: WorldPose(0.5, 1.5, 0.0))
-    planner: str = "hpf"
+    planner: str = _domain("hpf", choices=("hpf", "fm"))
     camera: CameraConfig = field(default_factory=CameraConfig)
     delay: DelayConfig = field(default_factory=DelayConfig)
     control: ControlConfig = field(default_factory=ControlConfig)
     vision: VisionConfig = field(default_factory=VisionConfig)
     lookahead: LookaheadConfig = field(default_factory=LookaheadConfig)
-    fm_d0: float | None = None      # tracker look-ahead, m; None means control.d_max
-    goal_radius: float = field(default=0.1, metadata={"positive": True})   # m
+    fm_d0: float | None = _domain(None, gt=0)   # tracker look-ahead, m; None means control.d_max
+    goal_radius: float = _domain(0.1, gt=0)    # m
     # a NaN or infinite frame rate or timeout keeps the event loop from ever ending
-    timeout_s: float = field(default=60.0, metadata={"positive": True})
-    watchdog_s: float = field(default=1.0, metadata={"positive": True})
+    timeout_s: float = _domain(60.0, gt=0)
+    watchdog_s: float = _domain(1.0, gt=0)
     seed: int = 0
     agents: list[AgentSpec] = field(default_factory=list)   # for multi-agent runs
-    agent_radius: float = 0.15      # m, footprint disc other agents must avoid
-    awareness: str = "all"          # "all" or "nearest"
+    agent_radius: float = _domain(0.15, gt=0)   # m, footprint disc other agents must avoid
+    awareness: str = _domain("all", choices=("all", "nearest"))
 
     def __post_init__(self):
         self.validate()
@@ -338,72 +346,36 @@ class Scenario:
     def validate(self):
         """Raise ValueError, naming the field path, on the first fault found.
 
-        Every field is first checked against its declaration (see `_walk`);
-        then come the range checks and the checks that relate fields.
+        Every field is first checked on its own against its declaration (see
+        `_walk`); what is left here are the rules that relate fields.
         """
         _walk(self, Scenario, "", build=False)
         if self.timeout_s * self.camera.rate_hz > MAX_FRAMES:
             raise ValueError("timeout_s: timeout_s * camera.rate_hz is %g camera frames, above the "
                              "budget of %d" % (self.timeout_s * self.camera.rate_hz, MAX_FRAMES))
-        if self.width < MIN_GRID_SIDE or self.height < MIN_GRID_SIDE:
-            raise ValueError("width/height: grid must be at least %dx%d" % (MIN_GRID_SIDE, MIN_GRID_SIDE))
-        # rasterize rejects these too, but only here does the message name the field
-        if not 0 <= self.background <= 255:
-            raise ValueError("background: must lie in [0, 255], got %r" % (self.background,))
         for i, s in enumerate(self.shapes):
-            if not 0 <= s.intensity <= 255:
-                raise ValueError("shapes[%d].intensity: must lie in [0, 255], got %r" % (i, s.intensity))
-            if isinstance(s, Disc) and s.r < 0:
-                raise ValueError("shapes[%d].r: must be non-negative, got %r" % (i, s.r))
             if not _inside(s, self.width, self.height):
                 raise ValueError("shapes[%d]: %s must lie inside the %dx%d image"
                                  % (i, _describe(s), self.width, self.height))
         x_a, y_a = self.extent
-        if x_a <= 0 or y_a <= 0:
-            raise ValueError("extent: workspace size must be positive")
         if abs(x_a / self.width - y_a / self.height) > 1e-9:
             raise ValueError(
                 "extent: pixels must be square, x_a/width=%g differs from y_a/height=%g"
                 % (x_a / self.width, y_a / self.height)
             )
-        tx, ty = self.target
-        if not (0 <= tx < self.width and 0 <= ty < self.height):
-            raise ValueError("target: cell (%s, %s) outside the grid" % (tx, ty))
-        if not (0 <= self.start.x < x_a and 0 <= self.start.y < y_a):
-            raise ValueError("start: pose (%g, %g) outside the workspace" % (self.start.x, self.start.y))
-        for i, spec in enumerate(self.agents):
-            ax, ay = spec.target
-            if not (0 <= ax < self.width and 0 <= ay < self.height):
-                raise ValueError("agents[%d].target: cell outside the grid" % i)
-            if not (0 <= spec.start.x < x_a and 0 <= spec.start.y < y_a):
-                raise ValueError("agents[%d].start: pose outside the workspace" % i)
-        if self.planner not in ("hpf", "fm"):
-            raise ValueError("planner: must be 'hpf' or 'fm', got %r" % (self.planner,))
-        if self.lookahead.mode not in ("dynamic", "fixed"):
-            raise ValueError("lookahead.mode: must be 'dynamic' or 'fixed'")
-        if self.lookahead.mode == "fixed" and self.lookahead.delta_l < 1:
-            raise ValueError("lookahead.delta_l: must be >= 1")
+        vehicles = [("", self.start, self.target)]
+        vehicles += [("agents[%d]." % i, spec.start, spec.target) for i, spec in enumerate(self.agents)]
+        for where, start, (tx, ty) in vehicles:
+            if not (0 <= tx < self.width and 0 <= ty < self.height):
+                raise ValueError("%starget: cell (%s, %s) outside the grid" % (where, tx, ty))
+            if not (0 <= start.x < x_a and 0 <= start.y < y_a):
+                raise ValueError("%sstart: pose (%g, %g) outside the workspace" % (where, start.x, start.y))
         # ceil(3*sigma) >= side exactly when 3*sigma > side - 1, and this form
         # cannot overflow when 3*sigma rounds to inf
         if 3 * self.vision.sigma > min(self.width, self.height) - 1:
             raise ValueError("vision.sigma: kernel radius ceil(3*sigma) must be below the grid side")
-        if self.vision.zeta < 0:
-            raise ValueError("vision.zeta: must be non-negative, got %r" % (self.vision.zeta,))
         if self.control.d_max < self.gd:
             raise ValueError("control.d_max: must be at least one pixel (%g m)" % self.gd)
-        if not 0.0 <= self.delay.drop_prob <= 1.0:
-            raise ValueError("delay.drop_prob: must lie in [0, 1]")
-        for name in ("constant_s", "jitter_s", "deadline_s"):
-            if getattr(self.delay, name) < 0:
-                raise ValueError("delay.%s: must be non-negative, got %r" % (name, getattr(self.delay, name)))
-        if not 0.0 <= self.delay.up_fraction <= 1.0:
-            raise ValueError("delay.up_fraction: must lie in [0, 1]")
-        if self.fm_d0 is not None and self.fm_d0 <= 0:
-            raise ValueError("fm_d0: look-ahead distance must be positive")
-        if self.awareness not in ("all", "nearest"):
-            raise ValueError("awareness: must be 'all' or 'nearest'")
-        if self.agent_radius <= 0:
-            raise ValueError("agent_radius: must be positive")
 
     # -- image / file handling
 
@@ -454,6 +426,27 @@ def _declared(cls) -> tuple:
     return tuple((f.name, hints[f.name], f.metadata) for f in fields(cls))
 
 
+@functools.cache
+def _parts(hint) -> tuple:
+    """(origin, args) of a declared type hint, e.g. (tuple, (int, int)) for tuple[int, int];
+    cached, since every validate call walks every declared hint."""
+    return typing.get_origin(hint), typing.get_args(hint)
+
+
+def _broken_rule(value, meta):
+    """The declared domain rule that value breaks, e.g. 'must be positive', or None."""
+    if "choices" in meta:
+        return None if value in meta["choices"] else "must be " + " or ".join(map(repr, meta["choices"]))
+    gt, ge, le = meta.get("gt"), meta.get("ge"), meta.get("le")
+    if gt is not None and not value > gt:
+        return "must be positive" if gt == 0 else "must be above %g" % gt
+    if le is not None and not ge <= value <= le:
+        return "must lie in [%g, %g]" % (ge, le)
+    if ge is not None and not value >= ge:
+        return "must be non-negative" if ge == 0 else "must be at least %g" % ge
+    return None
+
+
 def _walk(value, hint, path: str, build: bool, meta=types.MappingProxyType({})):
     """Check value against its declared type hint; every error names the field path.
 
@@ -462,22 +455,24 @@ def _walk(value, hint, path: str, build: bool, meta=types.MappingProxyType({})):
     shape picks its class by `kind`), and a list becomes the declared list or
     tuple.  Without it, value must already be the declared dataclass, shape,
     list or tuple; nothing is converted.  Scalars are checked alike either
-    way: the declared type, then for a number finiteness, because NaN fails
-    every range comparison and inf passes most of them.  A field whose
-    metadata has `positive` must be finite and above 0; one with `allow_inf`
-    may also be +-inf.
+    way, in one order: the declared type; for a number finiteness, because
+    NaN fails every range comparison and inf passes most of them (metadata
+    `allow_inf` lets +-inf through, never NaN); then the domain that the
+    metadata declares: `gt`, `ge`, `le` (with `ge`) or `choices`.  A tuple's
+    metadata holds for each of its items.
     """
     if hint in _SCALARS:
         if not _is(value, hint):
             raise ValueError("%s: expected %s, got %r" % (path, _SCALARS[hint][1], value))
-        allow_inf = meta.get("allow_inf", False)
-        if meta.get("positive"):
-            if not 0 < value < math.inf:
-                raise ValueError("%s: must be finite and positive, got %r" % (path, value))
-        elif isinstance(value, float) and not (math.isfinite(value) or allow_inf and not math.isnan(value)):
-            raise ValueError("%s: must be %s, got %r" % (path, "a number" if allow_inf else "finite", value))
+        if isinstance(value, float) and not math.isfinite(value):
+            allow_inf = meta.get("allow_inf", False)
+            if not allow_inf or math.isnan(value):
+                raise ValueError("%s: must be %s, got %r" % (path, "a number" if allow_inf else "finite", value))
+        rule = meta and _broken_rule(value, meta)
+        if rule:
+            raise ValueError("%s: %s, got %r" % (path, rule, value))
         return value
-    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    origin, args = _parts(hint)
     if origin is types.UnionType:
         if value is None and type(None) in args:
             return None
@@ -521,7 +516,7 @@ def _walk(value, hint, path: str, build: bool, meta=types.MappingProxyType({})):
             raise ValueError("%s: expected a list, got %r" % (path, value))
         if origin is tuple and len(value) != len(args):
             raise ValueError("%s: expected %d values, got %r" % (path, len(args), value))
-        items = [_walk(v, args[i] if origin is tuple else args[0], "%s[%d]" % (path, i), build)
+        items = [_walk(v, args[i] if origin is tuple else args[0], "%s[%d]" % (path, i), build, meta)
                  for i, v in enumerate(value)]
         return origin(items) if build else value
     raise TypeError("no rule for the declared type %r at %s" % (hint, path))

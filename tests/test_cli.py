@@ -113,11 +113,16 @@ def test_retired_keys_are_rejected(tmp_path, scenario_dir, capsys, edit, message
          "timeout_s: timeout_s * camera.rate_hz is 2.4e+22 camera frames, above the budget of 100000"),
         (lambda d: d.update(timeout_s=1e12),
          "timeout_s: timeout_s * camera.rate_hz is 5e+12 camera frames, above the budget of 100000"),
+        (lambda d: d["control"].update(beta=-0.001), "control.beta: must be non-negative, got -0.001"),
+        (lambda d: d["control"].update(alpha=-0.2), "control.alpha: must be positive, got -0.2"),
+        (lambda d: d["control"].update(omega_limit=-2), "control.omega_limit: must be positive, got -2"),
+        (lambda d: d["lookahead"].update(delta_l=-3), "lookahead.delta_l: must be at least 1, got -3"),
     ],
     ids=["start-list", "width-string", "rate-string", "disc-no-cy", "agent-no-target",
          "shapes-object", "seed-float", "background-300", "intensity-negative", "sigma-huge",
          "kind-list", "kind-object", "disc-r-huge-negative", "disc-r-negative", "rect-reversed",
-         "rect-outside", "disc-outside", "zeta-negative", "frames-rate-huge", "frames-timeout-huge"],
+         "rect-outside", "disc-outside", "zeta-negative", "frames-rate-huge", "frames-timeout-huge",
+         "beta-negative", "alpha-negative", "omega-limit-negative", "delta-l-negative"],
 )
 def test_wrong_json_types_are_rejected(tmp_path, scenario_dir, capsys, edit, message):
     path = _edited_scenario(tmp_path, scenario_dir, edit)
@@ -134,7 +139,7 @@ def test_non_finite_camera_rate_is_rejected(tmp_path, scenario_dir, capsys):
     path.write_text(text.replace('"rate_hz": 5.0', '"rate_hz": NaN'))
     code = main(["render", "--scenario", str(path), "--out-dir", str(tmp_path / "x")])
     assert code == EXIT_USAGE == 1
-    assert "camera.rate_hz: must be finite and positive" in capsys.readouterr().err
+    assert "error: camera.rate_hz: must be finite, got nan" in capsys.readouterr().err.splitlines()
 
 
 def test_bad_lookahead_value(tmp_path, scenario_dir, capsys):
@@ -192,13 +197,22 @@ def test_sweep_delay_rejects_bad_delays(tmp_path, scenario_dir, capsys, delays):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("delay", ["nan", "inf"])
-def test_non_finite_delay_override_is_rejected(tmp_path, scenario_dir, capsys, delay):
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--delay", "nan", "delay.constant_s: must be finite"),
+        ("--delay", "inf", "delay.constant_s: must be finite"),
+        # the scenario declares the allowed planners; the flag is checked there too
+        ("--planner", "x", "planner: must be 'hpf' or 'fm', got 'x'"),
+    ],
+    ids=["nan", "inf", "planner-x"],
+)
+def test_non_finite_delay_override_is_rejected(tmp_path, scenario_dir, capsys, flag, value, message):
     out = tmp_path / "r"
-    code = main(["run", "--scenario", str(scenario_dir / "open.json"), "--delay", delay,
+    code = main(["run", "--scenario", str(scenario_dir / "open.json"), flag, value,
                  "--out-dir", str(out)])
     assert code == EXIT_USAGE == 1
-    assert "error: delay.constant_s: must be finite" in capsys.readouterr().err
+    assert "error: " + message in capsys.readouterr().err
     assert not out.exists()
 
 

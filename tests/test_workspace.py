@@ -8,6 +8,8 @@ import typing
 import numpy as np
 import pytest
 
+from hpfnav.controller import A_CAP
+from hpfnav.guidance import lookahead
 from hpfnav.workspace import (
     AgentSpec,
     CameraConfig,
@@ -310,21 +312,22 @@ TYPED_BASE = Scenario(name="t", shapes=[Disc(10.0, 10.0, 3.0), Rect(1, 1, 4, 4)]
                       agents=[AgentSpec(WorldPose(0.5, 0.5), (5, 5))], fm_d0=0.2)
 
 
-def _scalar_fields(value, hint, steps=()):
-    """(steps, declared type) of every scalar field reachable from value, read
-    from the dataclass declarations; steps are field names and list indices."""
+def _scalar_fields(value, hint, steps=(), meta=types.MappingProxyType({})):
+    """(steps, declared type, metadata) of every scalar field reachable from value,
+    read from the dataclass declarations; steps are field names and list indices,
+    and a tuple's items share its metadata."""
     if typing.get_origin(hint) is types.UnionType:   # a shape, or an optional scalar
         hint = type(value) if dataclasses.is_dataclass(value) else typing.get_args(hint)[0]
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if dataclasses.is_dataclass(hint):
         hints = typing.get_type_hints(hint)
         for f in dataclasses.fields(hint):
-            yield from _scalar_fields(getattr(value, f.name), hints[f.name], steps + (f.name,))
+            yield from _scalar_fields(getattr(value, f.name), hints[f.name], steps + (f.name,), f.metadata)
     elif origin in (list, tuple):
         for i, item in enumerate(value):
-            yield from _scalar_fields(item, args[i] if origin is tuple else args[0], steps + (i,))
+            yield from _scalar_fields(item, args[i] if origin is tuple else args[0], steps + (i,), meta)
     else:
-        yield steps, hint
+        yield steps, hint, meta
 
 
 def _path(steps):
@@ -346,7 +349,7 @@ def _replaced(value, steps, new):
 WRONG_TYPES = {float: ["1", True], int: ["1", True, 2.5], str: [1]}
 WRONG_TYPE_CASES = [
     (steps, bad, _path(steps) + ": expected ")
-    for steps, hint in _scalar_fields(TYPED_BASE, Scenario)
+    for steps, hint, _ in _scalar_fields(TYPED_BASE, Scenario)
     for bad in WRONG_TYPES[hint]
 ] + [
     (("shapes", 0), {"kind": "disc", "cx": 10.0, "cy": 10.0, "r": 3.0}, "shapes[0]: expected a Disc or a Rect"),
@@ -361,6 +364,58 @@ def test_python_built_scenario_gets_the_declared_types(steps, bad, message):
     """Every declared field of a scenario built in Python is type-checked as a file is."""
     with pytest.raises(ValueError, match="^" + re.escape(message)):
         _replaced(TYPED_BASE, steps, bad)
+
+
+# fields left free on their own: positions and cells, which validate checks
+# against the grid, and values that any number or text may take
+FREE_FIELDS = {"name", "image_path", "seed", "shapes[0].cx", "shapes[0].cy", "shapes[1].x0",
+               "shapes[1].y0", "shapes[1].x1", "shapes[1].y1", "target[0]", "target[1]",
+               "start.x", "start.y", "start.theta", "agents[0].start.x", "agents[0].start.y",
+               "agents[0].start.theta", "agents[0].target[0]", "agents[0].target[1]"}
+# fields whose bound a rule relating fields forbids in TYPED_BASE: a 15-cell
+# side or a tiny extent breaks square pixels, a tiny d_max is below one pixel
+RELATED_AT_BOUND = {"width", "height", "extent[0]", "extent[1]", "control.d_max"}
+DOMAIN_CASES = [(steps, hint, meta) for steps, hint, meta in _scalar_fields(TYPED_BASE, Scenario)
+                if _path(steps) not in FREE_FIELDS]
+
+
+def _at_and_beyond(hint, meta):
+    """(values the declared domain accepts at its edge, nearest values it rejects)."""
+    if "choices" in meta:
+        return list(meta["choices"]), [meta["choices"][0].upper(), ""]
+    step = (lambda v, d: v + d) if hint is int else (lambda v, d: math.nextafter(v, d * math.inf))
+    inside, outside = [], []
+    if "gt" in meta:
+        inside, outside = [step(meta["gt"], 1)], [meta["gt"]]
+    if "ge" in meta:
+        inside, outside = [meta["ge"]], [step(meta["ge"], -1)]
+    if "le" in meta:
+        inside, outside = inside + [meta["le"]], outside + [step(meta["le"], 1)]
+    return inside, outside
+
+
+@pytest.mark.parametrize("steps, hint, meta", DOMAIN_CASES, ids=[_path(c[0]) for c in DOMAIN_CASES])
+def test_every_declared_domain_holds_at_its_bound(steps, hint, meta):
+    """Each field's declared domain, read from its metadata: the bound itself
+    passes (unless a rule relating fields forbids it) and the nearest value
+    beyond it fails with the field path.  A field outside FREE_FIELDS must
+    declare one."""
+    inside, outside = _at_and_beyond(hint, meta)
+    assert outside, "%s declares no domain" % _path(steps)
+    if _path(steps) not in RELATED_AT_BOUND:
+        for value in inside:
+            _replaced(TYPED_BASE, steps, value)
+    for value in outside:
+        with pytest.raises(ValueError, match="^" + re.escape(_path(steps)) + ": "):
+            _replaced(TYPED_BASE, steps, value)
+
+
+def test_negative_beta_is_rejected_before_lookahead_can_divide_by_zero():
+    """With beta -0.001 the capped curve coefficient made 1 + beta*|A| exactly 0."""
+    with pytest.raises(ValueError, match=r"^control\.beta: must be non-negative, got -0\.001$"):
+        Scenario(name="b", control=ControlConfig(beta=-0.001))
+    sc = Scenario(name="b", control=ControlConfig(beta=0.0))
+    assert lookahead(A_CAP, sc.control, sc.gd) == lookahead(0.0, sc.control, sc.gd)
 
 
 def test_scenario_accepts_infinite_deadline():
