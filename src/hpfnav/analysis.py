@@ -145,7 +145,12 @@ class SweepResult:
         return [r for r in self.rows if r.planner == planner and r.delay == delay]
 
     def median_max_err(self, planner: str, delay: float) -> float:
-        vals = sorted(r.max_err for r in self.select(planner, delay))
+        """Median max_err of the cell's runs that have one; nan when none does.
+
+        A run with no record has no error (nan) and is left out, so the
+        median does not depend on the order of the rows.
+        """
+        vals = sorted(r.max_err for r in self.select(planner, delay) if not math.isnan(r.max_err))
         if not vals:
             return math.nan
         mid = len(vals) // 2

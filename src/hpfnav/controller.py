@@ -10,7 +10,7 @@ vehicle is approached in reverse rather than by turning in place first.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .workspace import ControlConfig, WorldPose, wrap_angle
 
@@ -23,8 +23,7 @@ def sign(x: float) -> float:
     return -1.0 if x < 0 else 1.0
 
 
-@dataclass(frozen=True)
-class BodyError:
+class BodyError(NamedTuple):
     """Reference point location in the body frame (meters, radians)."""
 
     e_x: float
@@ -32,8 +31,7 @@ class BodyError:
     e_theta: float
 
 
-@dataclass(frozen=True)
-class Command:
+class Command(NamedTuple):
     v: float
     omega: float
 

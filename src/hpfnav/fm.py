@@ -4,7 +4,8 @@ This is the comparison pipeline: a first-order fast-marching solve of the
 eikonal equation (unit speed in free space) gives an arrival-time field,
 steepest descent on that field yields an explicit path, and tracking then
 needs a linear scan of the whole path every control sample to find the
-nearest point.  The potential-field pipeline replaces that scan with
+nearest point (the path's columns and hop lengths are computed once, in a
+`Track`).  The potential-field pipeline replaces that scan with
 delta_L additions, which is where its per-sample speedup comes from.
 """
 
@@ -154,7 +155,26 @@ def fm_path(T: np.ndarray, start, gd: float) -> np.ndarray:
     return np.asarray(points) * gd
 
 
-def path_reference(path: np.ndarray, pose: WorldPose, d_0: float):
+class Track:
+    """An (N, 2) path in meters prepared for tracking, once: x and y columns, points, hop lengths.
+
+    Hop j runs from point j to point j + 1.
+    """
+
+    def __init__(self, path):
+        path = np.asarray(path, dtype=float)
+        if len(path) == 0:
+            raise ValueError("empty reference path")
+        self.xs = np.ascontiguousarray(path[:, 0])
+        self.ys = np.ascontiguousarray(path[:, 1])
+        self.points = [tuple(p) for p in path.tolist()]
+        self.hops = np.hypot(np.diff(self.xs), np.diff(self.ys)).tolist()
+
+    def __len__(self) -> int:
+        return len(self.points)
+
+
+def path_reference(track: Track, pose: WorldPose, d_0: float):
     """Reference point a set arc distance ahead of the nearest path point.
 
     Every path point is examined to find the nearest one (that scan is the
@@ -162,21 +182,16 @@ def path_reference(path: np.ndarray, pose: WorldPose, d_0: float):
     further along the path is returned, or the last point when the path
     ends sooner.  Returns ((x, y), points_examined).
     """
-    path = np.asarray(path)
-    if len(path) == 0:
-        raise ValueError("empty reference path")
-    d = np.hypot(path[:, 0] - pose.x, path[:, 1] - pose.y)
-    nearest = int(np.argmin(d))
-    examined = len(path)
-    hops = np.diff(path[nearest:], axis=0)
+    nearest = int(np.hypot(track.xs - pose.x, track.ys - pose.y).argmin())
+    hops = track.hops
     acc = 0.0
-    idx = len(path) - 1
-    for j, hop in enumerate(np.hypot(hops[:, 0], hops[:, 1]).tolist(), nearest + 1):
-        acc += hop
+    idx = len(hops)
+    for j in range(nearest, len(hops)):
+        acc += hops[j]
         if acc >= d_0:
-            idx = j
+            idx = j + 1
             break
-    return (float(path[idx, 0]), float(path[idx, 1])), examined
+    return track.points[idx], len(track)
 
 
 def cost_ratio(m: int, n: int, template_side: int, kernel_side: int):

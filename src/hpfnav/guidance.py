@@ -10,7 +10,7 @@ delta_L = floor(d_0 / G_D) hops (clamped to [1, DELTA_L_MAX]) are taken.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import controller
 from .hpf import OBSTACLE, GradientField
@@ -19,8 +19,7 @@ from .workspace import ControlConfig, LookaheadConfig, WorldPose, world_to_pixel
 DELTA_L_MAX = 32
 
 
-@dataclass(frozen=True)
-class ReferencePoint:
+class ReferencePoint(NamedTuple):
     """Look-ahead target in world meters; flat means the field gives no direction."""
 
     x: float

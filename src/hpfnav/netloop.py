@@ -32,28 +32,27 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import operator
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from . import controller as ctl
 from . import fm, guidance, hpf, plant, vision
 from .controller import Command
-from .workspace import Scenario, WorldPose, pixel_to_world, world_to_pixel
-
-DT_MICRO = 0.01          # plant integration micro-step, s
+from .workspace import Scenario, WorldPose, make_pose, pixel_to_world, world_to_pixel
 
 
-@dataclass(frozen=True)
-class Packet:
+class Packet(NamedTuple):
     """One message on the control network."""
 
     kind: str          # "pose" or "cmd"
     seq: int
     send_time: float   # s, simulation clock
-    payload: tuple     # (x, y, theta) for pose, (v, omega) for cmd
+    payload: tuple     # (x, y, theta) for pose, the Command for cmd
 
 
 class DelayLine:
@@ -91,8 +90,7 @@ class DelayLine:
 # --- run logs ----------------------------------------------------------------
 
 
-@dataclass
-class Record:
+class Record(NamedTuple):
     """One controller sample."""
 
     t: float
@@ -164,6 +162,7 @@ class PlannerState:
     grad: hpf.GradientField | None = None
     potential: hpf.PotentialField | None = None
     path: np.ndarray | None = None
+    track: fm.Track | None = None    # the path prepared for tracking
 
 
 def prepare(scenario: Scenario) -> PlannerState:
@@ -180,6 +179,7 @@ def prepare(scenario: Scenario) -> PlannerState:
                                 scenario.width, scenario.height)
     if math.isfinite(arrival[start_cell[1], start_cell[0]]):
         state.path = fm.fm_path(arrival, start_cell, scenario.gd)
+        state.track = fm.Track(state.path)
     return state
 
 
@@ -210,14 +210,12 @@ class _Vehicle:
         self.t = 0.0
         self.trace = [(0.0, start.x, start.y, start.theta, 0.0, 0.0)]
         self.records = []
-        self.obstacle_shape = obstacle.shape
-        self.obstacle_flat = obstacle.ravel().tolist()   # row-major, for the float loop
+        self.scene = (plant.scene_rule(obstacle, scenario.gd), plant.scene_room(obstacle, scenario.gd))
         # collision: the current pose's status; any_collision: any pose's so far, the start's included
         self.collision = self.any_collision = plant.collides(start, obstacle, scenario.gd)
         self.outcome = None
         self.end_time = None
-        self.target_world = target_world
-        self.goal_radius = scenario.goal_radius
+        self.goal = (*target_world, scenario.goal_radius)
         self.watchdog = scenario.watchdog_s
         self.state = state
         self.uplink = uplink
@@ -227,60 +225,29 @@ class _Vehicle:
         self.outcome = outcome
         self.end_time = t
 
-    def integrate_to(self, t_target: float, gd: float) -> None:
-        """Advance the plant to t_target in DT_MICRO micro-steps.
+    def integrate_to(self, t_target: float) -> None:
+        """Advance the plant to t_target with `plant.hold`.
 
-        A micro-step that the watchdog expiry falls inside is split there,
-        and the held command is zero from then on.  Every micro-step appends
-        one trace sample, applies `plant.collides`'s rule to the new pose (it
-        leaves the workspace or lies on a scene obstacle pixel), and ends the
-        run as "reached" once the pose is within goal_radius of the target.
-        The loop runs on floats, one `plant.arc` per micro-step, and builds
-        the WorldPose once at the end.
+        The hold appends one trace sample per micro-step, applies the collision
+        rule to each new pose, zeroes the command at the watchdog expiry, and
+        ends the run as "reached" once the pose is within goal_radius of the target.
         """
         if self.outcome is not None or self.t >= t_target - 1e-12:
             return
-        arc = plant.arc
-        hits, (height, width) = self.obstacle_flat, self.obstacle_shape
-        tx, ty = self.target_world
-        goal_radius = self.goal_radius
-        append = self.trace.append
-        t, expiry = self.t, self.cmd_expiry
-        v, omega = self.applied.v, self.applied.omega
-        x, y, theta = self.pose.x, self.pose.y, self.pose.theta
-        hit, collided = self.collision, self.any_collision
-        zeroed = reached = False
-        while t < t_target - 1e-12:
-            t_next = t + DT_MICRO
-            if t_next > t_target:
-                t_next = t_target
-            if t < expiry < t_next:
-                t_next = expiry  # split exactly at watchdog expiry
-            x, y, theta = arc(x, y, theta, v, omega, t_next - t)
-            t = t_next
-            if t >= expiry - 1e-12:
-                v = omega = 0.0
-                expiry = math.inf
-                zeroed = True
-            append((t, x, y, theta, v, omega))
-            cx = math.floor(x / gd)
-            cy = math.floor(y / gd)
-            hit = not (0 <= cx < width and 0 <= cy < height) or hits[cy * width + cx]
-            if hit:
-                collided = True
-            if math.hypot(x - tx, y - ty) <= goal_radius:
-                reached = True
-                break
-        self.t, self.cmd_expiry = t, expiry
-        self.pose = WorldPose(x, y, theta)
-        if zeroed:
-            self.applied = Command(0.0, 0.0)
-        self.collision, self.any_collision = hit, collided
+        pose, cmd, expiry = self.pose, self.applied, self.cmd_expiry
+        x, y, theta, self.t, v, omega, self.cmd_expiry, self.collision, contact, reached = plant.hold(
+            pose.x, pose.y, pose.theta, cmd.v, cmd.omega, self.t, t_target, expiry,
+            self.trace, self.scene, self.goal)
+        self.pose = make_pose(x, y, theta)
+        if self.cmd_expiry != expiry:
+            self.applied = Command(v, omega)   # the watchdog zeroed it
+        if contact:
+            self.any_collision = True
         if reached:
-            self.finish("reached", t)
+            self.finish("reached", self.t)
 
-    def latch(self, t: float, v: float, omega: float) -> None:
-        self.applied = Command(v, omega)
+    def latch(self, t: float, cmd: Command) -> None:
+        self.applied = cmd
         self.cmd_expiry = t + self.watchdog
 
     def log(self) -> RunLog:
@@ -304,7 +271,7 @@ def _control_sample(scenario, state, obs: WorldPose):
     else:
         # fast-marching baseline: track the precomputed path
         d0 = scenario.fm_d0 if scenario.fm_d0 is not None else scenario.control.d_max
-        point, _ = fm.path_reference(state.path, obs, d0)
+        point, _ = fm.path_reference(state.track, obs, d0)
         delta_l = 0
     e = ctl.body_errors(obs, point)
     return ctl.command(ctl.curve_coeff(e), e, scenario.control), delta_l, False
@@ -325,46 +292,49 @@ def _simulate(scenario: Scenario, vehicles: list, replan=None):
     frames, and each frame leads to at most two packets per vehicle.
     """
     scenario.validate()
-    gd = scenario.gd
+    gd, width, height, timeout = scenario.gd, scenario.width, scenario.height, scenario.timeout_s
     frame_dt = 1.0 / scenario.camera.rate_hz
     # (time, 0 for a packet or 1 for a frame, push order, vehicle, packet, sampled delay)
     heap = [(0.0, 1, 0, None, None, None)]
+    pop, push = heapq.heappop, heapq.heappush
     order = itertools.count(1)
     frame_seq = 0
     dm_times, dm_values = [], []
+    outcome = operator.attrgetter("outcome")   # None until the vehicle finishes, then a word
+    # Packet._make and Record._make build the tuples without the generated __new__
 
-    while any(v.outcome is None for v in vehicles):
-        t_ev, _, _, v, pkt, delay = heapq.heappop(heap)
-        if t_ev > scenario.timeout_s:
+    while not all(map(outcome, vehicles)):
+        t_ev, _, _, v, pkt, delay = pop(heap)
+        if t_ev > timeout:
             for v in vehicles:
-                v.integrate_to(scenario.timeout_s, gd)   # a no-op once a vehicle has an outcome
+                v.integrate_to(timeout)   # a no-op once a vehicle has an outcome
                 if v.outcome is None:
-                    v.finish("timeout", scenario.timeout_s)
-            return scenario.timeout_s, dm_times, dm_values
+                    v.finish("timeout", timeout)
+            return timeout, dm_times, dm_values
         if pkt is not None:
-            v.integrate_to(t_ev, gd)
+            v.integrate_to(t_ev)
             if v.outcome is not None:
                 continue
             if pkt.kind == "cmd":
-                v.latch(t_ev, *pkt.payload)
+                v.latch(t_ev, pkt.payload)
                 continue
-            obs = WorldPose(*pkt.payload)
+            obs = make_pose(*pkt.payload)
             cmd, delta_l, flat = _control_sample(scenario, v.state, obs)
             delay_down = math.nan
             if replan is not None or not flat:
-                cmd_pkt = Packet("cmd", pkt.seq, t_ev, (cmd.v, cmd.omega))
+                cmd_pkt = Packet._make(("cmd", pkt.seq, t_ev, cmd))
                 d = v.downlink.push(cmd_pkt)
                 if d is not None:
                     delay_down = d
-                    heapq.heappush(heap, (t_ev + d, 0, next(order), v, cmd_pkt, d))
-            v.records.append(Record(t_ev, v.pose, obs, cmd.v, cmd.omega, delta_l, delay, delay_down,
-                                    v.collision))
+                    push(heap, (t_ev + d, 0, next(order), v, cmd_pkt, d))
+            v.records.append(Record._make((t_ev, v.pose, obs, cmd.v, cmd.omega, delta_l, delay, delay_down,
+                                           v.collision)))
             if flat and replan is None:
                 v.finish("unreachable", t_ev)
             continue
         # camera frame: move everyone, measure spacing, replan, observe
         for v in vehicles:
-            v.integrate_to(t_ev, gd)
+            v.integrate_to(t_ev)
         if len(vehicles) > 1:
             dm_times.append(t_ev)
             dm_values.append(min(math.hypot(a.pose.x - b.pose.x, a.pose.y - b.pose.y)
@@ -377,15 +347,15 @@ def _simulate(scenario: Scenario, vehicles: list, replan=None):
             if v.outcome is not None:
                 continue
             try:
-                obs = plant.observe(v.pose, gd, scenario.width, scenario.height)
+                obs = plant.observe(v.pose, gd, width, height)
             except ValueError:
                 continue  # vehicle out of frame: camera has nothing to report
-            pose_pkt = Packet("pose", frame_seq, t_ev, (obs.x, obs.y, obs.theta))
+            pose_pkt = Packet._make(("pose", frame_seq, t_ev, (obs.x, obs.y, obs.theta)))
             d = v.uplink.push(pose_pkt)
             if d is not None:
-                heapq.heappush(heap, (t_ev + d, 0, next(order), v, pose_pkt, d))
+                push(heap, (t_ev + d, 0, next(order), v, pose_pkt, d))
         frame_seq += 1
-        heapq.heappush(heap, (t_ev + frame_dt, 1, next(order), None, None, None))
+        push(heap, (t_ev + frame_dt, 1, next(order), None, None, None))
     return max(v.end_time for v in vehicles), dm_times, dm_values
 
 

@@ -62,6 +62,19 @@ class WorldPose:
             object.__setattr__(self, "theta", wrap_angle(float(self.theta)))
 
 
+def make_pose(x: float, y: float, theta: float) -> WorldPose:
+    """WorldPose(x, y, theta) of three floats: the same wrap of theta, without the type check.
+
+    For the simulation's per-event poses, whose fields are floats already.
+    """
+    pose = object.__new__(WorldPose)
+    fields_ = pose.__dict__
+    fields_["x"] = x
+    fields_["y"] = y
+    fields_["theta"] = wrap_angle(theta)
+    return pose
+
+
 @dataclass
 class GridImage:
     """Grayscale workspace image, shape (height, width), uint8."""

@@ -216,6 +216,17 @@ def test_sweep_median_is_middle_value():
     assert math.isnan(res.median_max_err("fm", 0.0))
 
 
+@pytest.mark.parametrize("values", [[0.5, math.nan, 0.2, 0.1, 0.3], [0.1, 0.2, math.nan, 0.5, 0.3]])
+def test_sweep_median_leaves_out_runs_without_an_error(values):
+    """A NaN max_err (a run with no record) is skipped, whatever the order of the rows."""
+    from hpfnav.analysis import SweepResult, SweepRow
+
+    res = SweepResult([SweepRow("hpf", 0.0, s, "reached", 1.0, 0.0, v) for s, v in enumerate(values)])
+    assert res.median_max_err("hpf", 0.0) == 0.25
+    only_nan = SweepResult([SweepRow("hpf", 0.0, 0, "unreachable", 0.0, math.nan, math.nan)])
+    assert math.isnan(only_nan.median_max_err("hpf", 0.0))
+
+
 def test_sweep_csv(tmp_path, open_scenario):
     res = sweep(open_scenario, delays=[0.0], seeds=[0])
     out = tmp_path / "sweep.csv"

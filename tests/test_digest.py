@@ -2,13 +2,16 @@
 
 The committed hashes in DIGESTS.json pin one machine's libm and numpy build,
 so they are not compared here; replay on any machine is criterion 12.  This
-only checks that the script runs, that a case replays, and that its case
-list and DIGESTS.json name the same entries.
+only checks that the script runs, that a case replays, that its case list
+and DIGESTS.json name the same entries, and that ``--check`` picks cases by
+name or prefix.
 """
 
 import importlib.util
 import json
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -32,3 +35,18 @@ def test_digest_script_replays_one_case():
     assert set(entries) <= set(committed)
     assert all(any(e == c or e.startswith(c + "/") for c in cases) for e in committed)
     assert all(any(e == c or e.startswith(c + "/") for e in committed) for c in cases)
+
+
+def test_check_takes_case_names_and_prefixes(capsys):
+    digest = _digest_module()
+    digest.main(["--check", "scenario/open", "scenario/reversal"])
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[1] for line in lines[:-1]] == ["scenario/open", "scenario/reversal"]
+    assert all(line.split()[0] in ("same", "differs") for line in lines[:-1])
+    assert lines[-1].endswith(" of 2 entries differ")
+    digest.main(["--check", "scenario"])
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1].endswith(" of %d entries differ" % len(list((ROOT / "scenarios").glob("*.json"))))
+    with pytest.raises(SystemExit):
+        digest.main(["--check", "run/nowhere"])
+    assert "no case named or under: run/nowhere" in capsys.readouterr().err

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from hpfnav.fm import cost_ratio, fm_arrival, fm_path, path_reference
+from hpfnav.fm import Track, cost_ratio, fm_arrival, fm_path, path_reference
 from hpfnav.hpf import FREE, OBSTACLE, TARGET, BoundaryGrid
 from hpfnav.workspace import WorldPose
 
@@ -220,20 +220,20 @@ def test_path_unreachable_start():
 
 def test_path_reference_walks_ahead():
     path = np.array([[0.0, 0.0], [0.1, 0.0], [0.2, 0.0], [0.3, 0.0], [1.0, 0.0]])
-    (rx, ry), examined = path_reference(path, WorldPose(0.1, 0.0, 0.0), 0.05)
+    (rx, ry), examined = path_reference(Track(path), WorldPose(0.1, 0.0, 0.0), 0.05)
     assert (rx, ry) == (0.2, 0.0)  # first point past d_0 from the nearest
     assert examined == len(path)
 
 
 def test_path_reference_falls_back_to_last():
     path = np.array([[0.0, 0.0], [0.1, 0.0], [0.2, 0.0]])
-    (rx, ry), _ = path_reference(path, WorldPose(0.19, 0.001, 0.0), 5.0)
+    (rx, ry), _ = path_reference(Track(path), WorldPose(0.19, 0.001, 0.0), 5.0)
     assert (rx, ry) == (0.2, 0.0)
 
 
 def test_path_reference_off_path_pose():
     path = np.array([[0.0, 0.0], [0.5, 0.0], [1.0, 0.0]])
-    (rx, ry), _ = path_reference(path, WorldPose(0.4, 2.0, 0.0), 0.2)
+    (rx, ry), _ = path_reference(Track(path), WorldPose(0.4, 2.0, 0.0), 0.2)
     assert ry == 0.0  # the reference stays on the path no matter the pose
 
 
@@ -265,7 +265,7 @@ _LINE = np.linspace([0.0, 0.0], [1.0, 0.5], 9)
 @example(_LINE, 0.2, 0.1, 0.0)      # d_0 = 0: the next point
 def test_path_reference_matches_the_scalar_scan(path, x, y, d_0):
     pose = WorldPose(x, y, 0.0)
-    assert path_reference(path, pose, d_0) == _scalar_path_reference(path, pose, d_0)
+    assert path_reference(Track(path), pose, d_0) == _scalar_path_reference(path, pose, d_0)
 
 
 def test_cost_ratio_printed_values():

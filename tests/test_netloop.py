@@ -12,7 +12,6 @@ from hpfnav import hpf, plant
 from hpfnav.controller import Command
 from hpfnav.netloop import (
     CSV_COLUMNS,
-    DT_MICRO,
     DelayLine,
     Packet,
     _stamp_agents,
@@ -285,7 +284,7 @@ def _mask(sc):
 def _chained_integrate_to(veh, t_target, gd, obstacle):
     """Reference plant loop: one plant.step, plant.collides and goal test per micro-step."""
     while veh.t < t_target - 1e-12 and veh.outcome is None:
-        t_next = min(veh.t + DT_MICRO, t_target)
+        t_next = min(veh.t + plant.DT_MICRO, t_target)
         if veh.t < veh.cmd_expiry < t_next:
             t_next = veh.cmd_expiry
         veh.pose = plant.step(veh.pose, veh.applied, t_next - veh.t)
@@ -296,7 +295,8 @@ def _chained_integrate_to(veh, t_target, gd, obstacle):
         veh.trace.append((veh.t, veh.pose.x, veh.pose.y, veh.pose.theta, veh.applied.v, veh.applied.omega))
         veh.collision = plant.collides(veh.pose, obstacle, gd)
         veh.any_collision = veh.any_collision or veh.collision
-        if math.hypot(veh.pose.x - veh.target_world[0], veh.pose.y - veh.target_world[1]) <= veh.goal_radius:
+        tx, ty, goal_radius = veh.goal
+        if math.hypot(veh.pose.x - tx, veh.pose.y - ty) <= goal_radius:
             veh.finish("reached", veh.t)
 
 
@@ -311,6 +311,11 @@ PLANT_CASES = {
     "starts_outside": ((-0.01, 1.5, 0.0), (0.05, 0.0), 9.0, [0.2]),
     "starts_past_far_edge": ((1.0, 3.01, 0.0), (0.05, 0.0), 9.0, [0.2]),
     "target_not_ahead": ((1.0, 1.5, 0.0), (0.2, 0.5), 9.0, [0.0, -1.0]),
+    # edges of the hold's shortcuts (the goal is (3.03125, 1.53125), radius 0.1)
+    "reverse_into_goal": ((3.3, 1.53125, 0.0), (-0.2, 0.1), 9.0, [0.5, 1.5]),
+    "goal_on_last_micro_step": ((2.7, 1.53125, 0.0), (0.3, 0.0), 9.0, [0.5, 0.78]),
+    "watchdog_in_straight": ((1.0, 1.5, 0.3), (0.2, 1e-13), 0.4567, [0.3, 0.9]),
+    "just_outside_skip_bound": ((2.7, 1.53125, 0.0), (0.3, 0.0), 9.0, [0.77, 1.0]),
 }
 
 
@@ -324,9 +329,9 @@ def test_plant_loop_matches_chained_steps_bitwise(case, open_scenario, open_stat
     fast, slow = (_Vehicle(sc, WorldPose(x, y, theta), target, obstacle, open_state, None, None)
                   for _ in range(2))
     for veh in (fast, slow):
-        veh.latch(0.0, v, omega)
+        veh.latch(0.0, Command(v, omega))
     for t_target in targets:
-        fast.integrate_to(t_target, gd)
+        fast.integrate_to(t_target)
         _chained_integrate_to(slow, t_target, gd, obstacle)
         assert fast.trace == slow.trace
         assert (fast.pose.x, fast.pose.y, fast.pose.theta) == (slow.pose.x, slow.pose.y, slow.pose.theta)
@@ -337,20 +342,34 @@ def test_plant_loop_matches_chained_steps_bitwise(case, open_scenario, open_stat
     expect = {"watchdog_mid_step": ("applied", Command(0.0, 0.0)), "goal_mid_segment": ("outcome", "reached"),
               "leaves_workspace": ("any_collision", True), "starts_outside": ("any_collision", True),
               "starts_past_far_edge": ("any_collision", True),
-              "target_not_ahead": ("trace", [(0.0, x, y, theta, 0.0, 0.0)])}
+              "target_not_ahead": ("trace", [(0.0, x, y, theta, 0.0, 0.0)]),
+              "reverse_into_goal": ("outcome", "reached"), "goal_on_last_micro_step": ("end_time", targets[-1]),
+              "watchdog_in_straight": ("applied", Command(0.0, 0.0)),
+              "just_outside_skip_bound": ("outcome", "reached")}
     if case in expect:
         attr, value = expect[case]
         assert getattr(fast, attr) == value
-    if case == "goal_mid_segment":
+    if case in ("goal_mid_segment", "reverse_into_goal"):
         assert fast.end_time < targets[-1]
     if case == "leaves_workspace":
         assert fast.pose.x < 0.0
+    if case == "reverse_into_goal":
+        assert fast.pose.x < x and all(sample[4] < 0.0 for sample in fast.trace[1:])
+    if case == "goal_on_last_micro_step":
+        before = fast.trace[-2]   # the micro-step before the last one is still outside the goal
+        assert math.hypot(before[1] - target[0], before[2] - target[1]) > sc.goal_radius
+    if case == "just_outside_skip_bound":
+        # the first hold starts 0.25 mm farther from the goal than its command can carry it,
+        # so it skips the goal test, and the next hold reaches the goal on its first micro-step
+        margin = math.hypot(x - target[0], y - target[1]) - v * targets[0] - sc.goal_radius
+        assert 0.0 < margin < 1e-3
+        assert fast.end_time == pytest.approx(0.78) and fast.trace[-2][0] == targets[0]
 
 
 def test_plant_loop_without_a_planner_does_nothing_at_time_zero(open_scenario):
     # run_multi's vehicles have no planner state before the first frame
     veh = _Vehicle(open_scenario, WorldPose(1.0, 1.5, 0.0), (3.0, 1.5), _mask(open_scenario), None, None, None)
-    veh.integrate_to(0.0, open_scenario.gd)
+    veh.integrate_to(0.0)
     assert veh.t == 0.0 and len(veh.trace) == 1
 
 
@@ -379,10 +398,10 @@ def _driven(sc, state, pose, v, t_targets):
     """A vehicle holding (v, 0) from pose; any_collision after each integration target."""
     target = pixel_to_world(sc.target, sc.gd, sc.width, sc.height)
     veh = _Vehicle(sc, pose, target, _mask(sc), state, None, None)
-    veh.latch(0.0, v, 0.0)
+    veh.latch(0.0, Command(v, 0.0))
     flags = []
     for t in t_targets:
-        veh.integrate_to(t, sc.gd)
+        veh.integrate_to(t)
         flags.append(veh.any_collision)
     return veh, flags
 

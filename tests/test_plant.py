@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hpfnav.controller import Command
-from hpfnav.plant import arc, collides, observe, step
+from hpfnav.plant import arc, collides, observe, scene_room, scene_rule, step
 from hpfnav.workspace import WorldPose
 
 
@@ -105,3 +105,24 @@ def test_collides():
     assert not collides(WorldPose(3.19, 2.39, 0.0), obstacle, gd)             # far corner pixel
     for x, y in ((-0.01, 1.0), (3.21, 1.0), (1.0, -1e-9), (1.0, 2.41)):
         assert collides(WorldPose(x, y, 0.0), obstacle, gd)                   # outside
+
+
+def test_scene_room_is_a_safe_bound_on_the_collision_rule():
+    """No position closer to (x, y) than room(x, y) hits, on random masks with the workspace edge."""
+    rng = np.random.default_rng(3)
+    for gd in (0.1, 1 / 24, 0.0125):
+        obstacle = rng.random((24, 32)) < 0.04
+        hits, room = scene_rule(obstacle, gd), scene_room(obstacle, gd)
+        starts = rng.uniform(-2 * gd, np.array([32, 24]) * gd + 2 * gd, size=(400, 2))
+        for x, y in starts:
+            r = room(x, y)
+            if hits(x, y):
+                assert r <= 0.0
+            if r <= 0.0:
+                continue
+            angles = rng.uniform(0, 2 * math.pi, 16)
+            lengths = r * np.sqrt(rng.uniform(0, 1, 16))
+            lengths[0] = np.nextafter(r, 0.0)   # right at the bound
+            for a, d in zip(angles, lengths):
+                assert not hits(x + d * math.cos(a), y + d * math.sin(a))
+        assert max(room(x, y) for x, y in starts) > 0.0

@@ -2,6 +2,7 @@
 
     python3 tools/digest.py            # write DIGESTS.json at the repo root
     python3 tools/digest.py --check    # same/differs per entry; exit 1 on any difference
+    python3 tools/digest.py --check run/comparison sweep   # only the cases under these names
 
 The cases:
 
@@ -125,6 +126,11 @@ def cases() -> dict:
     return table
 
 
+def _under(name: str, prefix: str) -> bool:
+    """Whether a case or entry name is the prefix or lies under it ("run/open" covers "run/open/hpf")."""
+    return name == prefix or name.startswith(prefix.rstrip("/") + "/")
+
+
 def compute(names=None) -> dict:
     """{entry name: SHA-256 hex} for the named cases (default: all of them)."""
     table = cases()
@@ -137,15 +143,26 @@ def compute(names=None) -> dict:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--check", action="store_true",
-                    help="compare with DIGESTS.json instead of writing it; exit 1 on any difference")
+    ap.add_argument("--check", nargs="*", metavar="CASE",
+                    help="compare with DIGESTS.json instead of writing it, only the cases named or "
+                         "under the given prefixes if any; exit 1 on any difference")
     args = ap.parse_args(argv)
-    digests = compute()
-    if not args.check:
+    if args.check is None:
+        digests = compute()
         DIGESTS.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
         print("wrote %d digests to %s" % (len(digests), DIGESTS))
         return 0
+    names = None
+    if args.check:
+        table = cases()
+        missing = [p for p in args.check if not any(_under(name, p) for name in table)]
+        if missing:
+            ap.error("no case named or under: %s" % ", ".join(missing))
+        names = [name for name in table if any(_under(name, p) for p in args.check)]
+    digests = compute(names)
     committed = json.loads(DIGESTS.read_text())
+    if names is not None:
+        committed = {e: h for e, h in committed.items() if any(_under(e, name) for name in names)}
     moved = 0
     for entry in sorted(set(committed) | set(digests)):
         same = committed.get(entry) == digests.get(entry)
