@@ -36,7 +36,7 @@ def main():
     mag = np.hypot(*grads)
     print("scene %s: %dx%d pixels, noisy lighting" % (sc.name, img.width, img.height))
     print("zero crossings:        %4d cells" % candidates.sum())
-    print("above contrast %.0f:    %4d cells" % (sc.vision.zeta, edges.cells.sum()))
+    print("above contrast %.0f:    %4d cells" % (sc.vision.zeta, edges.sum()))
     print("strongest gradient:   %.1f intensity/pixel" % mag.max())
 
     OUT.mkdir(exist_ok=True)

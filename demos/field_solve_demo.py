@@ -34,7 +34,7 @@ def main():
 
     OUT.mkdir(exist_ok=True)
     ideal = np.asarray(points) * sc.gd
-    render_svg(OUT / "field.svg", sc, image=sc.build_image(), boundary=state.boundary,
+    render_svg(OUT / "field.svg", sc, image=state.scene.image, boundary=state.boundary,
                grad=state.grad, ideal=ideal,
                markers=[(sc.start.x, sc.start.y, "start"),
                         ((sc.target[0] + 0.5) * sc.gd, (sc.target[1] + 0.5) * sc.gd, "target")])

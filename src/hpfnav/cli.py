@@ -114,7 +114,7 @@ def cmd_run(args) -> int:
     render.render_svg(
         out / "trajectory.svg",
         sc,
-        image=sc.build_image(),
+        image=state.scene.image,
         boundary=state.boundary,
         grad=state.grad,
         ideal=ideal,
@@ -239,7 +239,7 @@ def cmd_render(args) -> int:
     render.render_svg(
         out / "scene.svg",
         sc,
-        image=sc.build_image(),
+        image=state.scene.image,
         boundary=state.boundary,
         grad=state.grad,
         ideal=ideal,

@@ -96,13 +96,13 @@ class GradientField:
 
 
 def build_boundary(edges, target) -> BoundaryGrid:
-    """Turn an edge map into boundary labels.
+    """Turn the edge cells (a bool array) into boundary labels.
 
     Edge cells are dilated by the Chebyshev radius `DILATION` (square
     element) to pad the contour, the outer frame is closed off, and the
     target cell is pinned.
     """
-    cells = np.asarray(edges.cells if hasattr(edges, "cells") else edges, dtype=bool)
+    cells = np.asarray(edges, dtype=bool)
     n, m = cells.shape
     obst = cells.copy()
     for dy in range(-DILATION, DILATION + 1):

@@ -10,6 +10,9 @@ exactly, in dt = 0.01 s micro-steps that only set the logging granularity.
 A watchdog zeroes the held command after a configurable silence window.
 Every micro-step also applies `plant`'s collision rule, on the scene's
 obstacle mask: the planner's labels (its pad, other agents' discs) play no part.
+That scene (image, obstacle mask, edge cells, collision tables) is built once
+per scenario by `build_scene`; a `PlannerState` carries it to every run and
+agent, so a state is reused only for scenarios with the same image.
 
 One event engine drives every run; each vehicle in it carries its own
 channels and planner state.  A single run (`run_loop`) is the one-vehicle
@@ -36,14 +39,14 @@ import operator
 import random
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import controller as ctl
 from . import fm, guidance, hpf, plant, vision
 from .controller import Command
-from .workspace import Scenario, WorldPose, make_pose, pixel_to_world, world_to_pixel
+from .workspace import GridImage, Scenario, WorldPose, make_pose, pixel_to_world, world_to_pixel
 
 
 class Packet(NamedTuple):
@@ -150,14 +153,36 @@ class MultiRunLog:
         return min(self.dm_values) if self.dm_values else math.inf
 
 
-# --- planner preparation -----------------------------------------------------
+# --- scene and planner preparation -------------------------------------------
+
+
+class Scene(NamedTuple):
+    """A scenario's camera frame and what the planner and the collision rule read off it."""
+
+    image: GridImage
+    obstacle: np.ndarray     # bool (height, width): the collision rule's pixels, those unlike `background`
+    edges: np.ndarray        # bool (height, width): the edge cells of `vision.detect_edges`
+    hits: Callable           # `plant.scene_rule` on the obstacle mask
+    room: Callable           # `plant.scene_room` on the obstacle mask
+
+
+def build_scene(scenario: Scenario) -> Scene:
+    """Build the image, its obstacle mask, edge cells and collision tables, once per scenario."""
+    image = scenario.build_image()
+    obstacle = image.pixels != scenario.background
+    return Scene(image, obstacle, vision.detect_edges(image, scenario.vision),
+                 plant.scene_rule(obstacle, scenario.gd), plant.scene_room(obstacle, scenario.gd))
 
 
 @dataclass
 class PlannerState:
-    """Static per-scenario planning products, reusable across runs."""
+    """Static planning products and the scene they come from.
+
+    Reusable across runs of scenarios with the same image, background, vision
+    and gd: delay, seed, look-ahead and control may differ."""
 
     kind: str
+    scene: Scene
     boundary: hpf.BoundaryGrid
     grad: hpf.GradientField | None = None
     potential: hpf.PotentialField | None = None
@@ -166,10 +191,10 @@ class PlannerState:
 
 
 def prepare(scenario: Scenario) -> PlannerState:
-    """Run the static pipeline: image -> edges -> boundary -> field or path."""
-    boundary = hpf.build_boundary(vision.detect_edges(scenario.build_image(), scenario.vision),
-                                  scenario.target)
-    state = PlannerState(scenario.planner, boundary)
+    """Run the static pipeline: scene (image -> edges) -> boundary -> field or path."""
+    scene = build_scene(scenario)
+    boundary = hpf.build_boundary(scene.edges, scenario.target)
+    state = PlannerState(scenario.planner, scene, boundary)
     if state.kind == "hpf":
         state.potential = hpf.relax(boundary)
         state.grad = hpf.gradient(state.potential, boundary)
@@ -201,18 +226,18 @@ def _make_lines(scenario: Scenario, k: int):
 
 
 class _Vehicle:
-    """One plant with its own channels and planner state, on the scene's obstacle mask."""
+    """One plant with its own channels and planner state, on the shared scene."""
 
-    def __init__(self, scenario, start: WorldPose, target_world, obstacle, state, uplink, downlink):
+    def __init__(self, scenario, start: WorldPose, target_world, scene: Scene, state, uplink, downlink):
         self.pose = start
         self.applied = Command(0.0, 0.0)
         self.cmd_expiry = math.inf
         self.t = 0.0
         self.trace = [(0.0, start.x, start.y, start.theta, 0.0, 0.0)]
         self.records = []
-        self.scene = (plant.scene_rule(obstacle, scenario.gd), plant.scene_room(obstacle, scenario.gd))
+        self.rule = (scene.hits, scene.room)
         # collision: the current pose's status; any_collision: any pose's so far, the start's included
-        self.collision = self.any_collision = plant.collides(start, obstacle, scenario.gd)
+        self.collision = self.any_collision = plant.collides(start, scene.obstacle, scenario.gd)
         self.outcome = None
         self.end_time = None
         self.goal = (*target_world, scenario.goal_radius)
@@ -237,7 +262,7 @@ class _Vehicle:
         pose, cmd, expiry = self.pose, self.applied, self.cmd_expiry
         x, y, theta, self.t, v, omega, self.cmd_expiry, self.collision, contact, reached = plant.hold(
             pose.x, pose.y, pose.theta, cmd.v, cmd.omega, self.t, t_target, expiry,
-            self.trace, self.scene, self.goal)
+            self.trace, self.rule, self.goal)
         self.pose = make_pose(x, y, theta)
         if self.cmd_expiry != expiry:
             self.applied = Command(v, omega)   # the watchdog zeroed it
@@ -366,9 +391,10 @@ def run_loop(scenario: Scenario, state: PlannerState | None = None,
              uplink=None, downlink=None) -> RunLog:
     """Simulate one networked run of a single vehicle.
 
-    `state` may carry a planner prepared earlier for the same scenario
-    (the static field does not depend on delay or seed).  `uplink` and
-    `downlink` default to seeded DelayLines; any object with the same push works.
+    `state` may carry a planner prepared earlier, with its scene, for a
+    scenario with the same image (the static field and the collision tables
+    do not depend on delay or seed).  `uplink` and `downlink` default to
+    seeded DelayLines; any object with the same push works.
     """
     if state is None:
         state = prepare(scenario)
@@ -377,8 +403,7 @@ def run_loop(scenario: Scenario, state: PlannerState | None = None,
         uplink = uplink or up
         downlink = downlink or down
     target_world = pixel_to_world(scenario.target, scenario.gd, scenario.width, scenario.height)
-    obstacle = plant.scene_obstacles(scenario.build_image(), scenario.background)
-    veh = _Vehicle(scenario, scenario.start, target_world, obstacle, state, uplink, downlink)
+    veh = _Vehicle(scenario, scenario.start, target_world, state.scene, state, uplink, downlink)
     if state.kind == "fm" and state.path is None:
         veh.finish("unreachable", 0.0)  # no path to track: the loop never starts
     _simulate(scenario, [veh])
@@ -414,14 +439,16 @@ def _stamp_agents(static_edges: np.ndarray, poses, me: int, own_target, scenario
 def run_multi(scenario: Scenario) -> MultiRunLog:
     """Decentralized multi-vehicle run.
 
-    Every camera frame each agent rebuilds its own boundary (static edges
-    plus the other agents' footprint discs), re-solves its potential warm
+    Every camera frame each agent rebuilds its own boundary (the shared
+    scene's edges plus the other agents' discs), re-solves its potential warm
     started from the previous frame, and otherwise runs the same networked
     loop as a single vehicle.  A flat sample here means "blocked right now"
     and holds the vehicle instead of ending the run, since the blocker moves.
     Collisions are with the scene only; how close the agents come to each
     other is measured by the minimum pairwise distance (`MultiRunLog.min_dm`).
     """
+    if scenario.planner != "hpf":
+        raise ValueError("planner: run_multi plans with hpf only, got %r" % scenario.planner)
     k = len(scenario.agents)
     if k < 2:
         raise ValueError("run_multi needs at least 2 agents (use run_loop for one)")
@@ -433,24 +460,22 @@ def run_multi(scenario: Scenario) -> MultiRunLog:
         if scenario.agents[i].target == scenario.agents[j].target:
             raise ValueError("agents %d and %d share a target cell" % (i, j))
 
-    img = scenario.build_image()
-    obstacle = plant.scene_obstacles(img, scenario.background)
-    static_edges = vision.detect_edges(img, scenario.vision).cells
+    scene = build_scene(scenario)
     vehicles = [
         _Vehicle(scenario, spec.start, pixel_to_world(spec.target, gd, scenario.width, scenario.height),
-                 obstacle, None, up, down)
+                 scene, None, up, down)
         for spec, (up, down) in zip(scenario.agents, _make_lines(scenario, k))
     ]
 
     def replan(i: int) -> None:
         v, target = vehicles[i], scenario.agents[i].target
-        cells = _stamp_agents(static_edges, [u.pose for u in vehicles], i, target, scenario)
+        cells = _stamp_agents(scene.edges, [u.pose for u in vehicles], i, target, scenario)
         boundary = hpf.build_boundary(cells, target)
         prev = v.state
         if prev is not None and np.array_equal(prev.boundary.labels, boundary.labels):
             return  # same obstacles as last solve: the field still holds
         pot = hpf.relax(boundary, initial=None if prev is None else prev.potential.phi)
-        v.state = PlannerState("hpf", boundary, grad=hpf.gradient(pot, boundary), potential=pot)
+        v.state = PlannerState("hpf", scene, boundary, grad=hpf.gradient(pot, boundary), potential=pot)
 
     t_end, dm_times, dm_values = _simulate(scenario, vehicles, replan)
     outcome = "reached" if all(v.outcome == "reached" for v in vehicles) else "timeout"

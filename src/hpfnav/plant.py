@@ -7,8 +7,8 @@ held command through the watchdog in DT_MICRO micro-steps, and `arc` and
 `step` are its single-step case.
 
 A vehicle collides when it leaves the workspace or lies on a scene obstacle
-pixel (`scene_obstacles`); the planner's obstacle pad and the other agents'
-discs are not part of the scene.
+pixel, one that differs from the scenario's background; the planner's
+obstacle pad and the other agents' discs are not part of the scene.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from .controller import Command
-from .workspace import GridImage, WorldPose, make_pose, pixel_to_world, world_to_pixel
+from .workspace import WorldPose, make_pose, pixel_to_world, world_to_pixel
 
 DT_MICRO = 0.01          # plant integration micro-step, s
 _OMEGA_STRAIGHT = 1e-12  # below this |omega| the arc degenerates to a line
@@ -128,14 +128,9 @@ def observe(pose: WorldPose, gd: float, width: int, height: int) -> WorldPose:
     return make_pose(cx, cy, pose.theta)
 
 
-def scene_obstacles(image: GridImage, background: int) -> np.ndarray:
-    """Obstacle mask (height x width) of the collision rule: pixels that differ from the background."""
-    return image.pixels != background
-
-
 def scene_rule(obstacle: np.ndarray, gd: float):
     """The collision rule on an obstacle mask, as a function hits(x, y) of a position in meters."""
-    return _rule(obstacle.ravel().tolist(), *obstacle.shape, gd)   # Python bools, for the float loop
+    return _rule(memoryview(np.asarray(obstacle, bool).ravel()), *obstacle.shape, gd)   # in place, Python bools
 
 
 def _rule(cells, height: int, width: int, gd: float):
@@ -172,7 +167,7 @@ def scene_room(obstacle: np.ndarray, gd: float):
         np.minimum(box[:, 1:], rows[:, :-1], out=box[:, 1:])
         np.minimum(box[:, :-1], rows[:, 1:], out=box[:, :-1])
         np.minimum(k, box + 1, out=k)
-    cells = k[1:-1, 1:-1].ravel().tolist()
+    cells = k[1:-1, 1:-1].astype(np.uint8).tobytes()
     floor = math.floor
 
     def room(x: float, y: float) -> float:

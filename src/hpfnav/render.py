@@ -95,7 +95,7 @@ def render_svg(
         cells = "".join('<rect x="%d" y="%d" width="1" height="1"/>' % (x, y) for y, x in zip(ys, xs))
         parts.append('<g fill="#444444" fill-opacity="0.55">%s</g>' % cells)
     elif edges is not None:
-        ys, xs = np.nonzero(edges.cells)
+        ys, xs = np.nonzero(edges)
         cells = "".join('<rect x="%d" y="%d" width="1" height="1"/>' % (x, y) for y, x in zip(ys, xs))
         parts.append('<g fill="#333333">%s</g>' % cells)
     if grad is not None:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .workspace import EdgeMap, VisionConfig
+from .workspace import VisionConfig
 
 
 @dataclass(frozen=True)
@@ -113,15 +113,15 @@ def zero_cross(response: np.ndarray) -> np.ndarray:
     return mark
 
 
-def contrast_filter(candidates: np.ndarray, gradients, zeta: float) -> EdgeMap:
-    """Keep candidates whose gradient magnitude reaches the threshold zeta."""
+def contrast_filter(candidates: np.ndarray, gradients, zeta: float) -> np.ndarray:
+    """Keep candidates whose gradient magnitude reaches the threshold zeta, as a bool array."""
     gx, gy = gradients
     mag = np.hypot(gx, gy)
-    return EdgeMap(np.asarray(candidates, bool) & (mag >= zeta))
+    return np.asarray(candidates, bool) & (mag >= zeta)
 
 
-def detect_edges(image, params: VisionConfig | None = None) -> EdgeMap:
-    """Full edge pipeline: LoG zero crossings gated by gradient contrast."""
+def detect_edges(image, params: VisionConfig | None = None) -> np.ndarray:
+    """Full edge pipeline: LoG zero crossings gated by gradient contrast; a bool array of edge cells."""
     if params is None:
         params = VisionConfig()
     if params.zeta < 0:

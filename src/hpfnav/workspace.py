@@ -106,27 +106,6 @@ class GridImage:
         return self.pixels.shape[0]
 
 
-@dataclass
-class EdgeMap:
-    """Binary edge raster, shape (height, width)."""
-
-    cells: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.cells)
-        if c.ndim != 2:
-            raise ValueError("edge map must be 2-D, got shape %r" % (c.shape,))
-        self.cells = c.astype(bool)
-
-    @property
-    def width(self) -> int:
-        return self.cells.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.cells.shape[0]
-
-
 # --- obstacle shapes ---------------------------------------------------------
 
 

@@ -221,8 +221,8 @@ def test_criterion_09_reversal_backs_up_first(acceptance, scenario_dir):
 
 def test_criterion_10_tolerates_edge_deletion(acceptance, scenario_dir):
     sc = load_scenario(scenario_dir / "robust.json")
-    img = sc.build_image()
-    cells = vision.detect_edges(img, sc.vision).cells
+    scene = netloop.build_scene(sc)
+    cells = scene.edges
     ys, xs = np.nonzero(cells)
     gd = sc.gd
     disc_c = ((32 + 0.5) * gd, (24 + 0.5) * gd)
@@ -237,7 +237,7 @@ def test_criterion_10_tolerates_edge_deletion(acceptance, scenario_dir):
         boundary = hpf_mod.build_boundary(degraded, sc.target)
         pot = hpf_mod.relax(boundary)
         grad = hpf_mod.gradient(pot, boundary)
-        state = netloop.PlannerState("hpf", boundary, grad=grad)
+        state = netloop.PlannerState("hpf", scene, boundary, grad=grad)
         log = netloop.run_loop(sc, state=state)
         tr = log.trace_array()
         d_min = float(np.min(np.hypot(tr[:, 1] - disc_c[0], tr[:, 2] - disc_c[1])))
@@ -304,11 +304,11 @@ def _contour_is_closed(cells, inside_cell):
 def test_criterion_13_vision_pipeline(acceptance, scenario_dir):
     flat = np.full((40, 40), 128.0)
     empty = vision.detect_edges(flat)
-    none_found = not empty.cells.any()
+    none_found = not empty.any()
 
     sc = load_scenario(scenario_dir / "robust.json")
     edges = vision.detect_edges(sc.build_image(), sc.vision)
-    closed = _contour_is_closed(edges.cells, (32, 24))
+    closed = _contour_is_closed(edges, (32, 24))
 
     log_sum = abs(float(vision.make_log(2.0).weights.sum()))
     ok = none_found and closed and log_sum <= 1e-12

@@ -238,6 +238,23 @@ def test_multi_requires_enough_agents(tmp_path, scenario_dir, capsys):
     assert code == EXIT_USAGE  # scenario defines no agents
 
 
+def test_multi_rejects_the_fm_planner(tmp_path, scenario_dir, capsys):
+    """Multi-agent runs plan with hpf only, whether fm comes from --planner or from the file."""
+    message = "error: planner: run_multi plans with hpf only, got 'fm'"
+    code = main(["multi", "--scenario", str(scenario_dir / "multi_star.json"), "--planner", "fm",
+                 "--agents", "2", "--out-dir", str(tmp_path / "m")])
+    assert code == EXIT_USAGE
+    assert message in capsys.readouterr().err
+    doc = json.loads((scenario_dir / "multi_star.json").read_text())
+    doc["planner"] = "fm"
+    path = tmp_path / "fm_star.json"
+    path.write_text(json.dumps(doc))
+    code = main(["multi", "--scenario", str(path), "--agents", "2", "--out-dir", str(tmp_path / "m2")])
+    assert code == EXIT_USAGE
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "m" / "summary.json").exists() and not (tmp_path / "m2" / "summary.json").exists()
+
+
 def test_render_writes_scene(tmp_path, scenario_dir):
     out = tmp_path / "r"
     code = main(["render", "--scenario", str(scenario_dir / "robust.json"),

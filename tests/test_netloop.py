@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from hpfnav import hpf, plant
+from hpfnav import analysis, hpf, plant, vision, workspace
 from hpfnav.controller import Command
 from hpfnav.netloop import (
     CSV_COLUMNS,
@@ -16,6 +16,7 @@ from hpfnav.netloop import (
     Packet,
     _stamp_agents,
     _Vehicle,
+    build_scene,
     prepare,
     run_loop,
     run_multi,
@@ -277,8 +278,8 @@ def test_a_run_always_ends_even_after_an_edit(scenario_dir, child_env, entry, na
 
 
 def _mask(sc):
-    """The scene's obstacle mask, as run_loop builds it for the collision rule."""
-    return plant.scene_obstacles(sc.build_image(), sc.background)
+    """The scene's obstacle mask, as build_scene builds it for the collision rule."""
+    return build_scene(sc).obstacle
 
 
 def _chained_integrate_to(veh, t_target, gd, obstacle):
@@ -325,8 +326,8 @@ def test_plant_loop_matches_chained_steps_bitwise(case, open_scenario, open_stat
     sc = dataclasses.replace(open_scenario, watchdog_s=watchdog)
     gd = sc.gd
     target = pixel_to_world(sc.target, gd, sc.width, sc.height)
-    obstacle = _mask(sc)
-    fast, slow = (_Vehicle(sc, WorldPose(x, y, theta), target, obstacle, open_state, None, None)
+    obstacle = open_state.scene.obstacle
+    fast, slow = (_Vehicle(sc, WorldPose(x, y, theta), target, open_state.scene, open_state, None, None)
                   for _ in range(2))
     for veh in (fast, slow):
         veh.latch(0.0, Command(v, omega))
@@ -368,7 +369,8 @@ def test_plant_loop_matches_chained_steps_bitwise(case, open_scenario, open_stat
 
 def test_plant_loop_without_a_planner_does_nothing_at_time_zero(open_scenario):
     # run_multi's vehicles have no planner state before the first frame
-    veh = _Vehicle(open_scenario, WorldPose(1.0, 1.5, 0.0), (3.0, 1.5), _mask(open_scenario), None, None, None)
+    veh = _Vehicle(open_scenario, WorldPose(1.0, 1.5, 0.0), (3.0, 1.5), build_scene(open_scenario), None, None,
+                   None)
     veh.integrate_to(0.0)
     assert veh.t == 0.0 and len(veh.trace) == 1
 
@@ -397,7 +399,7 @@ def test_any_collision_is_contact_with_the_scene(comparison_scenario, seed):
 def _driven(sc, state, pose, v, t_targets):
     """A vehicle holding (v, 0) from pose; any_collision after each integration target."""
     target = pixel_to_world(sc.target, sc.gd, sc.width, sc.height)
-    veh = _Vehicle(sc, pose, target, _mask(sc), state, None, None)
+    veh = _Vehicle(sc, pose, target, state.scene, state, None, None)
     veh.latch(0.0, Command(v, 0.0))
     flags = []
     for t in t_targets:
@@ -505,6 +507,11 @@ def test_multi_rejects_shared_target():
         run_multi(sc)
 
 
+def test_multi_rejects_the_fm_planner():
+    with pytest.raises(ValueError, match=r"^planner: run_multi plans with hpf only, got 'fm'$"):
+        run_multi(_cross_scenario(planner="fm"))
+
+
 def test_multi_rejects_overlapping_starts():
     sc = _cross_scenario()
     a0 = sc.agents[0]
@@ -548,3 +555,67 @@ def test_every_multi_agent_replan_converges(monkeypatch):
     assert log.outcome == "reached"
     assert len(converged) > 2
     assert all(converged), "%d of %d solves stopped unconverged" % (converged.count(False), len(converged))
+
+
+# --- one scene per scenario -----------------------------------------------------
+
+
+def _count_calls(monkeypatch, targets):
+    """Count the calls to each (module, name) through its module attribute."""
+    counts = dict.fromkeys((name for _, name in targets), 0)
+    for module, name in targets:
+        def counted(*args, _f=getattr(module, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _f(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+def test_a_sweep_builds_one_scene_per_planner(open_scenario, monkeypatch):
+    counts = _count_calls(monkeypatch, [(workspace, "rasterize"), (plant, "scene_rule"), (plant, "scene_room"),
+                                        (vision, "detect_edges")])
+    analysis.sweep(open_scenario, [0, 0.3], [0, 1], ("hpf", "fm"))
+    assert counts == {"rasterize": 2, "scene_rule": 2, "scene_room": 2, "detect_edges": 2}
+
+
+def test_a_multi_run_builds_one_scene_for_every_agent(scenario_dir, monkeypatch):
+    counts = _count_calls(monkeypatch, [(plant, "scene_room")])
+    sc = dataclasses.replace(load_scenario(scenario_dir / "multi_star.json"), timeout_s=2.0)
+    log = run_multi(sc)
+    assert len(log.agent_logs) == 5 and len(log.dm_values) == 11   # 11 camera frames, each replanning the agents
+    assert counts == {"scene_room": 1}
+
+
+def _image_path_twin(sc, tmp_path):
+    """The scenario with its image read from a PGM file of its drawn shapes."""
+    pgm = tmp_path / (sc.name + ".pgm")
+    pgm.write_bytes(b"P5\n%d %d\n255\n" % (sc.width, sc.height) + sc.build_image().pixels.tobytes())
+    return dataclasses.replace(sc, shapes=[], image_path=str(pgm))
+
+
+def _assert_same_log(a, b, tmp_path):
+    """The same trace, the same runlog CSV bytes and the same any_collision."""
+    assert a.trace == b.trace
+    a.to_csv(tmp_path / "a.csv")
+    b.to_csv(tmp_path / "b.csv")
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+    assert a.any_collision is b.any_collision
+
+
+@pytest.mark.parametrize("planner", ["hpf", "fm"])
+def test_an_image_path_scene_runs_like_its_shapes(comparison_scenario, planner, tmp_path):
+    sc = dataclasses.replace(comparison_scenario, planner=planner)
+    twin = _image_path_twin(sc, tmp_path)
+    scene, twin_scene = build_scene(sc), build_scene(twin)
+    assert sc.shapes and (scene.obstacle == twin_scene.obstacle).all() and (scene.edges == twin_scene.edges).all()
+    _assert_same_log(run_loop(sc), run_loop(twin), tmp_path)
+
+
+def test_an_image_path_multi_scene_runs_like_its_shapes(scenario_dir, tmp_path):
+    sc = load_scenario(scenario_dir / "multi_star.json")
+    log, twin_log = run_multi(sc), run_multi(_image_path_twin(sc, tmp_path))
+    assert log.outcome == "reached"
+    assert (log.dm_times, log.dm_values, log.total_time) == (twin_log.dm_times, twin_log.dm_values,
+                                                             twin_log.total_time)
+    for a, b in zip(log.agent_logs, twin_log.agent_logs, strict=True):
+        _assert_same_log(a, b, tmp_path)

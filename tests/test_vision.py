@@ -131,9 +131,9 @@ def test_contrast_filter_extremes():
     gx = rng.normal(scale=30, size=(20, 20))
     gy = rng.normal(scale=30, size=(20, 20))
     keep_all = contrast_filter(cand, (gx, gy), 0.0)
-    np.testing.assert_array_equal(keep_all.cells, cand)
+    np.testing.assert_array_equal(keep_all, cand)
     keep_none = contrast_filter(cand, (gx, gy), math.inf)
-    assert not keep_none.cells.any()
+    assert not keep_none.any()
 
 
 def _components(cells):
@@ -149,15 +149,15 @@ def _encloses(cells, inside, outside=(0, 0)):
 
 def test_detect_edges_uniform_image():
     img = rasterize([], 32, 32, background=128)
-    assert detect_edges(img).cells.sum() == 0
+    assert detect_edges(img).sum() == 0
 
 
 def test_detect_edges_disc_contour_closed():
     img = rasterize([Disc(24, 24, 8, intensity=20)], 48, 48, background=200)
     edges = detect_edges(img, VisionConfig(sigma=2.0, zeta=20.0))
-    assert edges.cells.any()
-    assert edges.cells.mean() <= 0.15
-    assert _encloses(edges.cells, (24, 24))
+    assert edges.any()
+    assert edges.mean() <= 0.15
+    assert _encloses(edges, (24, 24))
 
 
 def test_detect_edges_two_obstacles_two_contours():
@@ -165,9 +165,9 @@ def test_detect_edges_two_obstacles_two_contours():
         [Disc(14, 16, 5, intensity=20), Disc(40, 32, 6, intensity=20)], 56, 48, background=200
     )
     edges = detect_edges(img, VisionConfig(sigma=2.0, zeta=20.0))
-    assert _components(edges.cells) == 2
-    assert _encloses(edges.cells, (14, 16))
-    assert _encloses(edges.cells, (40, 32))
+    assert _components(edges) == 2
+    assert _encloses(edges, (14, 16))
+    assert _encloses(edges, (40, 32))
 
 
 def test_contrast_filter_suppresses_noise():
@@ -180,7 +180,7 @@ def test_contrast_filter_suppresses_noise():
     k_log = make_log(cfg.sigma)
     kx, ky = make_gog(cfg.sigma)
     cand = zero_cross(convolve(noisy, k_log))
-    kept = contrast_filter(cand, (convolve(noisy, kx), convolve(noisy, ky)), cfg.zeta).cells
+    kept = contrast_filter(cand, (convolve(noisy, kx), convolve(noisy, ky)), cfg.zeta)
 
     yy, xx = np.mgrid[0:48, 0:48]
     ring = np.abs(np.hypot(xx - 24, yy - 24) - 8) <= 3

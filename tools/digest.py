@@ -7,6 +7,8 @@
 The cases:
 
 - ``scenario/<name>``: ``to_dict`` of every committed scenario;
+- ``scene/<name>``: ``build_scene``'s obstacle mask and edge cells on every
+  committed scenario;
 - ``fm_arrival/<name>``: the arrival-time array on each single-vehicle boundary;
 - ``run/<name>/<planner>/<channel>/seed<k>``: ``run_loop`` for both planners on
   the six single-vehicle scenarios, over four channels and two seeds;
@@ -84,6 +86,11 @@ def _scenario(name: str) -> dict:
     return {"scenario/" + name: json.dumps(scenario(name).to_dict(), sort_keys=True).encode()}
 
 
+def _scene(name: str) -> dict:
+    scene = netloop.build_scene(scenario(name))
+    return {"scene/" + name: scene.obstacle.tobytes() + scene.edges.tobytes()}
+
+
 def _arrival(name: str) -> dict:
     return {"fm_arrival/" + name: fm.fm_arrival(prepared(name, "fm").boundary).tobytes()}
 
@@ -110,8 +117,9 @@ def _multi(awareness: str) -> dict:
 
 def cases() -> dict:
     """Case name -> thunk returning {entry name: bytes}; every entry name starts with its case's."""
-    table = {"scenario/" + p.stem: functools.partial(_scenario, p.stem)
-             for p in sorted(SCENARIOS.glob("*.json"))}
+    committed = [p.stem for p in sorted(SCENARIOS.glob("*.json"))]
+    table = {"scenario/" + name: functools.partial(_scenario, name) for name in committed}
+    table.update(("scene/" + name, functools.partial(_scene, name)) for name in committed)
     for name in SINGLE:
         table["fm_arrival/" + name] = functools.partial(_arrival, name)
     for name in SINGLE:
