@@ -17,12 +17,13 @@ def ideal_path(scenario: Scenario, state: netloop.PlannerState | None = None) ->
 
     For the potential-field planner this is the one-hop gradient descent from
     the start cell; for the fast-marching baseline it is the planner's own
-    descent path.  Unreachable targets raise.
+    descent path.  Unreachable targets raise, and so does a `state` prepared
+    for another scenario (`netloop.check_state`).
     """
     if state is None:
         state = netloop.prepare(scenario)
-    if state.kind != scenario.planner:
-        raise ValueError("planner state %r does not match scenario %r" % (state.kind, scenario.planner))
+    else:
+        netloop.check_state(scenario, state)
     start = np.array([[scenario.start.x, scenario.start.y]])
     if state.kind == "fm":
         if state.path is None:

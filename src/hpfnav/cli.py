@@ -1,7 +1,12 @@
 """Command line front end for runs, sweeps and rendering.
 
+Each command takes --scenario and --out-dir plus only the flags it reads
+(`hpfnav <command> -h` lists them), spelled in full; every one of them changes
+the output, and summary.json echoes the effective scenario.
+
 Exit codes: 0 run reached the goal (or the command completed), 1 usage or
-scenario validation error, 2 run timed out, 3 target unreachable.
+scenario validation error, 2 run timed out, 3 target unreachable (for
+compare-lookahead: from every look-ahead value).
 """
 
 from __future__ import annotations
@@ -91,36 +96,40 @@ def _ensure_out(args) -> Path:
     return out
 
 
-def cmd_run(args) -> int:
+def _prepare(args):
+    """The scenario with the command's overrides, the artifact directory, the
+    prepared planner state and the ideal path (None when the target is unreachable)."""
     sc = _apply_overrides(load_scenario(args.scenario), args)
     out = _ensure_out(args)
     state = netloop.prepare(sc)
-    log = netloop.run_loop(sc, state)
-
-    dist_err = None
-    mean_err = max_err = math.nan
-    ideal = None
     try:
         ideal = analysis.ideal_path(sc, state)
     except ValueError:
-        pass
-    if ideal is not None and log.records:
-        es = analysis.distance_error(log, ideal)
-        dist_err = es.err
-        mean_err, max_err = es.mean, es.max
+        ideal = None
+    return sc, out, state, ideal
 
-    log.to_csv(out / "runlog.csv", dist_err)
+
+def _errors(log: netloop.RunLog, ideal):
+    """(per-record series or None, mean, max) of the run's distance to the ideal path; nan without one."""
+    if ideal is None or not log.records:
+        return None, math.nan, math.nan
+    es = analysis.distance_error(log, ideal)
+    return es.err, es.mean, es.max
+
+
+def _render_scene(path: Path, sc: Scenario, state: netloop.PlannerState, ideal, trajectories=()) -> None:
+    """The scene, the boundary, the field, the ideal path and any trajectories, with start and target marked."""
     tw = pixel_to_world(sc.target, sc.gd, sc.width, sc.height)
-    render.render_svg(
-        out / "trajectory.svg",
-        sc,
-        image=state.scene.image,
-        boundary=state.boundary,
-        grad=state.grad,
-        ideal=ideal,
-        trajectories=[log.trace_array()[:, 1:3]] if log.trace else [],
-        markers=[(sc.start.x, sc.start.y, "start"), (tw[0], tw[1], "target")],
-    )
+    render.render_svg(path, sc, image=state.scene.image, boundary=state.boundary, grad=state.grad, ideal=ideal,
+                      trajectories=trajectories, markers=[(sc.start.x, sc.start.y, "start"), (tw[0], tw[1], "target")])
+
+
+def cmd_run(args) -> int:
+    sc, out, state, ideal = _prepare(args)
+    log = netloop.run_loop(sc, state)
+    dist_err, mean_err, max_err = _errors(log, ideal)
+    log.to_csv(out / "runlog.csv", dist_err)
+    _render_scene(out / "trajectory.svg", sc, state, ideal, [log.trace_array()[:, 1:3]])
     _write_summary(out, {
         "command": "run",
         "scenario": sc.to_dict(),
@@ -158,17 +167,14 @@ def cmd_sweep_delay(args) -> int:
 
 
 def cmd_compare_lookahead(args) -> int:
-    sc = _apply_overrides(load_scenario(args.scenario), args)
-    out = _ensure_out(args)
+    """Every look-ahead value runs, even toward an unreachable target; that exits 3 when every run ends so."""
+    sc, out, state, ideal = _prepare(args)
     rows = []
-    state = netloop.prepare(sc)
-    ideal = analysis.ideal_path(sc, state)
     for value in args.values.split(","):
         mode = _parse_lookahead(value.strip())
-        sc_i = replace(sc, lookahead=mode)
-        log = netloop.run_loop(sc_i, state)
-        es = analysis.distance_error(log, ideal)
-        rows.append((value.strip(), log.outcome, log.total_time, es.mean, es.max))
+        log = netloop.run_loop(replace(sc, lookahead=mode), state)
+        _, mean_err, max_err = _errors(log, ideal)
+        rows.append((value.strip(), log.outcome, log.total_time, mean_err, max_err))
     lines = ["lookahead,outcome,total_time,mean_err,max_err"]
     for v, outc, tt, me, mx in rows:
         lines.append("%s,%s,%s,%s,%s" % (v, outc, repr(float(tt)), repr(float(me)), repr(float(mx))))
@@ -184,7 +190,7 @@ def cmd_compare_lookahead(args) -> int:
     })
     for v, outc, tt, me, mx in rows:
         print("lookahead=%s outcome=%s time=%.2fs mean_err=%.4fm" % (v, outc, tt, me))
-    return EXIT_OK
+    return EXIT_UNREACHABLE if all(row[1] == "unreachable" for row in rows) else EXIT_OK
 
 
 def cmd_multi(args) -> int:
@@ -227,66 +233,48 @@ def cmd_multi(args) -> int:
 
 
 def cmd_render(args) -> int:
-    sc = _apply_overrides(load_scenario(args.scenario), args)
-    out = _ensure_out(args)
-    state = netloop.prepare(sc)
-    ideal = None
-    try:
-        ideal = analysis.ideal_path(sc, state)
-    except ValueError:
-        pass
-    tw = pixel_to_world(sc.target, sc.gd, sc.width, sc.height)
-    render.render_svg(
-        out / "scene.svg",
-        sc,
-        image=state.scene.image,
-        boundary=state.boundary,
-        grad=state.grad,
-        ideal=ideal,
-        markers=[(sc.start.x, sc.start.y, "start"), (tw[0], tw[1], "target")],
-    )
+    sc, out, state, ideal = _prepare(args)
+    _render_scene(out / "scene.svg", sc, state, ideal)
     print("wrote %s" % (out / "scene.svg"))
     return EXIT_OK
+
+
+# one definition per optional flag; each command names the ones it reads
+_FLAGS = {
+    "--delay": dict(type=float, help="override total constant delay, s"),
+    "--planner": dict(help="override planner"),
+    "--lookahead": dict(help="'dynamic' or a fixed hop count"),
+    "--seed": dict(type=int, help="override run seed"),
+    "--delays": dict(default="0,0.1,0.3,0.6,0.9,1.2", help="comma list of delays, s"),
+    "--seeds": dict(type=int, default=10, help="seeds per grid point"),
+    "--values": dict(default="1,8,dynamic", help="comma list of modes"),
+    "--agents": dict(type=int, help="use only the first N agents"),
+    "--awareness": dict(help="override awareness"),
+}
+
+_COMMANDS = (
+    ("run", cmd_run, "single networked run", ("--delay", "--planner", "--lookahead", "--seed")),
+    ("sweep-delay", cmd_sweep_delay, "grid of runs over delays and seeds",
+     ("--planner", "--lookahead", "--delays", "--seeds")),
+    ("compare-lookahead", cmd_compare_lookahead, "same run under different look-ahead modes",
+     ("--delay", "--planner", "--seed", "--values")),
+    ("multi", cmd_multi, "decentralized multi-agent run",
+     ("--delay", "--planner", "--lookahead", "--seed", "--agents", "--awareness")),
+    ("render", cmd_render, "render the static scene and field", ("--planner",)),
+)
 
 
 def build_parser() -> _Parser:
     p = _Parser(prog="hpfnav", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
-
-    def common(sp, seeds=False, agents=False):
+    for name, func, summary, flags in _COMMANDS:
+        # no abbreviations: `sweep-delay --delay` must not pass for `--delays`
+        sp = sub.add_parser(name, help=summary, allow_abbrev=False)
         sp.add_argument("--scenario", required=True, help="scenario JSON file")
-        sp.add_argument("--delay", type=float, help="override total constant delay, s")
-        sp.add_argument("--planner", help="override planner")
-        sp.add_argument("--lookahead", help="'dynamic' or a fixed hop count")
-        sp.add_argument("--seed", type=int, help="override run seed")
         sp.add_argument("--out-dir", default="out", help="artifact directory")
-        if seeds:
-            sp.add_argument("--seeds", type=int, default=10, help="seeds per grid point")
-        if agents:
-            sp.add_argument("--agents", type=int, help="use only the first N agents")
-            sp.add_argument("--awareness", help="override awareness")
-
-    sp = sub.add_parser("run", help="single networked run")
-    common(sp)
-    sp.set_defaults(func=cmd_run)
-
-    sp = sub.add_parser("sweep-delay", help="grid of runs over delays and seeds")
-    common(sp, seeds=True)
-    sp.add_argument("--delays", default="0,0.1,0.3,0.6,0.9,1.2", help="comma list of delays, s")
-    sp.set_defaults(func=cmd_sweep_delay)
-
-    sp = sub.add_parser("compare-lookahead", help="same run under different look-ahead modes")
-    common(sp)
-    sp.add_argument("--values", default="1,8,dynamic", help="comma list of modes")
-    sp.set_defaults(func=cmd_compare_lookahead)
-
-    sp = sub.add_parser("multi", help="decentralized multi-agent run")
-    common(sp, agents=True)
-    sp.set_defaults(func=cmd_multi)
-
-    sp = sub.add_parser("render", help="render the static scene and field")
-    common(sp)
-    sp.set_defaults(func=cmd_render)
+        for flag in flags:
+            sp.add_argument(flag, **_FLAGS[flag])
+        sp.set_defaults(func=func)
     return p
 
 

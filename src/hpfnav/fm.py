@@ -19,7 +19,6 @@ import numpy as np
 from .hpf import OBSTACLE, BoundaryGrid
 from .workspace import WorldPose
 
-SQRT2 = math.sqrt(2.0)
 PATH_STEP = 0.5  # fm_path's step along the descent direction, pixels
 
 

@@ -32,6 +32,7 @@ None`` method in their place.
 
 from __future__ import annotations
 
+import copy
 import heapq
 import itertools
 import math
@@ -46,7 +47,7 @@ import numpy as np
 from . import controller as ctl
 from . import fm, guidance, hpf, plant, vision
 from .controller import Command
-from .workspace import GridImage, Scenario, WorldPose, make_pose, pixel_to_world, world_to_pixel
+from .workspace import SCENE_FIELDS, GridImage, Scenario, WorldPose, make_pose, pixel_to_world, world_to_pixel
 
 
 class Packet(NamedTuple):
@@ -164,22 +165,25 @@ class Scene(NamedTuple):
     edges: np.ndarray        # bool (height, width): the edge cells of `vision.detect_edges`
     hits: Callable           # `plant.scene_rule` on the obstacle mask
     room: Callable           # `plant.scene_room` on the obstacle mask
+    inputs: tuple            # (field, value) of each of the scenario's SCENE_FIELDS, copied
 
 
 def build_scene(scenario: Scenario) -> Scene:
     """Build the image, its obstacle mask, edge cells and collision tables, once per scenario."""
     image = scenario.build_image()
     obstacle = image.pixels != scenario.background
+    inputs = copy.deepcopy(tuple((name, getattr(scenario, name)) for name in SCENE_FIELDS))
     return Scene(image, obstacle, vision.detect_edges(image, scenario.vision),
-                 plant.scene_rule(obstacle, scenario.gd), plant.scene_room(obstacle, scenario.gd))
+                 plant.scene_rule(obstacle, scenario.gd), plant.scene_room(obstacle, scenario.gd), inputs)
 
 
 @dataclass
 class PlannerState:
     """Static planning products and the scene they come from.
 
-    Reusable across runs of scenarios with the same image, background, vision
-    and gd: delay, seed, look-ahead and control may differ."""
+    Reusable across runs of scenarios with the same scene fields, target and
+    planner (and, for fm, start cell): delay, seed, look-ahead and control
+    may differ.  `check_state` enforces this."""
 
     kind: str
     scene: Scene
@@ -206,6 +210,32 @@ def prepare(scenario: Scenario) -> PlannerState:
         state.path = fm.fm_path(arrival, start_cell, scenario.gd)
         state.track = fm.Track(state.path)
     return state
+
+
+def _same(a, b) -> bool:
+    """Equal values, a list and a tuple of equal items included."""
+    if isinstance(a, (list, tuple)) and isinstance(b, (list, tuple)):
+        return list(a) == list(b)
+    return a == b
+
+
+def check_state(scenario: Scenario, state: PlannerState) -> None:
+    """Raise ValueError, naming the field, if `state` was not prepared for `scenario`.
+
+    The state depends on the scenario's SCENE_FIELDS (recorded on its scene),
+    target and planner; an fm path also on the start cell it begins in.
+    """
+    prepared = (*state.scene.inputs, ("target", state.boundary.target), ("planner", state.kind))
+    for name, value in prepared:
+        if not _same(getattr(scenario, name), value):
+            raise ValueError("%s: %r does not match the planner state, prepared for %r"
+                             % (name, getattr(scenario, name), value))
+    if state.path is not None:
+        cell = world_to_pixel((scenario.start.x, scenario.start.y), scenario.gd, scenario.width, scenario.height)
+        begin = world_to_pixel(state.path[0], scenario.gd, scenario.width, scenario.height)
+        if cell != begin:
+            raise ValueError("start: cell %r does not match the planner state, whose path begins in %r"
+                             % (cell, begin))
 
 
 def _make_lines(scenario: Scenario, k: int):
@@ -392,12 +422,15 @@ def run_loop(scenario: Scenario, state: PlannerState | None = None,
     """Simulate one networked run of a single vehicle.
 
     `state` may carry a planner prepared earlier, with its scene, for a
-    scenario with the same image (the static field and the collision tables
-    do not depend on delay or seed).  `uplink` and `downlink` default to
-    seeded DelayLines; any object with the same push works.
+    scenario that differs only in what the static field and the collision
+    tables do not depend on, such as delay or seed; `check_state` raises
+    otherwise.  `uplink` and `downlink` default to seeded DelayLines; any
+    object with the same push works.
     """
     if state is None:
         state = prepare(scenario)
+    else:
+        check_state(scenario, state)
     if uplink is None or downlink is None:
         [(up, down)] = _make_lines(scenario, 1)
         uplink = uplink or up

@@ -17,7 +17,8 @@ field's domain in its metadata: ``gt`` (above), ``ge`` (at least), ``le``
 (at most, with ``ge``), ``choices`` (the allowed strings) and ``allow_inf``
 (may be +-inf).  One walker reads them to build a scenario from JSON and to
 check one built in Python; `Scenario.validate` adds only the rules that
-relate fields.
+relate fields.  A ``scene`` flag in the metadata marks the fields the camera
+frame is built from (`SCENE_FIELDS`).
 """
 
 import functools
@@ -35,9 +36,9 @@ MAX_FRAMES = 100_000   # camera frames one run may take: timeout_s * camera.rate
 SCENARIO_SCHEMA_VERSION = 1
 
 
-def _domain(default=MISSING, **meta):
+def _domain(default=MISSING, factory=MISSING, **meta):
     """A dataclass field whose metadata declares its domain, e.g. _domain(0.2, gt=0)."""
-    return field(default=default, metadata=meta)
+    return field(default=default, default_factory=factory, metadata=meta)
 
 
 def wrap_angle(angle: float) -> float:
@@ -303,19 +304,19 @@ class Scenario:
     """Complete description of one experiment."""
 
     name: str = "scenario"
-    width: int = _domain(64, ge=MIN_GRID_SIDE)
-    height: int = _domain(48, ge=MIN_GRID_SIDE)
-    extent: tuple[float, float] = _domain((4.0, 3.0), gt=0)   # (x_a, y_a) meters
-    background: int = _domain(210, ge=0, le=255)
-    shapes: list[Disc | Rect] = field(default_factory=list)
-    image_path: str | None = None   # PGM alternative to shapes
+    width: int = _domain(64, ge=MIN_GRID_SIDE, scene=True)
+    height: int = _domain(48, ge=MIN_GRID_SIDE, scene=True)
+    extent: tuple[float, float] = _domain((4.0, 3.0), gt=0, scene=True)   # (x_a, y_a) meters
+    background: int = _domain(210, ge=0, le=255, scene=True)
+    shapes: list[Disc | Rect] = _domain(factory=list, scene=True)
+    image_path: str | None = _domain(None, scene=True)   # PGM alternative to shapes
     target: tuple[int, int] = (32, 24)          # pixel cell
     start: WorldPose = field(default_factory=lambda: WorldPose(0.5, 1.5, 0.0))
     planner: str = _domain("hpf", choices=("hpf", "fm"))
     camera: CameraConfig = field(default_factory=CameraConfig)
     delay: DelayConfig = field(default_factory=DelayConfig)
     control: ControlConfig = field(default_factory=ControlConfig)
-    vision: VisionConfig = field(default_factory=VisionConfig)
+    vision: VisionConfig = _domain(factory=VisionConfig, scene=True)
     lookahead: LookaheadConfig = field(default_factory=LookaheadConfig)
     fm_d0: float | None = _domain(None, gt=0)   # tracker look-ahead, m; None means control.d_max
     goal_radius: float = _domain(0.1, gt=0)    # m
@@ -391,6 +392,10 @@ class Scenario:
 
     def save(self, path) -> None:
         Path(path).write_text(json.dumps(self.to_dict(), indent=2) + "\n")
+
+
+# the fields `netloop.build_scene` reads: image, obstacle mask, edge cells and collision tables
+SCENE_FIELDS = tuple(f.name for f in fields(Scenario) if f.metadata.get("scene"))
 
 
 _SCALARS = {float: ((int, float), "a number"), int: (int, "an integer"), str: (str, "a string")}

@@ -1,12 +1,13 @@
 """Command line tests: exit codes, artifacts, determinism."""
 
+import argparse
 import json
 import subprocess
 import sys
 
 import pytest
 
-from hpfnav.cli import EXIT_OK, EXIT_TIMEOUT, EXIT_UNREACHABLE, EXIT_USAGE, main
+from hpfnav.cli import EXIT_OK, EXIT_TIMEOUT, EXIT_UNREACHABLE, EXIT_USAGE, build_parser, main
 
 
 def test_run_reaches_and_writes_artifacts(tmp_path, scenario_dir):
@@ -225,6 +226,48 @@ def test_compare_lookahead_rows(tmp_path, scenario_dir):
     assert lines[0].startswith("lookahead,")
     assert len(lines) == 3
     assert lines[1].startswith("1,") and lines[2].startswith("dynamic,")
+
+
+@pytest.mark.parametrize("planner", ["hpf", "fm"])
+def test_compare_lookahead_toward_an_unreachable_target_exits_three(tmp_path, scenario_dir, capsys, planner):
+    """Every value runs, as `run` does on the sealed barrier: null errors, exit 3."""
+    out = tmp_path / "c"
+    code = main(["compare-lookahead", "--scenario", str(scenario_dir / "barrier.json"),
+                 "--planner", planner, "--out-dir", str(out)])
+    assert code == EXIT_UNREACHABLE == 3
+    assert "error" not in capsys.readouterr().err
+    lines = (out / "lookahead.csv").read_text().splitlines()
+    assert lines[1:] == ["%s,unreachable,0.0,nan,nan" % v for v in ("1", "8", "dynamic")]
+    summary = json.loads((out / "summary.json").read_text(), parse_constant=_strict)
+    assert summary["scenario"]["planner"] == planner
+    assert [(r["outcome"], r["mean_err"], r["max_err"]) for r in summary["rows"]] == [("unreachable", None, None)] * 3
+
+
+# the optional flags each command reads; --scenario and --out-dir go with every command
+TAKES = {
+    "run": {"--delay", "--planner", "--lookahead", "--seed"},
+    "sweep-delay": {"--planner", "--lookahead", "--delays", "--seeds"},
+    "compare-lookahead": {"--delay", "--planner", "--seed", "--values"},
+    "multi": {"--delay", "--planner", "--lookahead", "--seed", "--agents", "--awareness"},
+    "render": {"--planner"},
+}
+
+
+def test_each_command_takes_only_the_flags_it_reads(tmp_path, capsys):
+    commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+    taken = {name: {flag for a in sp._actions for flag in a.option_strings} for name, sp in commands.items()}
+    assert taken == {name: flags | {"-h", "--help", "--scenario", "--out-dir"} for name, flags in TAKES.items()}
+    assert sum(len(flags) + 2 for flags in TAKES.values()) == 29
+    for command, flags in TAKES.items():
+        # --delay and --seed must not pass for --delays and --seeds either
+        for flag in set().union(*TAKES.values()) - flags:
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--scenario", "x.json", "--out-dir", str(tmp_path / "x"), flag, "1"])
+            assert exc.value.code == EXIT_USAGE
+            err = capsys.readouterr().err.splitlines()
+            assert err[0].startswith("usage: hpfnav ")
+            assert err[-1] == "hpfnav: error: unrecognized arguments: %s 1" % flag
+    assert not (tmp_path / "x").exists()
 
 
 def test_multi_requires_enough_agents(tmp_path, scenario_dir, capsys):

@@ -251,6 +251,83 @@ def test_identical_runs_are_bit_identical(open_scenario, open_state, tmp_path):
     assert a.read_bytes() != c.read_bytes()
 
 
+# --- a prepared state is used only for the scenario it was prepared for -------
+
+
+@pytest.mark.parametrize("planner", ["hpf", "fm"])
+def test_a_state_prepared_for_another_target_is_refused(comparison_scenario, planner):
+    """Run with target (20, 14), a state prepared for (80, 14) ended hpf unreachable and fm in a timeout."""
+    sc = dataclasses.replace(comparison_scenario, planner=planner)
+    assert sc.target == (80, 14)
+    moved = dataclasses.replace(sc, target=(20, 14))
+    message = r"^target: \(20, 14\) does not match the planner state, prepared for \(80, 14\)$"
+    for call in (run_loop, analysis.ideal_path):
+        with pytest.raises(ValueError, match=message):
+            call(moved, prepare(sc))
+    assert run_loop(moved).outcome == "reached"
+
+
+def test_a_state_prepared_for_another_planner_is_refused(comparison_scenario):
+    """An fm scenario given an hpf state ran hpf and reported reached."""
+    fm_sc = dataclasses.replace(comparison_scenario, planner="fm")
+    with pytest.raises(ValueError, match="^planner: 'fm' does not match the planner state, prepared for 'hpf'$"):
+        run_loop(fm_sc, prepare(comparison_scenario))
+
+
+def test_a_state_prepared_for_another_scene_is_refused(open_scenario, open_state):
+    """A wall open's zeta does not see: with open's state the run drove through it and reported no contact."""
+    walled = dataclasses.replace(open_scenario, shapes=[Rect(30, 0, 33, 47)])
+    with pytest.raises(ValueError, match=r"^shapes: \[Rect\(x0=30, .*\] does not match the planner state, "
+                                         r"prepared for \[\]$"):
+        run_loop(walled, open_state)
+    assert run_loop(walled).any_collision
+
+
+def _pgm(tmp_path, sc):
+    path = tmp_path / "scene.pgm"
+    path.write_bytes(b"P5\n%d %d\n255\n" % (sc.width, sc.height) + sc.build_image().pixels.tobytes())
+    return str(path)
+
+
+@pytest.mark.parametrize("name, edit", [
+    ("width", dict(width=128, extent=(8.0, 3.0))),
+    ("height", dict(height=96, extent=(4.0, 6.0))),
+    ("extent", dict(extent=(4.8, 3.6))),
+    ("background", dict(background=200)),
+    ("shapes", dict(shapes=[Rect(30, 0, 33, 47)])),
+    ("image_path", dict(image_path=_pgm)),
+    ("vision", dict(vision=VisionConfig(zeta=30.0))),
+])
+def test_every_scene_field_is_checked(open_scenario, open_state, tmp_path, name, edit):
+    assert name in workspace.SCENE_FIELDS
+    edit = {k: v(tmp_path, open_scenario) if callable(v) else v for k, v in edit.items()}
+    with pytest.raises(ValueError, match="^%s: .* does not match the planner state" % name):
+        run_loop(dataclasses.replace(open_scenario, **edit), open_state)
+
+
+def test_a_list_where_a_tuple_is_declared_matches_its_state():
+    """The boundary keeps the target as a tuple; a Python-built scenario may hold a list."""
+    sc = Scenario(name="lists", extent=[4.0, 3.0], target=[48, 24], timeout_s=2.0)
+    assert run_loop(sc, prepare(sc)).total_time == 2.0
+
+
+def test_workspace_declares_the_scene_fields():
+    assert workspace.SCENE_FIELDS == ("width", "height", "extent", "background", "shapes", "image_path", "vision")
+
+
+def test_an_fm_state_prepared_for_another_start_cell_is_refused(open_scenario):
+    sc = dataclasses.replace(open_scenario, planner="fm")
+    state = prepare(sc)
+    moved = dataclasses.replace(sc, start=WorldPose(2.0, 2.0, 0.0))
+    message = r"^start: cell \(32, 32\) does not match the planner state, whose path begins in \(8, 24\)$"
+    for call in (run_loop, analysis.ideal_path):
+        with pytest.raises(ValueError, match=message):
+            call(moved, state)
+    # another pose in the start cell tracks the same path
+    same_cell = dataclasses.replace(sc, start=WorldPose(sc.start.x + 0.01, sc.start.y, 0.3))
+    assert run_loop(same_cell, state).outcome == "reached"
+
+
 # A scenario edited after construction: a frame rate the constructor would
 # have refused.  The child prints the error that ends the run.
 _EDITED_RUN = """

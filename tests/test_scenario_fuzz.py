@@ -60,22 +60,28 @@ def test_hostile_field_value_ends_in_exit_0_or_error_line(case, value):
 
 
 FLAGS = ["--delay", "--lookahead", "--seed", "--planner"]
+# the commands that read each flag, with the exit codes each may end in: render
+# exits 0 or 1; run may also end in a timeout (2) or an unreachable target (3)
+COMMANDS = {"run": (FLAGS, (0, 1, 2, 3)), "render": (["--planner"], (0, 1))}
 HOSTILE_FLAG_VALUES = ["nan", "inf", "-inf", "-1", "0", "1e308", "-1e308", "abc", "", "1.5",
                        "99999999999999999999999", ",", "0,x", "dynamic"]
 
 
 @pytest.mark.parametrize("flag, value", itertools.product(FLAGS, HOSTILE_FLAG_VALUES))
 def test_hostile_flag_value_ends_in_exit_0_or_error_line(tmp_path, flag, value):
-    argv = ["render", "--scenario", str(SCENARIO_DIR / "open.json"),
-            "--out-dir", str(tmp_path / "out"), flag, value]
-    err = io.StringIO()
-    with contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:   # argparse rejected the value: a usage exit
-            code = exc.code
-    assert code in (0, 1)
-    if code == 1:
-        # ours print "error: ...", argparse prints "<prog>: error: ..."
-        assert any(line.startswith("error: ") or ": error: " in line
-                   for line in err.getvalue().splitlines()), err.getvalue()
+    for command, (flags, codes) in COMMANDS.items():
+        if flag not in flags:
+            continue
+        argv = [command, "--scenario", str(SCENARIO_DIR / "open.json"),
+                "--out-dir", str(tmp_path / command), flag, value]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            try:
+                code = main(argv)
+            except SystemExit as exc:   # argparse rejected the value: a usage exit
+                code = exc.code
+        assert code in codes, (command, code)
+        if code == 1:
+            # ours print "error: ...", argparse prints "<prog>: error: ..."
+            assert any(line.startswith("error: ") or ": error: " in line
+                       for line in err.getvalue().splitlines()), err.getvalue()

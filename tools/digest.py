@@ -13,7 +13,11 @@ The cases:
 - ``run/<name>/<planner>/<channel>/seed<k>``: ``run_loop`` for both planners on
   the six single-vehicle scenarios, over four channels and two seeds;
 - ``sweep/comparison``: the ``analysis.sweep`` rows on comparison;
-- ``multi/<awareness>``: ``run_multi(multi_star)`` with ``all`` and ``nearest``.
+- ``multi/<awareness>``: ``run_multi(multi_star)`` with ``all`` and ``nearest``;
+- ``cli/<command>/<scenario>``: every artifact file one ``hpfnav`` command
+  writes, plus its exit code: ``run`` and ``render`` on the six single-vehicle
+  scenarios, ``sweep-delay`` and ``compare-lookahead`` on comparison, and
+  ``multi --agents 2`` on multi_star.
 
 A run is hashed as four entries, so a diff tells what moved: ``trace`` (the
 micro-step samples), ``csv`` (the runlog, collision column included),
@@ -29,9 +33,11 @@ moved.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import hashlib
+import io
 import json
 import sys
 import tempfile
@@ -41,7 +47,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-from hpfnav import analysis, fm, netloop  # noqa: E402
+from hpfnav import analysis, cli, fm, netloop  # noqa: E402
 from hpfnav.workspace import DelayConfig, load_scenario  # noqa: E402
 
 SCENARIOS = ROOT / "scenarios"
@@ -59,6 +65,14 @@ RUN_SEEDS = (0, 1)
 SWEEP_DELAYS = (0.0, 0.3, 0.6, 0.9)
 SWEEP_SEEDS = (0, 1)
 AWARENESS = ("all", "nearest")
+# command -> (scenarios, extra arguments) for the cli/ cases
+COMMANDS = {
+    "run": (SINGLE, ()),
+    "render": (SINGLE, ()),
+    "sweep-delay": (("comparison",), ()),
+    "compare-lookahead": (("comparison",), ()),
+    "multi": (("multi_star",), ("--agents", "2")),
+}
 
 
 @functools.cache
@@ -115,6 +129,19 @@ def _multi(awareness: str) -> dict:
     return out
 
 
+def _cli(command: str, name: str) -> dict:
+    prefix = "cli/%s/%s" % (command, name)
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        argv = [command, "--scenario", str(SCENARIOS / (name + ".json")), "--out-dir", str(out),
+                *COMMANDS[command][1]]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(argv)
+        entries = {prefix + "/exit": repr(code).encode()}
+        entries.update((prefix + "/" + p.name, p.read_bytes()) for p in sorted(out.iterdir()))
+    return entries
+
+
 def cases() -> dict:
     """Case name -> thunk returning {entry name: bytes}; every entry name starts with its case's."""
     committed = [p.stem for p in sorted(SCENARIOS.glob("*.json"))]
@@ -131,6 +158,9 @@ def cases() -> dict:
     table["sweep/comparison"] = _sweep
     for awareness in AWARENESS:
         table["multi/" + awareness] = functools.partial(_multi, awareness)
+    for command, (names, _) in COMMANDS.items():
+        for name in names:
+            table["cli/%s/%s" % (command, name)] = functools.partial(_cli, command, name)
     return table
 
 
