@@ -25,8 +25,8 @@ def main():
         for i, alog in enumerate(log.agent_logs):
             print("  agent %d: %s at %.1fs" % (i, alog.outcome, alog.total_time))
         name = OUT / ("star_%s.svg" % mode)
-        render_svg(name, run_sc, image=run_sc.build_image(),
-                   trajectories=[a.trace_array()[:, 1:3] for a in log.agent_logs],
+        render_svg(name, run_sc, image=log.scene.image,
+                   trajectories=[a.trace[:, 1:3] for a in log.agent_logs],
                    markers=[(a.start.x, a.start.y, "start") for a in run_sc.agents])
         print("  wrote %s" % name)
 

@@ -31,7 +31,7 @@ def main(delay: float = 0.3):
     OUT.mkdir(exist_ok=True)
     log.to_csv(OUT / "runlog.csv", dist_err=es.err)
     render_svg(OUT / "trajectory.svg", sc, image=state.scene.image, boundary=state.boundary,
-               ideal=ideal, trajectories=[log.trace_array()[:, 1:3]],
+               ideal=ideal, trajectories=[log.trace[:, 1:3]],
                markers=[(sc.start.x, sc.start.y, "start"),
                         ((sc.target[0] + 0.5) * sc.gd, (sc.target[1] + 0.5) * sc.gd, "target")])
     print("wrote %s and %s" % (OUT / "runlog.csv", OUT / "trajectory.svg"))

@@ -113,7 +113,7 @@ SPEED_FLOOR = 0.01  # m/s; below this curvature is left undefined
 
 
 def curvature(log: netloop.RunLog) -> CurvatureSeries:
-    tr = log.trace_array()
+    tr = log.trace
     if tr.size == 0:
         return CurvatureSeries(np.empty(0), np.empty(0))
     t = tr[:, 0]

@@ -129,7 +129,7 @@ def cmd_run(args) -> int:
     log = netloop.run_loop(sc, state)
     dist_err, mean_err, max_err = _errors(log, ideal)
     log.to_csv(out / "runlog.csv", dist_err)
-    _render_scene(out / "trajectory.svg", sc, state, ideal, [log.trace_array()[:, 1:3]])
+    _render_scene(out / "trajectory.svg", sc, state, ideal, [log.trace[:, 1:3]])
     _write_summary(out, {
         "command": "run",
         "scenario": sc.to_dict(),
@@ -215,8 +215,8 @@ def cmd_multi(args) -> int:
     render.render_svg(
         out / "trajectory.svg",
         sc,
-        image=sc.build_image(),
-        trajectories=[log.trace_array()[:, 1:3] for log in result.agent_logs],
+        image=result.scene.image,
+        trajectories=[log.trace[:, 1:3] for log in result.agent_logs],
         markers=markers,
     )
     _write_summary(out, {

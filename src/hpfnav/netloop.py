@@ -5,12 +5,13 @@ the true pose at a fixed rate and ships it through an uplink channel; when a
 pose packet arrives at the controller it picks a reference (potential-field
 guidance or path tracking on the fast-marching baseline), computes one
 command, and ships it through a downlink channel; when the command arrives
-the plant latches it (zero-order hold).  Between events the plant integrates
-exactly, in dt = 0.01 s micro-steps that only set the logging granularity.
-A watchdog zeroes the held command after a configurable silence window.
-Every micro-step also applies `plant`'s collision rule, on the scene's
-obstacle mask: the planner's labels (its pad, other agents' discs) play no part.
-That scene (image, obstacle mask, edge cells, collision tables) is built once
+the plant latches it (zero-order hold).  Between events the plant takes one
+exact arc per held piece of command; a watchdog zeroes the held command
+after a configurable silence window.  The trace is sampled at
+`plant.DT_MICRO` = 0.01 s along those arcs, and contact is tested on every
+trace row with `plant`'s collision rule, on the scene's obstacle mask: the
+planner's labels (its pad, other agents' discs) play no part.
+That scene (image, obstacle mask, edge cells, collision rule) is built once
 per scenario by `build_scene`; a `PlannerState` carries it to every run and
 agent, so a state is reused only for scenarios with the same image.
 
@@ -116,13 +117,10 @@ class RunLog:
     """Everything one run produced."""
 
     records: list
-    trace: list              # (t, x, y, theta, v_applied, omega_applied) at micro-steps
+    trace: np.ndarray        # (N, 6) rows (t, x, y, theta, v_applied, omega_applied), one per DT_MICRO of each piece
     outcome: str             # "reached" | "timeout" | "unreachable"
     total_time: float
-    any_collision: bool = False
-
-    def trace_array(self) -> np.ndarray:
-        return np.asarray(self.trace)
+    any_collision: bool = False   # any trace row in contact with the scene
 
     def to_csv(self, path, dist_err=None) -> None:
         """Write records in the documented column order.
@@ -149,6 +147,7 @@ class MultiRunLog:
     dm_values: list          # min pairwise distance at each camera frame
     outcome: str
     total_time: float
+    scene: Scene             # the one scene every agent ran on
 
     def min_dm(self) -> float:
         return min(self.dm_values) if self.dm_values else math.inf
@@ -164,17 +163,16 @@ class Scene(NamedTuple):
     obstacle: np.ndarray     # bool (height, width): the collision rule's pixels, those unlike `background`
     edges: np.ndarray        # bool (height, width): the edge cells of `vision.detect_edges`
     hits: Callable           # `plant.scene_rule` on the obstacle mask
-    room: Callable           # `plant.scene_room` on the obstacle mask
     inputs: tuple            # (field, value) of each of the scenario's SCENE_FIELDS, copied
 
 
 def build_scene(scenario: Scenario) -> Scene:
-    """Build the image, its obstacle mask, edge cells and collision tables, once per scenario."""
+    """Build the image, its obstacle mask, edge cells and collision rule, once per scenario."""
     image = scenario.build_image()
     obstacle = image.pixels != scenario.background
     inputs = copy.deepcopy(tuple((name, getattr(scenario, name)) for name in SCENE_FIELDS))
     return Scene(image, obstacle, vision.detect_edges(image, scenario.vision),
-                 plant.scene_rule(obstacle, scenario.gd), plant.scene_room(obstacle, scenario.gd), inputs)
+                 plant.scene_rule(obstacle, scenario.gd), inputs)
 
 
 @dataclass
@@ -190,8 +188,9 @@ class PlannerState:
     boundary: hpf.BoundaryGrid
     grad: hpf.GradientField | None = None
     potential: hpf.PotentialField | None = None
-    path: np.ndarray | None = None
+    path: np.ndarray | None = None   # None when the start cell cannot reach the target
     track: fm.Track | None = None    # the path prepared for tracking
+    start: tuple | None = None       # fm: the start cell the path was prepared from
 
 
 def prepare(scenario: Scenario) -> PlannerState:
@@ -204,12 +203,16 @@ def prepare(scenario: Scenario) -> PlannerState:
         state.grad = hpf.gradient(state.potential, boundary)
         return state
     arrival = fm.fm_arrival(boundary)
-    start_cell = world_to_pixel((scenario.start.x, scenario.start.y), scenario.gd,
-                                scenario.width, scenario.height)
+    state.start = start_cell = _start_cell(scenario)
     if math.isfinite(arrival[start_cell[1], start_cell[0]]):
         state.path = fm.fm_path(arrival, start_cell, scenario.gd)
         state.track = fm.Track(state.path)
     return state
+
+
+def _start_cell(scenario: Scenario) -> tuple:
+    """The pixel the scenario's start pose lies in."""
+    return world_to_pixel((scenario.start.x, scenario.start.y), scenario.gd, scenario.width, scenario.height)
 
 
 def _same(a, b) -> bool:
@@ -223,19 +226,17 @@ def check_state(scenario: Scenario, state: PlannerState) -> None:
     """Raise ValueError, naming the field, if `state` was not prepared for `scenario`.
 
     The state depends on the scenario's SCENE_FIELDS (recorded on its scene),
-    target and planner; an fm path also on the start cell it begins in.
+    target and planner; an fm state also on the start cell, with a path or
+    without one.
     """
     prepared = (*state.scene.inputs, ("target", state.boundary.target), ("planner", state.kind))
     for name, value in prepared:
         if not _same(getattr(scenario, name), value):
             raise ValueError("%s: %r does not match the planner state, prepared for %r"
                              % (name, getattr(scenario, name), value))
-    if state.path is not None:
-        cell = world_to_pixel((scenario.start.x, scenario.start.y), scenario.gd, scenario.width, scenario.height)
-        begin = world_to_pixel(state.path[0], scenario.gd, scenario.width, scenario.height)
-        if cell != begin:
-            raise ValueError("start: cell %r does not match the planner state, whose path begins in %r"
-                             % (cell, begin))
+    cell = _start_cell(scenario)
+    if state.kind == "fm" and cell != state.start:
+        raise ValueError("start: cell %r does not match the planner state, prepared for %r" % (cell, state.start))
 
 
 def _make_lines(scenario: Scenario, k: int):
@@ -263,11 +264,12 @@ class _Vehicle:
         self.applied = Command(0.0, 0.0)
         self.cmd_expiry = math.inf
         self.t = 0.0
-        self.trace = [(0.0, start.x, start.y, start.theta, 0.0, 0.0)]
+        self.start_row = (0.0, start.x, start.y, start.theta, 0.0, 0.0)
+        self.pieces = []   # `plant.hold`'s record of every piece held so far, 12 floats each
         self.records = []
-        self.rule = (scene.hits, scene.room)
-        # collision: the current pose's status; any_collision: any pose's so far, the start's included
-        self.collision = self.any_collision = plant.collides(start, scene.obstacle, scenario.gd)
+        self.scene = scene
+        self.gd = scenario.gd
+        self.collision = plant.collides(start, scene.obstacle, scenario.gd)   # the current pose's contact
         self.outcome = None
         self.end_time = None
         self.goal = (*target_world, scenario.goal_radius)
@@ -283,21 +285,20 @@ class _Vehicle:
     def integrate_to(self, t_target: float) -> None:
         """Advance the plant to t_target with `plant.hold`.
 
-        The hold appends one trace sample per micro-step, applies the collision
-        rule to each new pose, zeroes the command at the watchdog expiry, and
-        ends the run as "reached" once the pose is within goal_radius of the target.
+        The hold records its pieces, zeroes the command at the watchdog
+        expiry, and ends the run as "reached" once a DT_MICRO sample is within
+        goal_radius of the target.  The collision rule is applied to the pose
+        it ends in.
         """
         if self.outcome is not None or self.t >= t_target - 1e-12:
             return
         pose, cmd, expiry = self.pose, self.applied, self.cmd_expiry
-        x, y, theta, self.t, v, omega, self.cmd_expiry, self.collision, contact, reached = plant.hold(
-            pose.x, pose.y, pose.theta, cmd.v, cmd.omega, self.t, t_target, expiry,
-            self.trace, self.rule, self.goal)
+        x, y, theta, self.t, v, omega, self.cmd_expiry, reached = plant.hold(
+            pose.x, pose.y, pose.theta, cmd.v, cmd.omega, self.t, t_target, expiry, self.pieces, self.goal)
         self.pose = make_pose(x, y, theta)
+        self.collision = self.scene.hits(x, y)
         if self.cmd_expiry != expiry:
             self.applied = Command(v, omega)   # the watchdog zeroed it
-        if contact:
-            self.any_collision = True
         if reached:
             self.finish("reached", self.t)
 
@@ -306,7 +307,10 @@ class _Vehicle:
         self.cmd_expiry = t + self.watchdog
 
     def log(self) -> RunLog:
-        return RunLog(self.records, self.trace, self.outcome, self.end_time, self.any_collision)
+        """The run so far, its trace sampled from the held pieces and tested for contact row by row."""
+        trace = plant.sample(self.start_row, self.pieces)
+        contact = plant.contact(self.scene.obstacle, self.gd, trace[:, 1], trace[:, 2]).any()
+        return RunLog(self.records, trace, self.outcome, self.end_time, bool(contact))
 
 
 def _control_sample(scenario, state, obs: WorldPose):
@@ -512,4 +516,4 @@ def run_multi(scenario: Scenario) -> MultiRunLog:
 
     t_end, dm_times, dm_values = _simulate(scenario, vehicles, replan)
     outcome = "reached" if all(v.outcome == "reached" for v in vehicles) else "timeout"
-    return MultiRunLog([v.log() for v in vehicles], dm_times, dm_values, outcome, t_end)
+    return MultiRunLog([v.log() for v in vehicles], dm_times, dm_values, outcome, t_end, scene)

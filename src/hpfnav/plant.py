@@ -1,14 +1,18 @@
 """Differential-drive plant, the overhead camera observing it, and the collision rule.
 
 The plant integrates a constant (v, omega) command exactly along a circular
-arc, so splitting an interval into sub-steps changes nothing but the number
-of samples taken along the way.  `hold` is the one integrator: it runs a
-held command through the watchdog in DT_MICRO micro-steps, and `arc` and
-`step` are its single-step case.
+arc, so how an interval is split changes nothing but the rounding.  `hold`
+is the one integrator: it takes one exact arc (`arc`) for each
+constant-command piece of a held command, the watchdog expiry splitting it,
+and steps in DT_MICRO only while the goal is within reach.  It records each
+piece in a flat buffer, and `sample` expands the buffer into the trace: one
+row per DT_MICRO step of every piece.  `step` is `arc` on a pose.
 
 A vehicle collides when it leaves the workspace or lies on a scene obstacle
 pixel, one that differs from the scenario's background; the planner's
-obstacle pad and the other agents' discs are not part of the scene.
+obstacle pad and the other agents' discs are not part of the scene.  Contact
+is tested on every trace row (`contact`) and on a single pose
+(`scene_rule`, `collides`).
 """
 
 from __future__ import annotations
@@ -20,93 +24,102 @@ import numpy as np
 from .controller import Command
 from .workspace import WorldPose, make_pose, pixel_to_world, world_to_pixel
 
-DT_MICRO = 0.01          # plant integration micro-step, s
+DT_MICRO = 0.01          # trace sampling and near-goal integration step, s
 _OMEGA_STRAIGHT = 1e-12  # below this |omega| the arc degenerates to a line
-_ROUNDING = 1e-15        # bound on one micro-step's rounding error, per meter of the figures it mixes
-_ROOM_CELLS = 6          # Chebyshev distances to the nearest hit cell are counted up to this
+_ROUNDING = 1e-15        # bound on one step's rounding error, per meter of the figures it mixes
+_MERGE = 1e-9            # s: a sample this close to a piece's end is not taken apart from it
 _NO_GOAL = (0.0, 0.0, -math.inf)
 
 
-def hold(x, y, theta, v, omega, t, t_target, expiry, trace, scene=None, goal=_NO_GOAL, dt=DT_MICRO):
-    """Hold the command (v, omega) from time t to t_target, in micro-steps of at most dt > 0.
+def hold(x, y, theta, v, omega, t, t_target, expiry, pieces, goal=_NO_GOAL):
+    """Hold the command (v, omega) from time t < t_target to t_target.
 
-    The watchdog zeroes the command at `expiry`: a micro-step that the expiry
-    falls inside is split there.  Each micro-step moves the pose along the
-    exact arc (a line below _OMEGA_STRAIGHT), wraps the heading to (-pi, pi]
-    and appends (t, x, y, theta, v, omega) to `trace`.  With scene = (hits,
-    room) from `scene_rule` and `scene_room`, each new position is tested
-    with the collision rule hits(x, y).  The hold stops early at the first
-    pose within goal = (x, y, radius) of the goal.
+    The watchdog zeroes the command at `expiry`, which splits the hold there;
+    an expiry less than 1e-12 s after a piece's end, or before t_target,
+    zeroes it at that end.  Each piece moves the pose along one exact `arc`
+    and appends its start row and end row (t, x, y, theta, v, omega) to
+    `pieces`, 12 floats, which `sample` expands.  While the goal = (x, y,
+    radius) lies within the command's reach, rounding included, the pieces
+    are single DT_MICRO steps and the hold stops at the first one that ends
+    within the radius.
 
-    Two tests are skipped for the whole hold when the command cannot carry
-    the pose far enough before t_target, rounding of the arc figures
-    included: the collision test when room(x, y) exceeds that reach, and
-    the goal test when the goal lies farther.  Neither skip changes a result.
-
-    Returns (x, y, theta, t, v, omega, expiry, hit, contact, reached): the
-    state the hold ends in, the last pose's hits (None when the hold took
-    no step; False when no pose needed the test), whether any pose hit,
-    and whether the goal was reached.
+    Returns (x, y, theta, t, v, omega, expiry, reached): the state the hold
+    ends in and whether the goal was reached.
     """
-    sin, cos, pi, tau, inf = math.sin, math.cos, math.pi, math.tau, math.inf
-    minus_pi = -pi   # outside (-pi, pi]: wraps to pi
-    append = trace.append
     tx, ty, goal_radius = goal
-    straight = abs(omega) < _OMEGA_STRAIGHT
-    turn = 0.0 if straight else v / omega
-    steps = (t_target - t) / dt + 2.0
-    slack = steps * _ROUNDING * (1.0 + abs(turn) + abs(x) + abs(y) + abs(tx) + abs(ty))
-    reach = abs(v) * (t_target - t) + slack
-    near = math.hypot(x - tx, y - ty) - reach <= goal_radius
-    check = False
-    if scene is not None:
-        hits, room = scene
-        check = reach >= room(x, y)
-    # a micro-step ends at t_target, or at the watchdog expiry that falls inside it
-    t_stop = expiry if t < expiry < t_target else t_target
-    zero_at = expiry - 1e-12
-    hit = None if check else False
-    contact = reached = False
-    t_end = t_target - 1e-12
-    while t < t_end:
-        t_next = t + dt
-        if t_next > t_stop:
-            t_next = t_stop
-        h = t_next - t
-        th1 = theta + omega * h
-        if straight:
-            x += v * h * cos(theta)
-            y += v * h * sin(theta)
-        else:
-            x += turn * (sin(th1) - sin(theta))
-            y -= turn * (cos(th1) - cos(theta))
-        theta = (th1 + pi) % tau - pi
-        if theta == minus_pi:
-            theta = pi
-        t = t_next
-        if t >= zero_at:
-            v = omega = 0.0
-            expiry = zero_at = inf
-            t_stop = t_target
-            straight = True
-        append((t, x, y, theta, v, omega))
-        if check:
-            hit = hits(x, y)
-            if hit:
-                contact = True
+    turn = abs(v / omega) if abs(omega) >= _OMEGA_STRAIGHT else 0.0
+    slack = ((t_target - t) / DT_MICRO + 2.0) * _ROUNDING * (1.0 + turn + abs(x) + abs(y) + abs(tx) + abs(ty))
+    near = math.hypot(x - tx, y - ty) - abs(v) * (t_target - t) - slack <= goal_radius
+    extend = pieces.extend
+    while t < t_target:
+        t_next = expiry if t < expiry < t_target - 1e-12 else t_target
+        if near and t + DT_MICRO < t_next - _MERGE:
+            t_next = t + DT_MICRO
+        x1, y1, theta1 = arc(x, y, theta, v, omega, t_next - t)
+        v1, omega1 = v, omega
+        if t_next >= expiry - 1e-12:
+            v1 = omega1 = 0.0
+            expiry = math.inf
+        extend((t, x, y, theta, v, omega, t_next, x1, y1, theta1, v1, omega1))
+        x, y, theta, t, v, omega = x1, y1, theta1, t_next, v1, omega1
         if near and math.hypot(x - tx, y - ty) <= goal_radius:
-            reached = True
-            break
-    return x, y, theta, t, v, omega, expiry, hit, contact, reached
+            return x, y, theta, t, v, omega, expiry, True
+    return x, y, theta, t, v, omega, expiry, False
 
 
 def arc(x: float, y: float, theta: float, v: float, omega: float, dt: float):
     """Pose (x, y, theta) after dt seconds of a constant (v, omega): the exact arc.
 
-    One micro-step of `hold` as long as the interval; the heading comes back
-    wrapped to (-pi, pi].  A dt within 1e-12 s of zero leaves the pose as it is.
+    A line below _OMEGA_STRAIGHT; the heading comes back wrapped to (-pi, pi].
+    A dt within 1e-12 s of zero leaves the pose as it is.
     """
-    return hold(x, y, theta, v, omega, 0.0, dt, math.inf, [], dt=max(dt, 1e-12))[:3]
+    if dt <= 1e-12:
+        return x, y, theta
+    theta1 = theta + omega * dt
+    if abs(omega) < _OMEGA_STRAIGHT:
+        x += v * dt * math.cos(theta)
+        y += v * dt * math.sin(theta)
+    else:
+        turn = v / omega
+        x += turn * (math.sin(theta1) - math.sin(theta))
+        y -= turn * (math.cos(theta1) - math.cos(theta))
+    theta = (theta1 + math.pi) % math.tau - math.pi
+    return x, y, (math.pi if theta == -math.pi else theta)
+
+
+def sample(start, pieces) -> np.ndarray:
+    """The trace of a hold's `pieces` after the start row: an (N, 6) array of (t, x, y, theta, v, omega).
+
+    A piece from t0 to t1 gives a row at t0 + k * DT_MICRO for each k >= 1
+    that falls more than _MERGE before t1, on the exact arc from its start
+    row (numpy's trig; a heading already in (-pi, pi] is not wrapped again,
+    so it is within an ulp of `arc`'s), then its end row as `hold` computed
+    it, bit for bit.
+    """
+    p = np.asarray(pieces, float).reshape(-1, 12)
+    t0, x0, y0, theta0, v, omega = p[:, :6].T
+    n = np.maximum(1, np.ceil((p[:, 6] - t0 - _MERGE) / DT_MICRO)).astype(np.intp)   # rows per piece
+    last = np.cumsum(n)                               # each piece's end row, the start row being row 0
+    h = (np.arange(1, n.sum() + 1) - np.repeat(last - n, n)) * DT_MICRO   # k * DT_MICRO
+    straight = np.abs(omega) < _OMEGA_STRAIGHT
+    turn = np.where(straight, 0.0, v / np.where(straight, 1.0, omega))   # 0 on a line
+    line = np.where(straight, v, 0.0)                                    # 0 on an arc
+    t0, x0, y0, theta0, v, omega, turn, line, sin0, cos0 = (
+        np.repeat(a, n) for a in (t0, x0, y0, theta0, v, omega, turn, line, np.sin(theta0), np.cos(theta0)))
+    theta1 = theta0 + omega * h
+    rows = np.empty((len(h) + 1, 6))
+    rows[0] = start
+    rows[1:, 0] = t0 + h
+    rows[1:, 1] = x0 + turn * (np.sin(theta1) - sin0) + line * h * cos0
+    rows[1:, 2] = y0 - turn * (np.cos(theta1) - cos0) + line * h * sin0
+    out = (theta1 <= -math.pi) | (theta1 > math.pi)   # wrapped as `arc` wraps; the rest are in range
+    wrapped = (theta1[out] + math.pi) % math.tau - math.pi
+    theta1[out] = np.where(wrapped == -math.pi, math.pi, wrapped)
+    rows[1:, 3] = theta1
+    rows[1:, 4] = v
+    rows[1:, 5] = omega
+    rows[last] = p[:, 6:]
+    return rows
 
 
 def step(pose: WorldPose, cmd: Command, dt: float) -> WorldPose:
@@ -145,39 +158,14 @@ def _rule(cells, height: int, width: int, gd: float):
     return hits
 
 
-def scene_room(obstacle: np.ndarray, gd: float):
-    """A lower bound room(x, y), in meters, on how far a position can move before `scene_rule` hits.
-
-    k is the Chebyshev distance in cells (counted up to _ROOM_CELLS) from the
-    position's cell to the nearest obstacle pixel or cell outside the
-    workspace, so k - 1 whole cells lie between and a move shorter than
-    (k - 1) * gd stays off every such cell.  That holds up to the rounding of
-    x / gd when a position is assigned to its cell, a few 1e-16 of |x| and
-    |y|, which the slack in `hold`'s reach covers.  A position outside the
-    workspace has no room.
-    """
+def contact(obstacle: np.ndarray, gd: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """`scene_rule` on arrays of positions: True where one leaves the workspace or lies on an obstacle pixel."""
     height, width = obstacle.shape
-    k = np.where(np.pad(obstacle, 1, constant_values=True), 0, _ROOM_CELLS).astype(np.int16)
-    for _ in range(_ROOM_CELLS - 1):
-        # k = min(k, 1 + min over the 3x3 neighbourhood), rows then columns
-        rows = k.copy()
-        np.minimum(rows[1:], k[:-1], out=rows[1:])
-        np.minimum(rows[:-1], k[1:], out=rows[:-1])
-        box = rows.copy()
-        np.minimum(box[:, 1:], rows[:, :-1], out=box[:, 1:])
-        np.minimum(box[:, :-1], rows[:, 1:], out=box[:, :-1])
-        np.minimum(k, box + 1, out=k)
-    cells = k[1:-1, 1:-1].astype(np.uint8).tobytes()
-    floor = math.floor
-
-    def room(x: float, y: float) -> float:
-        cx = floor(x / gd)
-        cy = floor(y / gd)
-        if 0 <= cx < width and 0 <= cy < height:
-            return (cells[cy * width + cx] - 1) * gd
-        return 0.0
-
-    return room
+    cx, cy = np.floor(x / gd), np.floor(y / gd)
+    inside = (0 <= cx) & (cx < width) & (0 <= cy) & (cy < height)
+    hit = ~inside
+    hit[inside] = obstacle[cy[inside].astype(np.intp), cx[inside].astype(np.intp)]
+    return hit
 
 
 def collides(pose: WorldPose, obstacle: np.ndarray, gd: float) -> bool:

@@ -239,7 +239,7 @@ def test_criterion_10_tolerates_edge_deletion(acceptance, scenario_dir):
         grad = hpf_mod.gradient(pot, boundary)
         state = netloop.PlannerState("hpf", scene, boundary, grad=grad)
         log = netloop.run_loop(sc, state=state)
-        tr = log.trace_array()
+        tr = log.trace
         d_min = float(np.min(np.hypot(tr[:, 1] - disc_c[0], tr[:, 2] - disc_c[1])))
         if log.outcome == "reached" and d_min > disc_r:
             good += 1

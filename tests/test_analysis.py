@@ -160,7 +160,7 @@ def test_distance_error_matches_the_per_point_formula(poly, poses):
 
 
 def _log_with_trace(rows):
-    return netloop.RunLog([], rows, "reached", rows[-1][0])
+    return netloop.RunLog([], np.array(rows, float), "reached", rows[-1][0])
 
 
 def test_curvature_straight_and_arc():

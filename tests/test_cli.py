@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from hpfnav import workspace
 from hpfnav.cli import EXIT_OK, EXIT_TIMEOUT, EXIT_UNREACHABLE, EXIT_USAGE, build_parser, main
 
 
@@ -296,6 +297,18 @@ def test_multi_rejects_the_fm_planner(tmp_path, scenario_dir, capsys):
     assert code == EXIT_USAGE
     assert message in capsys.readouterr().err
     assert not (tmp_path / "m" / "summary.json").exists() and not (tmp_path / "m2" / "summary.json").exists()
+
+
+def test_multi_rasterizes_its_scene_once(tmp_path, scenario_dir, monkeypatch):
+    """trajectory.svg is drawn on the image run_multi built, not on a second rasterization."""
+    calls = []
+    rasterize = workspace.rasterize
+    monkeypatch.setattr(workspace, "rasterize", lambda *args: calls.append(args) or rasterize(*args))
+    out = tmp_path / "m"
+    code = main(["multi", "--scenario", str(scenario_dir / "multi_star.json"), "--agents", "2",
+                 "--out-dir", str(out)])
+    assert code == EXIT_OK and (out / "trajectory.svg").exists()
+    assert len(calls) == 1
 
 
 def test_render_writes_scene(tmp_path, scenario_dir):

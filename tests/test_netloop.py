@@ -202,7 +202,7 @@ def test_watchdog_zeroes_stale_command(open_scenario, open_state):
     sc = dataclasses.replace(open_scenario, timeout_s=3.0)
     log = run_loop(sc, state=open_state, uplink=DelayLine(0.0), downlink=_OneShotDownlink())
     assert log.outcome == "timeout"
-    tr = log.trace_array()  # columns t, x, y, theta, v, omega
+    tr = log.trace  # columns t, x, y, theta, v, omega
     before = tr[(tr[:, 0] > 0.1) & (tr[:, 0] < 0.9)]
     after = tr[tr[:, 0] > 1.1]
     assert (before[:, 4] > 0).all()
@@ -220,7 +220,7 @@ def test_drop_everything_never_moves(open_scenario, open_state):
     )
     log = run_loop(sc, state=open_state)
     assert log.outcome == "timeout"
-    tr = log.trace_array()
+    tr = log.trace
     assert np.ptp(tr[:, 1]) == 0.0 and np.ptp(tr[:, 2]) == 0.0
 
 
@@ -319,13 +319,29 @@ def test_an_fm_state_prepared_for_another_start_cell_is_refused(open_scenario):
     sc = dataclasses.replace(open_scenario, planner="fm")
     state = prepare(sc)
     moved = dataclasses.replace(sc, start=WorldPose(2.0, 2.0, 0.0))
-    message = r"^start: cell \(32, 32\) does not match the planner state, whose path begins in \(8, 24\)$"
+    message = r"^start: cell \(32, 32\) does not match the planner state, prepared for \(8, 24\)$"
     for call in (run_loop, analysis.ideal_path):
         with pytest.raises(ValueError, match=message):
             call(moved, state)
     # another pose in the start cell tracks the same path
     same_cell = dataclasses.replace(sc, start=WorldPose(sc.start.x + 0.01, sc.start.y, 0.3))
     assert run_loop(same_cell, state).outcome == "reached"
+
+
+def test_an_fm_state_without_a_path_is_refused_for_another_start(scenario_dir):
+    """With the state of barrier's walled-off start, a start on the target's side reported unreachable at t = 0."""
+    sc = dataclasses.replace(load_scenario(scenario_dir / "barrier.json"), planner="fm")
+    state = prepare(sc)
+    assert state.path is None
+    (tx, ty), start = sc.target, world_to_pixel((sc.start.x, sc.start.y), sc.gd, sc.width, sc.height)
+    x, y = pixel_to_world((tx - 6, ty), sc.gd, sc.width, sc.height)
+    moved = dataclasses.replace(sc, start=WorldPose(x, y, 0.0))
+    message = r"^start: cell \(%d, %d\) does not match the planner state, prepared for \(%d, %d\)$" % (
+        tx - 6, ty, *start)
+    for call in (run_loop, analysis.ideal_path):
+        with pytest.raises(ValueError, match=message):
+            call(moved, state)
+    assert run_loop(moved).outcome == "reached"
 
 
 # A scenario edited after construction: a frame rate the constructor would
@@ -359,23 +375,47 @@ def _mask(sc):
     return build_scene(sc).obstacle
 
 
-def _chained_integrate_to(veh, t_target, gd, obstacle):
-    """Reference plant loop: one plant.step, plant.collides and goal test per micro-step."""
-    while veh.t < t_target - 1e-12 and veh.outcome is None:
-        t_next = min(veh.t + plant.DT_MICRO, t_target)
-        if veh.t < veh.cmd_expiry < t_next:
-            t_next = veh.cmd_expiry
-        veh.pose = plant.step(veh.pose, veh.applied, t_next - veh.t)
-        veh.t = t_next
+def _reference_integrate_to(veh, t_target, gd, obstacle, rows, ends):
+    """Reference plant loop: one plant.arc per piece of constant command, the pieces single
+    micro-steps while the goal is in reach, and plant.collides on every trace row.
+
+    Appends the trace rows to `rows`, on the math-based arc from each piece's start, and the index
+    of each piece's end row to `ends`.  Returns whether any row hit.
+    """
+    if veh.outcome is not None or veh.t >= t_target - 1e-12:
+        return False
+    dt = plant.DT_MICRO
+    tx, ty, goal_radius = veh.goal
+    x, y, theta = veh.pose.x, veh.pose.y, veh.pose.theta
+    # the hold's rounding slack is far below 1e-9 m, and no case starts that close to the bound
+    in_reach = math.hypot(x - tx, y - ty) - abs(veh.applied.v) * (t_target - veh.t) <= goal_radius + 1e-9
+    contact = False
+    while veh.t < t_target:
+        t0, (x0, y0, theta0), (v, omega) = veh.t, (x, y, theta), veh.applied
+        t1 = veh.cmd_expiry if t0 < veh.cmd_expiry < t_target - 1e-12 else t_target
+        if in_reach and t0 + dt < t1 - 1e-9:
+            t1 = t0 + dt
+        k = 1
+        while k * dt < t1 - t0 - 1e-9:
+            rows.append((t0 + k * dt, *plant.arc(x0, y0, theta0, v, omega, k * dt), v, omega))
+            k += 1
+        x, y, theta = plant.arc(x0, y0, theta0, v, omega, t1 - t0)
+        veh.t = t1
         if veh.t >= veh.cmd_expiry - 1e-12:
             veh.applied = Command(0.0, 0.0)
             veh.cmd_expiry = math.inf
-        veh.trace.append((veh.t, veh.pose.x, veh.pose.y, veh.pose.theta, veh.applied.v, veh.applied.omega))
-        veh.collision = plant.collides(veh.pose, obstacle, gd)
-        veh.any_collision = veh.any_collision or veh.collision
-        tx, ty, goal_radius = veh.goal
-        if math.hypot(veh.pose.x - tx, veh.pose.y - ty) <= goal_radius:
+        ends.append(len(rows))
+        rows.append((veh.t, x, y, theta, veh.applied.v, veh.applied.omega))
+        for row in rows[ends[-1] - k + 1:]:
+            contact |= plant.collides(WorldPose(*row[1:4]), obstacle, gd)
+            # outside the goal's reach, no sample lies within the goal radius
+            assert in_reach or math.hypot(row[1] - tx, row[2] - ty) > goal_radius
+        if in_reach and math.hypot(x - tx, y - ty) <= goal_radius:
             veh.finish("reached", veh.t)
+            break
+    veh.pose = WorldPose(x, y, theta)
+    veh.collision = plant.collides(veh.pose, obstacle, gd)
+    return contact
 
 
 # (start pose, command, watchdog_s, integration targets)
@@ -408,40 +448,58 @@ def test_plant_loop_matches_chained_steps_bitwise(case, open_scenario, open_stat
                   for _ in range(2))
     for veh in (fast, slow):
         veh.latch(0.0, Command(v, omega))
+    rows, ends = [(0.0, slow.pose.x, slow.pose.y, slow.pose.theta, 0.0, 0.0)], [0]
+    contact = plant.collides(slow.pose, obstacle, gd)
     for t_target in targets:
         fast.integrate_to(t_target)
-        _chained_integrate_to(slow, t_target, gd, obstacle)
-        assert fast.trace == slow.trace
+        contact |= _reference_integrate_to(slow, t_target, gd, obstacle, rows, ends)
+        log, ref = fast.log(), np.array(rows)
+        assert log.trace.shape == ref.shape
+        assert np.array_equal(log.trace[:, 0], ref[:, 0])          # the sample times
+        assert np.array_equal(log.trace[ends], ref[ends])           # each piece's end row
+        assert np.abs(log.trace - ref).max() <= 1e-12               # numpy's trig against libm's
         assert (fast.pose.x, fast.pose.y, fast.pose.theta) == (slow.pose.x, slow.pose.y, slow.pose.theta)
         assert (fast.t, fast.applied, fast.cmd_expiry) == (slow.t, slow.applied, slow.cmd_expiry)
         assert (fast.outcome, fast.end_time) == (slow.outcome, slow.end_time)
-        assert (fast.collision, fast.any_collision) == (slow.collision, slow.any_collision)
-        assert isinstance(fast.collision, bool) and isinstance(fast.any_collision, bool)
+        assert (fast.collision, log.any_collision) == (slow.collision, contact)
+        assert isinstance(fast.collision, bool) and isinstance(log.any_collision, bool)
+    log = fast.log()
+    got = {"applied": fast.applied, "outcome": fast.outcome, "end_time": fast.end_time,
+           "any_collision": log.any_collision, "trace": log.trace.tolist()}
     expect = {"watchdog_mid_step": ("applied", Command(0.0, 0.0)), "goal_mid_segment": ("outcome", "reached"),
               "leaves_workspace": ("any_collision", True), "starts_outside": ("any_collision", True),
               "starts_past_far_edge": ("any_collision", True),
-              "target_not_ahead": ("trace", [(0.0, x, y, theta, 0.0, 0.0)]),
+              "target_not_ahead": ("trace", [[0.0, x, y, theta, 0.0, 0.0]]),
               "reverse_into_goal": ("outcome", "reached"), "goal_on_last_micro_step": ("end_time", targets[-1]),
               "watchdog_in_straight": ("applied", Command(0.0, 0.0)),
               "just_outside_skip_bound": ("outcome", "reached")}
     if case in expect:
         attr, value = expect[case]
-        assert getattr(fast, attr) == value
+        assert got[attr] == value
     if case in ("goal_mid_segment", "reverse_into_goal"):
         assert fast.end_time < targets[-1]
     if case == "leaves_workspace":
         assert fast.pose.x < 0.0
     if case == "reverse_into_goal":
-        assert fast.pose.x < x and all(sample[4] < 0.0 for sample in fast.trace[1:])
+        assert fast.pose.x < x and (log.trace[1:, 4] < 0.0).all()
     if case == "goal_on_last_micro_step":
-        before = fast.trace[-2]   # the micro-step before the last one is still outside the goal
+        before = log.trace[-2]   # the micro-step before the last one is still outside the goal
         assert math.hypot(before[1] - target[0], before[2] - target[1]) > sc.goal_radius
     if case == "just_outside_skip_bound":
         # the first hold starts 0.25 mm farther from the goal than its command can carry it,
-        # so it skips the goal test, and the next hold reaches the goal on its first micro-step
+        # so it takes one arc, and the next hold reaches the goal on its first micro-step
         margin = math.hypot(x - target[0], y - target[1]) - v * targets[0] - sc.goal_radius
         assert 0.0 < margin < 1e-3
-        assert fast.end_time == pytest.approx(0.78) and fast.trace[-2][0] == targets[0]
+        assert fast.end_time == pytest.approx(0.78) and log.trace[-2, 0] == targets[0]
+
+
+def test_trace_samples_are_spaced_by_one_micro_step_at_most(scenario_dir):
+    """fullres hpf at 0.9 s delay: a micro-step clock that ended holds just short of their targets
+    once wrote 47 steps of ~1e-12 s, each repeating the row before."""
+    sc = load_scenario(scenario_dir / "fullres.json")
+    sc = dataclasses.replace(sc, planner="hpf", delay=dataclasses.replace(sc.delay, constant_s=0.9), seed=0)
+    gaps = np.diff(np.asarray(run_loop(sc).trace)[:, 0])
+    assert gaps.min() > 1e-9 and gaps.max() <= plant.DT_MICRO + 1e-12
 
 
 def test_plant_loop_without_a_planner_does_nothing_at_time_zero(open_scenario):
@@ -449,7 +507,7 @@ def test_plant_loop_without_a_planner_does_nothing_at_time_zero(open_scenario):
     veh = _Vehicle(open_scenario, WorldPose(1.0, 1.5, 0.0), (3.0, 1.5), build_scene(open_scenario), None, None,
                    None)
     veh.integrate_to(0.0)
-    assert veh.t == 0.0 and len(veh.trace) == 1
+    assert veh.t == 0.0 and len(veh.log().trace) == 1
 
 
 # --- collision rule --------------------------------------------------------------
@@ -481,7 +539,7 @@ def _driven(sc, state, pose, v, t_targets):
     flags = []
     for t in t_targets:
         veh.integrate_to(t)
-        flags.append(veh.any_collision)
+        flags.append(veh.log().any_collision)
     return veh, flags
 
 
@@ -649,18 +707,17 @@ def _count_calls(monkeypatch, targets):
 
 
 def test_a_sweep_builds_one_scene_per_planner(open_scenario, monkeypatch):
-    counts = _count_calls(monkeypatch, [(workspace, "rasterize"), (plant, "scene_rule"), (plant, "scene_room"),
-                                        (vision, "detect_edges")])
+    counts = _count_calls(monkeypatch, [(workspace, "rasterize"), (plant, "scene_rule"), (vision, "detect_edges")])
     analysis.sweep(open_scenario, [0, 0.3], [0, 1], ("hpf", "fm"))
-    assert counts == {"rasterize": 2, "scene_rule": 2, "scene_room": 2, "detect_edges": 2}
+    assert counts == {"rasterize": 2, "scene_rule": 2, "detect_edges": 2}
 
 
 def test_a_multi_run_builds_one_scene_for_every_agent(scenario_dir, monkeypatch):
-    counts = _count_calls(monkeypatch, [(plant, "scene_room")])
+    counts = _count_calls(monkeypatch, [(plant, "scene_rule")])
     sc = dataclasses.replace(load_scenario(scenario_dir / "multi_star.json"), timeout_s=2.0)
     log = run_multi(sc)
     assert len(log.agent_logs) == 5 and len(log.dm_values) == 11   # 11 camera frames, each replanning the agents
-    assert counts == {"scene_room": 1}
+    assert counts == {"scene_rule": 1}
 
 
 def _image_path_twin(sc, tmp_path):
@@ -672,7 +729,7 @@ def _image_path_twin(sc, tmp_path):
 
 def _assert_same_log(a, b, tmp_path):
     """The same trace, the same runlog CSV bytes and the same any_collision."""
-    assert a.trace == b.trace
+    assert np.array_equal(a.trace, b.trace)
     a.to_csv(tmp_path / "a.csv")
     b.to_csv(tmp_path / "b.csv")
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hpfnav.controller import Command
-from hpfnav.plant import arc, collides, observe, scene_room, scene_rule, step
+from hpfnav.plant import arc, collides, contact, observe, scene_rule, step
 from hpfnav.workspace import WorldPose
 
 
@@ -107,22 +107,24 @@ def test_collides():
         assert collides(WorldPose(x, y, 0.0), obstacle, gd)                   # outside
 
 
-def test_scene_room_is_a_safe_bound_on_the_collision_rule():
-    """No position closer to (x, y) than room(x, y) hits, on random masks with the workspace edge."""
+def _edge_coordinates(cells: int, gd: float) -> np.ndarray:
+    """Cell edges and centres from two cells before the workspace to two past it, each edge with its
+    neighbouring floats, and the signed zeros."""
+    edges = np.arange(-2, cells + 3) * gd
+    return np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf), edges + gd / 2,
+                           [0.0, -0.0, -1e-300, cells * gd, np.nextafter(cells * gd, np.inf)]])
+
+
+def test_the_scalar_and_the_array_collision_rule_agree():
+    """contact (the trace's test) and scene_rule (a single pose's) on cell edges, the workspace border,
+    negative coordinates and points just past the far edges."""
     rng = np.random.default_rng(3)
     for gd in (0.1, 1 / 24, 0.0125):
-        obstacle = rng.random((24, 32)) < 0.04
-        hits, room = scene_rule(obstacle, gd), scene_room(obstacle, gd)
-        starts = rng.uniform(-2 * gd, np.array([32, 24]) * gd + 2 * gd, size=(400, 2))
-        for x, y in starts:
-            r = room(x, y)
-            if hits(x, y):
-                assert r <= 0.0
-            if r <= 0.0:
-                continue
-            angles = rng.uniform(0, 2 * math.pi, 16)
-            lengths = r * np.sqrt(rng.uniform(0, 1, 16))
-            lengths[0] = np.nextafter(r, 0.0)   # right at the bound
-            for a, d in zip(angles, lengths):
-                assert not hits(x + d * math.cos(a), y + d * math.sin(a))
-        assert max(room(x, y) for x, y in starts) > 0.0
+        obstacle = rng.random((24, 32)) < 0.3
+        hits = scene_rule(obstacle, gd)
+        x, y = (a.ravel() for a in np.meshgrid(_edge_coordinates(32, gd), _edge_coordinates(24, gd)))
+        got = contact(obstacle, gd, x, y)
+        assert got.tolist() == [hits(float(px), float(py)) for px, py in zip(x, y)]
+        assert got.any() and not got.all()
+        outside = (x < 0) | (x >= 32 * gd) | (y < 0) | (y >= 24 * gd)
+        assert got[outside].all()

@@ -20,8 +20,9 @@ The cases:
   ``multi --agents 2`` on multi_star.
 
 A run is hashed as four entries, so a diff tells what moved: ``trace`` (the
-micro-step samples), ``csv`` (the runlog, collision column included),
-``outcome`` (outcome and total time) and ``collision`` (``any_collision``).
+shape and bytes of the (N, 6) trace array, every row of it), ``csv`` (the
+runlog, collision column included), ``outcome`` (outcome and total time) and
+``collision`` (``any_collision``).
 
 The hashes depend on libm and the numpy build, so DIGESTS.json pins one
 machine; replay on any machine is what acceptance criterion 12 checks.  A
@@ -90,7 +91,7 @@ def _log_entries(prefix: str, log: netloop.RunLog) -> dict:
         path = Path(tmp) / "runlog.csv"
         log.to_csv(path)
         csv = path.read_bytes()
-    return {prefix + "/trace": repr(log.trace).encode(),
+    return {prefix + "/trace": repr(log.trace.shape).encode() + log.trace.tobytes(),
             prefix + "/csv": csv,
             prefix + "/outcome": repr((log.outcome, log.total_time)).encode(),
             prefix + "/collision": repr(log.any_collision).encode()}
