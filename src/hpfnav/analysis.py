@@ -62,12 +62,12 @@ def distance_error(log: netloop.RunLog, ideal: np.ndarray) -> ErrorSeries:
     poly = np.asarray(ideal, dtype=float)
     if poly.ndim != 2 or poly.shape[1] != 2 or len(poly) == 0:
         raise ValueError("ideal path must be a non-empty (N, 2) array")
-    ts = np.array([r.t for r in log.records])
+    ts = log.records[:, 0]
+    pts = log.records[:, 1:3]
     if len(poly) == 1:
         x0, y0 = poly[0].tolist()
-        errs = np.array([math.hypot(r.pose.x - x0, r.pose.y - y0) for r in log.records])
+        errs = np.array([math.hypot(x - x0, y - y0) for x, y in pts.tolist()])
         return ErrorSeries(ts, errs, log.total_time)
-    pts = np.array([(r.pose.x, r.pose.y) for r in log.records], dtype=float).reshape(-1, 2)
     a = poly[:-1]
     d = poly[1:] - a
     seg2 = (d**2).sum(axis=1)
@@ -187,7 +187,7 @@ def sweep(scenario: Scenario, delays, seeds, planners=("hpf",)) -> SweepResult:
                     seed=int(seed),
                 )
                 log = netloop.run_loop(sc, state)
-                if log.records:
+                if len(log.records):
                     es = distance_error(log, ideal)
                     mean_err, max_err = es.mean, es.max
                 else:

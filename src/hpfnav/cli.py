@@ -111,7 +111,7 @@ def _prepare(args):
 
 def _errors(log: netloop.RunLog, ideal):
     """(per-record series or None, mean, max) of the run's distance to the ideal path; nan without one."""
-    if ideal is None or not log.records:
+    if ideal is None or not len(log.records):
         return None, math.nan, math.nan
     es = analysis.distance_error(log, ideal)
     return es.err, es.mean, es.max

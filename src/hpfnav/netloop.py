@@ -8,12 +8,14 @@ command, and ships it through a downlink channel; when the command arrives
 the plant latches it (zero-order hold).  Between events the plant takes one
 exact arc per held piece of command; a watchdog zeroes the held command
 after a configurable silence window.  The trace is sampled at
-`plant.DT_MICRO` = 0.01 s along those arcs, and contact is tested on every
-trace row with `plant`'s collision rule, on the scene's obstacle mask: the
-planner's labels (its pad, other agents' discs) play no part.
-That scene (image, obstacle mask, edge cells, collision rule) is built once
-per scenario by `build_scene`; a `PlannerState` carries it to every run and
-agent, so a state is reused only for scenarios with the same image.
+`plant.DT_MICRO` = 0.01 s along those arcs.  Each pose packet the controller
+acts on adds one row of floats to the run's records (`RECORD_COLUMNS`).  When
+the run ends, `plant.contact` tests every trace row and every record's pose
+against the scene's obstacle mask: the planner's labels (its pad, other
+agents' discs) play no part.
+That scene (image, obstacle mask, edge cells) is built once per scenario by
+`build_scene`; a `PlannerState` carries it to every run and agent, so a state
+is reused only for scenarios with the same image.
 
 One event engine drives every run; each vehicle in it carries its own
 channels and planner state.  A single run (`run_loop`) is the one-vehicle
@@ -41,7 +43,7 @@ import operator
 import random
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -95,20 +97,12 @@ class DelayLine:
 # --- run logs ----------------------------------------------------------------
 
 
-class Record(NamedTuple):
-    """One controller sample."""
-
-    t: float
-    pose: WorldPose          # true plant pose at the sample instant
-    obs: WorldPose           # stale camera pose the controller acted on
-    v_cmd: float
-    omega_cmd: float
-    delta_l: int
-    delay_up: float
-    delay_down: float        # nan when the command was lost
-    collision: bool
-
-
+# One row of RunLog.records per controller sample: the true pose at the sample
+# instant, the stale camera pose the controller acted on, the command, the
+# hops, the packet delays (delay_down nan when the command was lost) and 1.0
+# where the true pose is in contact with the scene.
+RECORD_COLUMNS = ("t", "x", "y", "theta", "x_obs", "y_obs", "theta_obs", "v_cmd", "omega_cmd", "delta_l",
+                  "delay_up", "delay_down", "collision")
 CSV_COLUMNS = "t,x,y,theta,x_obs,y_obs,v_cmd,omega_cmd,delta_L,delay_up,delay_down,dist_err,collision"
 
 
@@ -116,14 +110,14 @@ CSV_COLUMNS = "t,x,y,theta,x_obs,y_obs,v_cmd,omega_cmd,delta_L,delay_up,delay_do
 class RunLog:
     """Everything one run produced."""
 
-    records: list
+    records: np.ndarray      # (N, 13) rows in RECORD_COLUMNS order, one per controller sample
     trace: np.ndarray        # (N, 6) rows (t, x, y, theta, v_applied, omega_applied), one per DT_MICRO of each piece
     outcome: str             # "reached" | "timeout" | "unreachable"
     total_time: float
     any_collision: bool = False   # any trace row in contact with the scene
 
     def to_csv(self, path, dist_err=None) -> None:
-        """Write records in the documented column order.
+        """Write records in the documented column order: every RECORD_COLUMNS but theta_obs, and dist_err.
 
         dist_err is an optional per-record series (see analysis.distance_error);
         absent values are written as nan.
@@ -131,12 +125,10 @@ class RunLog:
         if dist_err is not None and len(dist_err) != len(self.records):
             raise ValueError("dist_err length %d != %d records" % (len(dist_err), len(self.records)))
         lines = [CSV_COLUMNS]
-        for i, r in enumerate(self.records):
+        for i, r in enumerate(self.records.tolist()):
             err = float(dist_err[i]) if dist_err is not None else math.nan
-            head = (r.t, r.pose.x, r.pose.y, r.pose.theta, r.obs.x, r.obs.y, r.v_cmd, r.omega_cmd)
-            lines.append(",".join([*(repr(float(f)) for f in head), str(int(r.delta_l)),
-                                   repr(float(r.delay_up)), repr(float(r.delay_down)), repr(err),
-                                   str(int(r.collision))]))
+            lines.append(",".join([*map(repr, r[:6]), *map(repr, r[7:9]), str(int(r[9])),
+                                   repr(r[10]), repr(r[11]), repr(err), str(int(r[12]))]))
         Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -162,17 +154,15 @@ class Scene(NamedTuple):
     image: GridImage
     obstacle: np.ndarray     # bool (height, width): the collision rule's pixels, those unlike `background`
     edges: np.ndarray        # bool (height, width): the edge cells of `vision.detect_edges`
-    hits: Callable           # `plant.scene_rule` on the obstacle mask
     inputs: tuple            # (field, value) of each of the scenario's SCENE_FIELDS, copied
 
 
 def build_scene(scenario: Scenario) -> Scene:
-    """Build the image, its obstacle mask, edge cells and collision rule, once per scenario."""
+    """Build the image, its obstacle mask and edge cells, once per scenario."""
     image = scenario.build_image()
     obstacle = image.pixels != scenario.background
     inputs = copy.deepcopy(tuple((name, getattr(scenario, name)) for name in SCENE_FIELDS))
-    return Scene(image, obstacle, vision.detect_edges(image, scenario.vision),
-                 plant.scene_rule(obstacle, scenario.gd), inputs)
+    return Scene(image, obstacle, vision.detect_edges(image, scenario.vision), inputs)
 
 
 @dataclass
@@ -266,10 +256,9 @@ class _Vehicle:
         self.t = 0.0
         self.start_row = (0.0, start.x, start.y, start.theta, 0.0, 0.0)
         self.pieces = []   # `plant.hold`'s record of every piece held so far, 12 floats each
-        self.records = []
+        self.records = []  # the first 12 RECORD_COLUMNS of every controller sample so far
         self.scene = scene
         self.gd = scenario.gd
-        self.collision = plant.collides(start, scene.obstacle, scenario.gd)   # the current pose's contact
         self.outcome = None
         self.end_time = None
         self.goal = (*target_world, scenario.goal_radius)
@@ -287,8 +276,7 @@ class _Vehicle:
 
         The hold records its pieces, zeroes the command at the watchdog
         expiry, and ends the run as "reached" once a DT_MICRO sample is within
-        goal_radius of the target.  The collision rule is applied to the pose
-        it ends in.
+        goal_radius of the target.
         """
         if self.outcome is not None or self.t >= t_target - 1e-12:
             return
@@ -296,7 +284,6 @@ class _Vehicle:
         x, y, theta, self.t, v, omega, self.cmd_expiry, reached = plant.hold(
             pose.x, pose.y, pose.theta, cmd.v, cmd.omega, self.t, t_target, expiry, self.pieces, self.goal)
         self.pose = make_pose(x, y, theta)
-        self.collision = self.scene.hits(x, y)
         if self.cmd_expiry != expiry:
             self.applied = Command(v, omega)   # the watchdog zeroed it
         if reached:
@@ -307,10 +294,12 @@ class _Vehicle:
         self.cmd_expiry = t + self.watchdog
 
     def log(self) -> RunLog:
-        """The run so far, its trace sampled from the held pieces and tested for contact row by row."""
+        """The run so far: its trace sampled from the held pieces, its records, and both tested for contact."""
         trace = plant.sample(self.start_row, self.pieces)
         contact = plant.contact(self.scene.obstacle, self.gd, trace[:, 1], trace[:, 2]).any()
-        return RunLog(self.records, trace, self.outcome, self.end_time, bool(contact))
+        rows = np.array(self.records, float).reshape(-1, 12)
+        records = np.column_stack((rows, plant.contact(self.scene.obstacle, self.gd, rows[:, 1], rows[:, 2])))
+        return RunLog(records, trace, self.outcome, self.end_time, bool(contact))
 
 
 def _control_sample(scenario, state, obs: WorldPose):
@@ -360,7 +349,7 @@ def _simulate(scenario: Scenario, vehicles: list, replan=None):
     frame_seq = 0
     dm_times, dm_values = [], []
     outcome = operator.attrgetter("outcome")   # None until the vehicle finishes, then a word
-    # Packet._make and Record._make build the tuples without the generated __new__
+    # Packet._make builds the tuples without the generated __new__
 
     while not all(map(outcome, vehicles)):
         t_ev, _, _, v, pkt, delay = pop(heap)
@@ -386,8 +375,9 @@ def _simulate(scenario: Scenario, vehicles: list, replan=None):
                 if d is not None:
                     delay_down = d
                     push(heap, (t_ev + d, 0, next(order), v, cmd_pkt, d))
-            v.records.append(Record._make((t_ev, v.pose, obs, cmd.v, cmd.omega, delta_l, delay, delay_down,
-                                           v.collision)))
+            pose = v.pose
+            v.records.extend((t_ev, pose.x, pose.y, pose.theta, obs.x, obs.y, obs.theta, cmd.v, cmd.omega,
+                              delta_l, delay, delay_down))
             if flat and replan is None:
                 v.finish("unreachable", t_ev)
             continue

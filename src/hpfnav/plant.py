@@ -10,9 +10,9 @@ row per DT_MICRO step of every piece.  `step` is `arc` on a pose.
 
 A vehicle collides when it leaves the workspace or lies on a scene obstacle
 pixel, one that differs from the scenario's background; the planner's
-obstacle pad and the other agents' discs are not part of the scene.  Contact
-is tested on every trace row (`contact`) and on a single pose
-(`scene_rule`, `collides`).
+obstacle pad and the other agents' discs are not part of the scene.
+`contact` is that rule, on arrays of positions: on every trace row and on the
+pose of every controller record.  `collides` is `contact` on one pose.
 """
 
 from __future__ import annotations
@@ -141,25 +141,8 @@ def observe(pose: WorldPose, gd: float, width: int, height: int) -> WorldPose:
     return make_pose(cx, cy, pose.theta)
 
 
-def scene_rule(obstacle: np.ndarray, gd: float):
-    """The collision rule on an obstacle mask, as a function hits(x, y) of a position in meters."""
-    return _rule(memoryview(np.asarray(obstacle, bool).ravel()), *obstacle.shape, gd)   # in place, Python bools
-
-
-def _rule(cells, height: int, width: int, gd: float):
-    """hits(x, y): the position leaves the workspace or lies on an obstacle pixel of the row-major cells."""
-    floor = math.floor
-
-    def hits(x: float, y: float) -> bool:
-        cx = floor(x / gd)
-        cy = floor(y / gd)
-        return not (0 <= cx < width and 0 <= cy < height) or cells[cy * width + cx]
-
-    return hits
-
-
 def contact(obstacle: np.ndarray, gd: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """`scene_rule` on arrays of positions: True where one leaves the workspace or lies on an obstacle pixel."""
+    """The collision rule on arrays of positions: True where one leaves the workspace or lies on an obstacle pixel."""
     height, width = obstacle.shape
     cx, cy = np.floor(x / gd), np.floor(y / gd)
     inside = (0 <= cx) & (cx < width) & (0 <= cy) & (cy < height)
@@ -169,5 +152,5 @@ def contact(obstacle: np.ndarray, gd: float, x: np.ndarray, y: np.ndarray) -> np
 
 
 def collides(pose: WorldPose, obstacle: np.ndarray, gd: float) -> bool:
-    """True when the pose leaves the workspace or lies on an obstacle pixel of the mask."""
-    return bool(_rule(obstacle.ravel(), *obstacle.shape, gd)(pose.x, pose.y))
+    """True when the pose leaves the workspace or lies on an obstacle pixel of the mask: `contact` on one point."""
+    return bool(contact(obstacle, gd, np.array([pose.x]), np.array([pose.y]))[0])

@@ -140,7 +140,8 @@ def test_criterion_05_path_length_multiple(acceptance, comparison_scenario, comp
     n_p = len(comp_fm_state.path)
     log = netloop.run_loop(comparison_scenario, comp_hpf_state)
     assert log.outcome == "reached"
-    multiples = [n_p / r.delta_l for r in log.records if r.delta_l > 0]
+    hops = log.records[:, netloop.RECORD_COLUMNS.index("delta_l")].tolist()
+    multiples = [n_p / d for d in hops if d > 0]
     ok = len(multiples) == len(log.records) and min(multiples) >= 1.0
     acceptance(5, "stored path is >= delta_L at every control step", ok)
     assert len(multiples) == len(log.records)  # no degenerate zero-hop samples
@@ -206,7 +207,7 @@ def test_criterion_08_lookahead_tradeoff(acceptance, comparison_scenario, comp_h
 def test_criterion_09_reversal_backs_up_first(acceptance, scenario_dir):
     sc = load_scenario(scenario_dir / "reversal.json")
     log = netloop.run_loop(sc)
-    vs = [r.v_cmd for r in log.records]
+    vs = log.records[:, netloop.RECORD_COLUMNS.index("v_cmd")].tolist()
     first_fwd = next((i for i, v in enumerate(vs) if v > 0), len(vs))
     ok = (
         log.outcome == "reached"

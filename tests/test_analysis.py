@@ -17,7 +17,7 @@ from hpfnav.analysis import (
     ideal_path,
     sweep,
 )
-from hpfnav.workspace import WorldPose, load_scenario, world_to_pixel
+from hpfnav.workspace import load_scenario, world_to_pixel
 
 
 @pytest.fixture(scope="module")
@@ -78,11 +78,12 @@ def test_ideal_path_fm_uses_planner_path(open_scenario):
 
 
 def _log_with_poses(poses, total_time=1.0):
-    records = [
-        netloop.Record(0.1 * i, WorldPose(x, y, 0.0), WorldPose(x, y, 0.0),
-                       0.0, 0.0, 1, 0.0, 0.0, False)
-        for i, (x, y) in enumerate(poses)
-    ]
+    """Records at 0.1 s spacing, each observed where it is, with one hop and zero command, delays and contact."""
+    xy = np.asarray(poses, float).reshape(-1, 2)
+    records = np.zeros((len(xy), len(netloop.RECORD_COLUMNS)))
+    records[:, 0] = 0.1 * np.arange(len(xy))
+    records[:, 1:3] = records[:, 4:6] = xy
+    records[:, netloop.RECORD_COLUMNS.index("delta_l")] = 1
     return netloop.RunLog(records, [], "reached", total_time)
 
 

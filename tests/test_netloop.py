@@ -12,8 +12,10 @@ from hpfnav import analysis, hpf, plant, vision, workspace
 from hpfnav.controller import Command
 from hpfnav.netloop import (
     CSV_COLUMNS,
+    RECORD_COLUMNS,
     DelayLine,
     Packet,
+    _make_lines,
     _stamp_agents,
     _Vehicle,
     build_scene,
@@ -63,15 +65,22 @@ def test_delayline_drop_all():
 
 
 class _Recording:
-    """A channel that keeps every packet pushed through it."""
+    """A channel that keeps every packet pushed through it, and its fate: a delay, or None if lost."""
 
     def __init__(self, line):
         self.line = line
         self.sent = []
+        self.fates = []
 
     def push(self, pkt):
         self.sent.append(pkt)
-        return self.line.push(pkt)
+        self.fates.append(self.line.push(pkt))
+        return self.fates[-1]
+
+
+def _column(log, name):
+    """One column of a run's records, by its RECORD_COLUMNS name."""
+    return log.records[:, RECORD_COLUMNS.index(name)]
 
 
 def test_delayline_fifo_order(open_scenario, open_state):
@@ -80,8 +89,9 @@ def test_delayline_fifo_order(open_scenario, open_state):
     log = run_loop(open_scenario, open_state, uplink=uplink, downlink=DelayLine(0.3))
     assert log.outcome == "reached"
     assert [p.seq for p in uplink.sent] == list(range(len(uplink.sent)))
-    assert [r.obs for r in log.records] == [WorldPose(*p.payload) for p in uplink.sent[:len(log.records)]]
-    assert [r.t for r in log.records] == [p.send_time + 0.3 for p in uplink.sent[:len(log.records)]]
+    obs = [WorldPose(*p.payload) for p in uplink.sent[:len(log.records)]]
+    assert log.records[:, 4:7].tolist() == [[o.x, o.y, o.theta] for o in obs]   # x_obs, y_obs, theta_obs
+    assert _column(log, "t").tolist() == [p.send_time + 0.3 for p in uplink.sent[:len(log.records)]]
 
 
 def test_packet_is_handled_at_its_own_delivery_time(open_scenario, open_state):
@@ -90,8 +100,8 @@ def test_packet_is_handled_at_its_own_delivery_time(open_scenario, open_state):
     log = run_loop(sc, open_state)
     assert log.outcome == "reached" and len(log.records) > 100
     f = 0.0
-    for r in log.records:   # no drops and no jitter: record k carries frame k's pose
-        assert r.t == f + r.delay_up
+    for t, delay_up in zip(_column(log, "t").tolist(), _column(log, "delay_up").tolist()):
+        assert t == f + delay_up   # no drops and no jitter: record k carries frame k's pose
         f += 1.0 / sc.camera.rate_hz
 
 
@@ -130,16 +140,16 @@ def test_zero_delay_run_reaches_target(open_scenario, open_state):
     assert log.outcome == "reached"
     assert not log.any_collision
     assert 0.0 < log.total_time < open_scenario.timeout_s
-    tx, ty = log.records[0].obs.x, log.records[0].obs.y  # sanity: obs in frame
+    tx, ty = _column(log, "x_obs")[0], _column(log, "y_obs")[0]  # sanity: obs in frame
     assert 0.0 <= tx and 0.0 <= ty
     end = log.trace[-1]
     goal = (open_scenario.target[0] + 0.5) * open_scenario.gd, (
         open_scenario.target[1] + 0.5
     ) * open_scenario.gd
     assert math.hypot(end[1] - goal[0], end[2] - goal[1]) <= open_scenario.goal_radius + 1e-9
-    times = [r.t for r in log.records]
+    times = _column(log, "t").tolist()
     assert all(b > a for a, b in zip(times, times[1:]))
-    assert all(1 <= r.delta_l <= 32 for r in log.records)
+    assert all(1 <= d <= 32 for d in _column(log, "delta_l").tolist())
 
 
 def test_timeout_outcome(open_scenario, open_state):
@@ -155,7 +165,7 @@ def test_fm_planner_reaches(open_scenario):
     log = run_loop(sc)
     assert log.outcome == "reached"
     assert not log.any_collision
-    assert all(r.delta_l == 0 for r in log.records)  # no field hops on the path tracker
+    assert (_column(log, "delta_l") == 0).all()  # no field hops on the path tracker
 
 
 def test_unreachable_scenario_stops_early(scenario_dir):
@@ -165,7 +175,7 @@ def test_unreachable_scenario_stops_early(scenario_dir):
     end = log.trace[-1]
     moved = math.hypot(end[1] - sc.start.x, end[2] - sc.start.y)
     assert moved < 2 * sc.gd
-    assert log.records[-1].delta_l == 0
+    assert _column(log, "delta_l")[-1] == 0
 
 
 def test_unreachable_fm_has_no_path(scenario_dir):
@@ -173,15 +183,15 @@ def test_unreachable_fm_has_no_path(scenario_dir):
     log = run_loop(sc)
     assert log.outcome == "unreachable"
     assert log.total_time == 0.0
-    assert log.records == []
+    assert log.records.shape == (0, len(RECORD_COLUMNS))
 
 
 def test_reversal_starts_backward(scenario_dir):
     sc = load_scenario(scenario_dir / "reversal.json")
     log = run_loop(sc)
     assert log.outcome == "reached"
-    assert log.records[0].v_cmd < 0.0
-    assert any(r.v_cmd > 0.0 for r in log.records)
+    assert _column(log, "v_cmd")[0] < 0.0
+    assert (_column(log, "v_cmd") > 0.0).any()
     assert not log.any_collision
 
 
@@ -233,6 +243,39 @@ def test_runlog_csv_shape(open_scenario, open_state, tmp_path):
     assert len(lines) == 1 + len(log.records)
     with pytest.raises(ValueError, match="dist_err"):
         log.to_csv(out, dist_err=[0.0])
+
+
+def test_the_record_array_holds_what_the_controller_saw(open_scenario, tmp_path):
+    """A lossy run across a stripe too faint for the camera: records in and out of contact, commands lost."""
+    sc = dataclasses.replace(open_scenario, shapes=[Rect(30, 0, 32, 47, 200)], seed=1,
+                             delay=DelayConfig(constant_s=0.2, jitter_s=0.05, drop_prob=0.2))
+    [(up, down)] = _make_lines(sc, 1)
+    downlink = _Recording(down)
+    log = run_loop(sc, uplink=up, downlink=downlink)
+    lost = np.isnan(_column(log, "delay_down"))
+    contact = _column(log, "collision") == 1.0
+    assert lost.any() and contact.any() and not contact.all()
+    assert RECORD_COLUMNS == ("t", "x", "y", "theta", "x_obs", "y_obs", "theta_obs", "v_cmd", "omega_cmd",
+                              "delta_l", "delay_up", "delay_down", "collision")
+    assert log.records.shape == (len(log.records), 13) and log.records.dtype == np.float64
+    # every sample sent one command: delay_down is its delay, or nan where it was lost
+    assert len(downlink.fates) == len(log.records)
+    assert lost.tolist() == [d is None for d in downlink.fates]
+    assert _column(log, "delay_down")[~lost].tolist() == [d for d in downlink.fates if d is not None]
+    # collision is the rule on the row's true position, and any of it is a run in contact
+    obstacle = build_scene(sc).obstacle
+    assert _column(log, "collision").tolist() == [float(plant.collides(WorldPose(x, y, 0.0), obstacle, sc.gd))
+                                                  for x, y in log.records[:, 1:3].tolist()]
+    assert log.any_collision
+    # the CSV holds every column but theta_obs, bit for bit
+    log.to_csv(tmp_path / "runlog.csv")
+    header, *rows = (tmp_path / "runlog.csv").read_text().splitlines()
+    back = np.array([[float(f) for f in row.split(",")] for row in rows])
+    names = header.replace("delta_L", "delta_l").split(",")
+    assert [n for n in RECORD_COLUMNS if n not in names] == ["theta_obs"]
+    for name in RECORD_COLUMNS:
+        if name != "theta_obs":
+            assert back[:, names.index(name)].tobytes() == _column(log, name).tobytes(), name
 
 
 def test_identical_runs_are_bit_identical(open_scenario, open_state, tmp_path):
@@ -414,7 +457,6 @@ def _reference_integrate_to(veh, t_target, gd, obstacle, rows, ends):
             veh.finish("reached", veh.t)
             break
     veh.pose = WorldPose(x, y, theta)
-    veh.collision = plant.collides(veh.pose, obstacle, gd)
     return contact
 
 
@@ -461,8 +503,7 @@ def test_plant_loop_matches_chained_steps_bitwise(case, open_scenario, open_stat
         assert (fast.pose.x, fast.pose.y, fast.pose.theta) == (slow.pose.x, slow.pose.y, slow.pose.theta)
         assert (fast.t, fast.applied, fast.cmd_expiry) == (slow.t, slow.applied, slow.cmd_expiry)
         assert (fast.outcome, fast.end_time) == (slow.outcome, slow.end_time)
-        assert (fast.collision, log.any_collision) == (slow.collision, contact)
-        assert isinstance(fast.collision, bool) and isinstance(log.any_collision, bool)
+        assert log.any_collision == contact and isinstance(log.any_collision, bool)
     log = fast.log()
     got = {"applied": fast.applied, "outcome": fast.outcome, "end_time": fast.end_time,
            "any_collision": log.any_collision, "trace": log.trace.tolist()}
@@ -528,7 +569,7 @@ def test_any_collision_is_contact_with_the_scene(comparison_scenario, seed):
                              delay=dataclasses.replace(comparison_scenario.delay, constant_s=0.6))
     log = run_loop(sc)
     assert log.any_collision is _scene_hit(sc, log.trace)
-    assert not any(r.collision for r in log.records) or log.any_collision
+    assert not _column(log, "collision").any() or log.any_collision
 
 
 def _driven(sc, state, pose, v, t_targets):
@@ -556,7 +597,7 @@ def test_pad_ring_beside_a_rect_is_not_a_collision():
     veh, flags = _driven(sc, state, WorldPose(20.5 * gd, (row + 0.5) * gd, 0.0), 0.2,
                          [9.0 * gd / 0.2, 10.0 * gd / 0.2])
     assert flags == [False, True]
-    assert veh.collision and math.floor(veh.pose.x / gd) == 30
+    assert plant.collides(veh.pose, state.scene.obstacle, gd) and math.floor(veh.pose.x / gd) == 30
 
 
 def test_default_vision_sees_a_default_shape():
@@ -576,7 +617,7 @@ def test_frame_ring_is_free_and_leaving_the_workspace_is_a_collision(open_scenar
     veh, flags = _driven(sc, open_state, WorldPose(40.5 * gd, 0.5 * gd, 0.0), 0.2,
                          [23.0 * gd / 0.2, 24.0 * gd / 0.2])
     assert flags == [False, True]
-    assert veh.collision and veh.pose.x > sc.extent[0]
+    assert plant.collides(veh.pose, open_state.scene.obstacle, gd) and veh.pose.x > sc.extent[0]
 
 
 def test_start_on_an_obstacle_pixel_is_a_collision(tmp_path):
@@ -588,7 +629,7 @@ def test_start_on_an_obstacle_pixel_is_a_collision(tmp_path):
     sc = Scenario(name="block", image_path=str(pgm), start=WorldPose(2.0, 1.5, 0.0), target=(5, 5),
                   timeout_s=2.0)
     log = run_loop(sc)
-    assert log.any_collision and log.records[0].collision
+    assert log.any_collision and _column(log, "collision")[0] == 1.0
     assert (_mask(sc) == (pixels != 210)).all()
     clear = run_loop(dataclasses.replace(sc, start=WorldPose(0.5, 0.5, 0.0)), prepare(sc))
     assert not clear.any_collision
@@ -607,8 +648,8 @@ def test_another_agents_disc_is_not_a_scene_collision():
         assert labels[cy, cx] == hpf.OBSTACLE   # the planner sees the other agent here
     log = run_multi(sc)
     for agent in log.agent_logs:
-        assert agent.records
-        assert not agent.any_collision and not any(r.collision for r in agent.records)
+        assert len(agent.records)
+        assert not agent.any_collision and not _column(agent, "collision").any()
     assert log.min_dm() == pytest.approx(0.1)
 
 
@@ -707,17 +748,19 @@ def _count_calls(monkeypatch, targets):
 
 
 def test_a_sweep_builds_one_scene_per_planner(open_scenario, monkeypatch):
-    counts = _count_calls(monkeypatch, [(workspace, "rasterize"), (plant, "scene_rule"), (vision, "detect_edges")])
-    analysis.sweep(open_scenario, [0, 0.3], [0, 1], ("hpf", "fm"))
-    assert counts == {"rasterize": 2, "scene_rule": 2, "detect_edges": 2}
+    """One scene per planner, and two contact passes per run: its trace and its records."""
+    counts = _count_calls(monkeypatch, [(workspace, "rasterize"), (vision, "detect_edges"), (plant, "contact")])
+    result = analysis.sweep(open_scenario, [0, 0.3], [0, 1], ("hpf", "fm"))
+    assert len(result.rows) == 8
+    assert counts == {"rasterize": 2, "detect_edges": 2, "contact": 2 * 8}
 
 
 def test_a_multi_run_builds_one_scene_for_every_agent(scenario_dir, monkeypatch):
-    counts = _count_calls(monkeypatch, [(plant, "scene_rule")])
+    counts = _count_calls(monkeypatch, [(workspace, "rasterize"), (vision, "detect_edges")])
     sc = dataclasses.replace(load_scenario(scenario_dir / "multi_star.json"), timeout_s=2.0)
     log = run_multi(sc)
     assert len(log.agent_logs) == 5 and len(log.dm_values) == 11   # 11 camera frames, each replanning the agents
-    assert counts == {"scene_rule": 1}
+    assert counts == {"rasterize": 1, "detect_edges": 1}
 
 
 def _image_path_twin(sc, tmp_path):

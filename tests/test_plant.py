@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hpfnav.controller import Command
-from hpfnav.plant import arc, collides, contact, observe, scene_rule, step
+from hpfnav.plant import arc, collides, contact, observe, step
 from hpfnav.workspace import WorldPose
 
 
@@ -115,16 +115,25 @@ def _edge_coordinates(cells: int, gd: float) -> np.ndarray:
                            [0.0, -0.0, -1e-300, cells * gd, np.nextafter(cells * gd, np.inf)]])
 
 
-def test_the_scalar_and_the_array_collision_rule_agree():
-    """contact (the trace's test) and scene_rule (a single pose's) on cell edges, the workspace border,
-    negative coordinates and points just past the far edges."""
+def _reference_rule(obstacle: np.ndarray, gd: float, x: float, y: float) -> bool:
+    """The collision rule written out for one point: its cell by floor division, then outside or on an obstacle."""
+    height, width = obstacle.shape
+    cx, cy = math.floor(x / gd), math.floor(y / gd)
+    return not (0 <= cx < width and 0 <= cy < height) or bool(obstacle[cy, cx])
+
+
+def test_the_collision_rule_matches_a_plain_reference():
+    """contact (on arrays) and collides (on one pose) against the rule written out, on cell edges, the
+    workspace border, negative coordinates, signed zeros and points just past the far edges."""
     rng = np.random.default_rng(3)
     for gd in (0.1, 1 / 24, 0.0125):
         obstacle = rng.random((24, 32)) < 0.3
-        hits = scene_rule(obstacle, gd)
         x, y = (a.ravel() for a in np.meshgrid(_edge_coordinates(32, gd), _edge_coordinates(24, gd)))
+        points = list(zip(x.tolist(), y.tolist()))
+        expect = [_reference_rule(obstacle, gd, px, py) for px, py in points]
         got = contact(obstacle, gd, x, y)
-        assert got.tolist() == [hits(float(px), float(py)) for px, py in zip(x, y)]
+        assert got.tolist() == expect
+        assert [collides(WorldPose(px, py, 0.0), obstacle, gd) for px, py in points] == expect
         assert got.any() and not got.all()
         outside = (x < 0) | (x >= 32 * gd) | (y < 0) | (y >= 24 * gd)
         assert got[outside].all()
