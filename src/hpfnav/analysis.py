@@ -94,19 +94,9 @@ class CurvatureSeries:
     kappa: np.ndarray
 
     def total_variation(self) -> float:
-        """Sum of |delta kappa| over consecutive finite samples."""
-        k = self.kappa
-        finite = np.isfinite(k)
-        tv = 0.0
-        prev = None
-        for i in range(len(k)):
-            if not finite[i]:
-                prev = None
-                continue
-            if prev is not None:
-                tv += abs(k[i] - prev)
-            prev = k[i]
-        return tv
+        """Sum of |delta kappa| over consecutive finite samples; a nan sample breaks the chain."""
+        d = np.abs(np.diff(self.kappa))
+        return float(d[np.isfinite(d)].sum())
 
 
 SPEED_FLOOR = 0.01  # m/s; below this curvature is left undefined

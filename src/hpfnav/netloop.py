@@ -35,7 +35,6 @@ None`` method in their place.
 
 from __future__ import annotations
 
-import copy
 import heapq
 import itertools
 import math
@@ -154,14 +153,14 @@ class Scene(NamedTuple):
     image: GridImage
     obstacle: np.ndarray     # bool (height, width): the collision rule's pixels, those unlike `background`
     edges: np.ndarray        # bool (height, width): the edge cells of `vision.detect_edges`
-    inputs: tuple            # (field, value) of each of the scenario's SCENE_FIELDS, copied
+    inputs: tuple            # (field, value) of each of the scenario's SCENE_FIELDS
 
 
 def build_scene(scenario: Scenario) -> Scene:
     """Build the image, its obstacle mask and edge cells, once per scenario."""
     image = scenario.build_image()
     obstacle = image.pixels != scenario.background
-    inputs = copy.deepcopy(tuple((name, getattr(scenario, name)) for name in SCENE_FIELDS))
+    inputs = tuple((name, getattr(scenario, name)) for name in SCENE_FIELDS)
     return Scene(image, obstacle, vision.detect_edges(image, scenario.vision), inputs)
 
 
@@ -205,13 +204,6 @@ def _start_cell(scenario: Scenario) -> tuple:
     return world_to_pixel((scenario.start.x, scenario.start.y), scenario.gd, scenario.width, scenario.height)
 
 
-def _same(a, b) -> bool:
-    """Equal values, a list and a tuple of equal items included."""
-    if isinstance(a, (list, tuple)) and isinstance(b, (list, tuple)):
-        return list(a) == list(b)
-    return a == b
-
-
 def check_state(scenario: Scenario, state: PlannerState) -> None:
     """Raise ValueError, naming the field, if `state` was not prepared for `scenario`.
 
@@ -221,7 +213,7 @@ def check_state(scenario: Scenario, state: PlannerState) -> None:
     """
     prepared = (*state.scene.inputs, ("target", state.boundary.target), ("planner", state.kind))
     for name, value in prepared:
-        if not _same(getattr(scenario, name), value):
+        if getattr(scenario, name) != value:
             raise ValueError("%s: %r does not match the planner state, prepared for %r"
                              % (name, getattr(scenario, name), value))
     cell = _start_cell(scenario)
@@ -336,10 +328,10 @@ def _simulate(scenario: Scenario, vehicles: list, replan=None):
     dm_times, dm_values), the last two holding the minimum pairwise distance
     at each camera frame when there are several vehicles.
 
-    The scenario is validated first: a run takes at most MAX_FRAMES camera
-    frames, and each frame leads to at most two packets per vehicle.
+    A scenario is checked when it is built and cannot change after, so a run
+    takes at most MAX_FRAMES camera frames, and each frame leads to at most
+    two packets per vehicle.
     """
-    scenario.validate()
     gd, width, height, timeout = scenario.gd, scenario.width, scenario.height, scenario.timeout_s
     frame_dt = 1.0 / scenario.camera.rate_hz
     # (time, 0 for a packet or 1 for a frame, push order, vehicle, packet, sampled delay)

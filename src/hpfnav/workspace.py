@@ -12,13 +12,16 @@ Coordinate conventions used across the package:
 * Headings: theta measured from +x toward +y, wrapped to (-pi, pi].
 
 The scenario schema is the dataclass declarations below: field types
-(e.g. ``target: tuple[int, int]``, ``shapes: list[Disc | Rect]``) plus each
-field's domain in its metadata: ``gt`` (above), ``ge`` (at least), ``le``
-(at most, with ``ge``), ``choices`` (the allowed strings) and ``allow_inf``
-(may be +-inf).  One walker reads them to build a scenario from JSON and to
-check one built in Python; `Scenario.validate` adds only the rules that
-relate fields.  A ``scene`` flag in the metadata marks the fields the camera
-frame is built from (`SCENE_FIELDS`).
+(e.g. ``target: tuple[int, int]``, ``shapes: tuple[Disc | Rect, ...]``) plus
+each field's domain in its metadata: ``gt`` (above), ``ge`` (at least),
+``le`` (at most, with ``ge``), ``choices`` (the allowed strings) and
+``allow_inf`` (may be +-inf).  One walker reads them to build a scenario from
+JSON and to check one built in Python; `Scenario.validate` adds only the
+rules that relate fields.  A ``scene`` flag in the metadata marks the fields
+the camera frame is built from (`SCENE_FIELDS`).  Every config dataclass is
+frozen and holds its sequences as tuples, so a scenario is checked once, when
+it is built, and cannot change afterwards; a variant is a new scenario made
+with `dataclasses.replace`.
 """
 
 import functools
@@ -26,7 +29,7 @@ import json
 import math
 import types
 import typing
-from dataclasses import MISSING, dataclass, field, fields, asdict, is_dataclass
+from dataclasses import MISSING, dataclass, field, fields, asdict, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -131,13 +134,6 @@ class Rect:
     intensity: int = _domain(40, ge=0, le=255)
 
 
-def _gray(value, what: str):
-    """An intensity as np.uint8; outside 0..255 np.uint8 would raise OverflowError."""
-    if not (_is(value, float) and 0 <= value <= 255):
-        raise ValueError("%s must lie in [0, 255], got %r" % (what, value))
-    return np.uint8(value)
-
-
 def _inside(s, width: int, height: int) -> bool:
     """Whether a disc or rect lies wholly inside the image; a reversed rect does not."""
     if isinstance(s, Disc):
@@ -152,36 +148,20 @@ def _describe(s) -> str:
 
 
 def rasterize(shapes, width: int, height: int, background: int = 210) -> GridImage:
-    """Draw filled shapes over a constant background.
+    """Draw filled shapes over a constant background, in order.
 
-    Shapes are painted in list order.  A shape reaching outside the image is
-    rejected rather than clipped, so scenario files stay honest about what
-    the camera would actually see.  Intensities outside 0..255, a negative
-    disc radius, a non-numeric disc centre or radius and non-integer rect
-    bounds are rejected too.
+    It paints what a built `Scenario` holds: that scenario's checks keep every
+    shape inside the image (rather than clipped, so scenario files stay honest
+    about what the camera would see) and every intensity in 0..255.
     """
-    img = np.full((height, width), _gray(background, "background"))
+    img = np.full((height, width), background, np.uint8)
     ys, xs = np.mgrid[0:height, 0:width]
     for s in shapes:
         if isinstance(s, Disc):
-            values = (s.cx, s.cy, s.r)
-            if not all(_is(v, float) for v in values):
-                raise ValueError("disc centre and radius must be numbers, got %r" % (values,))
-            if s.r < 0:
-                raise ValueError("disc at (%g, %g) has negative radius %g" % (s.cx, s.cy, s.r))
-            if not _inside(s, width, height):
-                raise ValueError("%s exceeds image bounds" % _describe(s))
             mask = (xs - s.cx) ** 2 + (ys - s.cy) ** 2 <= s.r**2
-            img[mask] = _gray(s.intensity, "disc intensity")
-        elif isinstance(s, Rect):
-            bounds = (s.x0, s.y0, s.x1, s.y1)
-            if not all(_is(v, int) for v in bounds):
-                raise ValueError("rect bounds must be integers, got %r" % (bounds,))
-            if not _inside(s, width, height):
-                raise ValueError("%s exceeds image bounds" % _describe(s))
-            img[s.y0 : s.y1 + 1, s.x0 : s.x1 + 1] = _gray(s.intensity, "rect intensity")
+            img[mask] = s.intensity
         else:
-            raise TypeError("unknown shape %r" % (s,))
+            img[s.y0 : s.y1 + 1, s.x0 : s.x1 + 1] = s.intensity
     return GridImage(img)
 
 
@@ -256,12 +236,12 @@ def load_image(path) -> GridImage:
 # --- scenario ----------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class CameraConfig:
     rate_hz: float = _domain(5.0, gt=0)
 
 
-@dataclass
+@dataclass(frozen=True)
 class DelayConfig:
     constant_s: float = _domain(0.0, ge=0)
     jitter_s: float = _domain(0.0, ge=0)       # uniform half-width added to the constant part
@@ -271,7 +251,7 @@ class DelayConfig:
     up_fraction: float = _domain(0.5, ge=0, le=1)   # share of the constant delay on the uplink
 
 
-@dataclass
+@dataclass(frozen=True)
 class ControlConfig:
     alpha: float = _domain(0.2, gt=0)          # speed gain, m/s
     beta: float = _domain(1.0, ge=0)           # look-ahead shrink per unit |A|
@@ -280,26 +260,26 @@ class ControlConfig:
     omega_limit: float = _domain(2.0, gt=0)    # rad/s
 
 
-@dataclass
+@dataclass(frozen=True)
 class VisionConfig:
     # Gaussian scale, pixels; kernels reach ceil(3*sigma)
     sigma: float = _domain(2.0, gt=0)
     zeta: float = _domain(20.0, ge=0)          # contrast threshold, intensity units per pixel
 
 
-@dataclass
+@dataclass(frozen=True)
 class LookaheadConfig:
     mode: str = _domain("dynamic", choices=("dynamic", "fixed"))
     delta_l: int = _domain(1, ge=1)            # used when mode == "fixed"
 
 
-@dataclass
+@dataclass(frozen=True)
 class AgentSpec:
     start: WorldPose
     target: tuple[int, int]
 
 
-@dataclass
+@dataclass(frozen=True)
 class Scenario:
     """Complete description of one experiment."""
 
@@ -308,7 +288,7 @@ class Scenario:
     height: int = _domain(48, ge=MIN_GRID_SIDE, scene=True)
     extent: tuple[float, float] = _domain((4.0, 3.0), gt=0, scene=True)   # (x_a, y_a) meters
     background: int = _domain(210, ge=0, le=255, scene=True)
-    shapes: list[Disc | Rect] = _domain(factory=list, scene=True)
+    shapes: tuple[Disc | Rect, ...] = _domain((), scene=True)
     image_path: str | None = _domain(None, scene=True)   # PGM alternative to shapes
     target: tuple[int, int] = (32, 24)          # pixel cell
     start: WorldPose = field(default_factory=lambda: WorldPose(0.5, 1.5, 0.0))
@@ -324,12 +304,17 @@ class Scenario:
     timeout_s: float = _domain(60.0, gt=0)
     watchdog_s: float = _domain(1.0, gt=0)
     seed: int = 0
-    agents: list[AgentSpec] = field(default_factory=list)   # for multi-agent runs
+    agents: tuple[AgentSpec, ...] = ()   # for multi-agent runs
     agent_radius: float = _domain(0.15, gt=0)   # m, footprint disc other agents must avoid
     awareness: str = _domain("all", choices=("all", "nearest"))
 
     def __post_init__(self):
         self.validate()
+        # a sequence given in Python as a list is stored as a tuple
+        tuples = dict(extent=tuple(self.extent), target=tuple(self.target), shapes=tuple(self.shapes),
+                      agents=tuple(AgentSpec(a.start, tuple(a.target)) for a in self.agents))
+        for name, value in tuples.items():
+            object.__setattr__(self, name, value)
 
     @property
     def gd(self) -> float:
@@ -449,14 +434,14 @@ def _walk(value, hint, path: str, build: bool, meta=types.MappingProxyType({})):
 
     With build, value is parsed JSON and the declared value is returned: an
     object becomes the dataclass, with unknown and missing keys rejected (a
-    shape picks its class by `kind`), and a list becomes the declared list or
-    tuple.  Without it, value must already be the declared dataclass, shape,
-    list or tuple; nothing is converted.  Scalars are checked alike either
-    way, in one order: the declared type; for a number finiteness, because
-    NaN fails every range comparison and inf passes most of them (metadata
-    `allow_inf` lets +-inf through, never NaN); then the domain that the
-    metadata declares: `gt`, `ge`, `le` (with `ge`) or `choices`.  A tuple's
-    metadata holds for each of its items.
+    shape picks its class by `kind`), and a list becomes the declared tuple.
+    Without it, value must already be the declared dataclass or shape, and a
+    sequence a list or tuple; nothing is converted.  Scalars are checked
+    alike either way, in one order: the declared type; for a number
+    finiteness, because NaN fails every range comparison and inf passes most
+    of them (metadata `allow_inf` lets +-inf through, never NaN); then the
+    domain that the metadata declares: `gt`, `ge`, `le` (with `ge`) or
+    `choices`.  A tuple's metadata holds for each of its items.
     """
     if hint in _SCALARS:
         if not _is(value, hint):
@@ -508,14 +493,15 @@ def _walk(value, hint, path: str, build: bool, meta=types.MappingProxyType({})):
             elif name in value:   # an absent key keeps its default
                 kwargs[name] = _walk(value[name], sub, sub_path, build, sub_meta)
         return hint(**kwargs) if build else value
-    if origin in (list, tuple):
+    if origin is tuple:
         if not isinstance(value, (list, tuple)):
             raise ValueError("%s: expected a list, got %r" % (path, value))
-        if origin is tuple and len(value) != len(args):
+        variadic = args[-1] is Ellipsis   # tuple[X, ...]: any number of X
+        if not variadic and len(value) != len(args):
             raise ValueError("%s: expected %d values, got %r" % (path, len(args), value))
-        items = [_walk(v, args[i] if origin is tuple else args[0], "%s[%d]" % (path, i), build, meta)
+        items = [_walk(v, args[0] if variadic else args[i], "%s[%d]" % (path, i), build, meta)
                  for i, v in enumerate(value)]
-        return origin(items) if build else value
+        return tuple(items) if build else value
     raise TypeError("no rule for the declared type %r at %s" % (hint, path))
 
 
@@ -540,5 +526,5 @@ def load_scenario(path) -> Scenario:
         raise ValueError("%s: scenario must be a JSON object" % path)
     sc = scenario_from_dict(raw)
     if sc.image_path is not None and not Path(sc.image_path).is_absolute():
-        sc.image_path = str(path.parent / sc.image_path)
+        sc = replace(sc, image_path=str(path.parent / sc.image_path))
     return sc

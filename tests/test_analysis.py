@@ -183,11 +183,48 @@ def test_curvature_undefined_below_speed_floor():
     assert ks.kappa[1] == pytest.approx(0.5)
 
 
+def _reference_total_variation(k) -> float:
+    """Sum of |delta kappa| over consecutive finite samples, one pair at a time."""
+    finite = np.isfinite(k)
+    tv = 0.0
+    prev = None
+    for i in range(len(k)):
+        if not finite[i]:
+            prev = None
+            continue
+        if prev is not None:
+            tv += abs(k[i] - prev)
+        prev = k[i]
+    return tv
+
+
 def test_total_variation_resets_across_gaps():
     k = np.array([0.0, 1.0, np.nan, 5.0, 6.0])
     cs = CurvatureSeries(np.arange(5.0), k)
     # |1-0| + |6-5|; the nan breaks the chain so 5-1 never counts
     assert cs.total_variation() == pytest.approx(2.0)
+
+
+@pytest.mark.parametrize("k, expected", [
+    ([np.nan, 1.0, 3.0, 2.0], 3.0),
+    ([1.0, 3.0, 2.0, np.nan], 3.0),
+    ([np.nan, np.nan, np.nan], 0.0),
+    ([], 0.0),
+    ([0.5], 0.0),
+], ids=["nan-first", "nan-last", "all-nan", "empty", "one"])
+def test_total_variation_edge_cases(k, expected):
+    k = np.array(k, float)
+    tv = CurvatureSeries(np.arange(float(len(k))), k).total_variation()
+    assert tv == expected == _reference_total_variation(k)
+    assert type(tv) is float
+
+
+@settings(max_examples=200, deadline=None)
+@given(arrays(np.float64, st.integers(0, 40), elements=st.one_of(
+    st.floats(-50, 50), st.just(math.nan))))
+def test_total_variation_matches_the_pairwise_loop(k):
+    tv = CurvatureSeries(np.arange(float(len(k))), k).total_variation()
+    assert tv == pytest.approx(_reference_total_variation(k), rel=1e-12, abs=1e-12)
 
 
 def test_sweep_single_cell_matches_direct_run(open_scenario, open_state):

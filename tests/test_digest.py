@@ -1,10 +1,12 @@
 """Smoke test of the replay-digest script, tools/digest.py, on one case.
 
-The committed hashes in DIGESTS.json pin one machine's libm and numpy build,
-so they are not compared here; replay on any machine is criterion 12.  This
-only checks that the script runs, that a case replays, that its case list
+Most committed hashes in DIGESTS.json pin one machine's libm and numpy
+build, so they are not compared here; replay on any machine is criterion 12.
+This checks that the script runs, that a case replays, that its case list
 and DIGESTS.json name the same entries, and that ``--check`` picks cases by
-name or prefix.
+name or prefix.  The ``scenario/<name>`` hashes are JSON of ``to_dict`` and
+depend on neither libm nor numpy, so they are compared with DIGESTS.json:
+the encoding of every committed scenario stays as it was.
 """
 
 import importlib.util
@@ -50,3 +52,11 @@ def test_check_takes_case_names_and_prefixes(capsys):
     with pytest.raises(SystemExit):
         digest.main(["--check", "run/nowhere"])
     assert "no case named or under: run/nowhere" in capsys.readouterr().err
+
+
+def test_scenario_digests_match_the_committed_ones():
+    digest = _digest_module()
+    names = [name for name in digest.cases() if name.startswith("scenario/")]
+    assert len(names) == len(list((ROOT / "scenarios").glob("*.json")))
+    committed = json.loads((ROOT / "DIGESTS.json").read_text())
+    assert digest.compute(names) == {name: committed[name] for name in names}

@@ -320,8 +320,8 @@ def test_a_state_prepared_for_another_planner_is_refused(comparison_scenario):
 def test_a_state_prepared_for_another_scene_is_refused(open_scenario, open_state):
     """A wall open's zeta does not see: with open's state the run drove through it and reported no contact."""
     walled = dataclasses.replace(open_scenario, shapes=[Rect(30, 0, 33, 47)])
-    with pytest.raises(ValueError, match=r"^shapes: \[Rect\(x0=30, .*\] does not match the planner state, "
-                                         r"prepared for \[\]$"):
+    with pytest.raises(ValueError, match=r"^shapes: \(Rect\(x0=30, .*\),\) does not match the planner state, "
+                                         r"prepared for \(\)$"):
         run_loop(walled, open_state)
     assert run_loop(walled).any_collision
 
@@ -387,27 +387,39 @@ def test_an_fm_state_without_a_path_is_refused_for_another_start(scenario_dir):
     assert run_loop(moved).outcome == "reached"
 
 
-# A scenario edited after construction: a frame rate the constructor would
-# have refused.  The child prints the error that ends the run.
+# A scenario cannot be edited after construction: setting a frame rate the
+# constructor would refuse, or adding a shape, fails at once, and the same
+# rate given to a new scenario through `replace` is refused when it is built.
+# The child prints each refusal, then runs the unedited scenario to its end.
 _EDITED_RUN = """
-import sys
+import dataclasses, sys
 from hpfnav import netloop
-from hpfnav.workspace import load_scenario
+from hpfnav.workspace import Rect, load_scenario
 sc = load_scenario(sys.argv[1])
-sc.camera.rate_hz = 1e20
-try:
-    getattr(netloop, sys.argv[2])(sc)
-except ValueError as e:
-    print(e)
+edits = (lambda: setattr(sc.camera, "rate_hz", 1e20),
+         lambda: sc.shapes.append(Rect(0, 0, 3, 3)),
+         lambda: dataclasses.replace(sc, camera=dataclasses.replace(sc.camera, rate_hz=1e20)))
+for edit in edits:
+    try:
+        edit()
+    except (AttributeError, ValueError) as e:
+        print(type(e).__name__, e)
+run = getattr(netloop, sys.argv[2])(dataclasses.replace(sc, timeout_s=1.0))
+print(sc.camera.rate_hz, len(sc.shapes), run.total_time)
 """
 
 
 @pytest.mark.parametrize("entry, name", [("run_loop", "open"), ("run_multi", "multi_star")])
 def test_a_run_always_ends_even_after_an_edit(scenario_dir, child_env, entry, name):
+    """Every edit is refused, so no run can take more than MAX_FRAMES camera frames."""
     proc = subprocess.run([sys.executable, "-c", _EDITED_RUN, str(scenario_dir / (name + ".json")), entry],
                           capture_output=True, text=True, env=child_env, timeout=30)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.startswith("timeout_s: ") and "above the budget of 100000" in proc.stdout
+    frozen, append, budget, run = proc.stdout.splitlines()
+    assert frozen == "FrozenInstanceError cannot assign to field 'rate_hz'"
+    assert append.startswith("AttributeError ") and "append" in append
+    assert budget.startswith("ValueError timeout_s: ") and budget.endswith("above the budget of 100000")
+    assert run.split()[:2] == ["5.0", str(len(load_scenario(scenario_dir / (name + ".json")).shapes))]
 
 
 # --- plant loop ------------------------------------------------------------------
@@ -678,7 +690,7 @@ def test_multi_needs_two_agents():
 
 def test_multi_rejects_shared_target():
     sc = _cross_scenario()
-    sc.agents[1] = AgentSpec(sc.agents[1].start, sc.agents[0].target)
+    sc = dataclasses.replace(sc, agents=(sc.agents[0], AgentSpec(sc.agents[1].start, sc.agents[0].target)))
     with pytest.raises(ValueError, match="share a target"):
         run_multi(sc)
 
@@ -691,7 +703,7 @@ def test_multi_rejects_the_fm_planner():
 def test_multi_rejects_overlapping_starts():
     sc = _cross_scenario()
     a0 = sc.agents[0]
-    sc.agents[1] = AgentSpec(WorldPose(a0.start.x + 0.1, a0.start.y, 0.0), (12, 24))
+    sc = dataclasses.replace(sc, agents=(a0, AgentSpec(WorldPose(a0.start.x + 0.1, a0.start.y, 0.0), (12, 24))))
     with pytest.raises(ValueError, match="overlap"):
         run_multi(sc)
 
@@ -753,6 +765,13 @@ def test_a_sweep_builds_one_scene_per_planner(open_scenario, monkeypatch):
     result = analysis.sweep(open_scenario, [0, 0.3], [0, 1], ("hpf", "fm"))
     assert len(result.rows) == 8
     assert counts == {"rasterize": 2, "detect_edges": 2, "contact": 2 * 8}
+
+
+def test_a_sweep_checks_each_scenario_once(open_scenario, monkeypatch):
+    """P planners of R runs build P + P*R scenarios, each checked once, when it is built."""
+    counts = _count_calls(monkeypatch, [(Scenario, "validate")])
+    analysis.sweep(open_scenario, [0, 0.3], [0, 1], ("hpf", "fm"))
+    assert counts == {"validate": 2 + 2 * 4}
 
 
 def test_a_multi_run_builds_one_scene_for_every_agent(scenario_dir, monkeypatch):

@@ -124,29 +124,39 @@ def test_rasterize_full_rect():
     assert (img.pixels == 33).all()
 
 
+# rasterize paints only what a built scenario holds: a shape or background it
+# could not paint is refused, with its field path, when the scenario is built
+def _scenario_16x16(shapes, background=210):
+    return Scenario(name="s", width=16, height=16, extent=(1.6, 1.6), target=(8, 8),
+                    start=WorldPose(0.5, 0.5), shapes=shapes, background=background)
+
+
 def test_rasterize_rejects_out_of_bounds():
-    with pytest.raises(ValueError):
-        rasterize([Disc(30, 8, 2)], 16, 16)
-    with pytest.raises(ValueError):
-        rasterize([Rect(-1, 0, 4, 4)], 16, 16)
+    for shape, message in [(Disc(30, 8, 2), "shapes[0]: disc at (30, 8) r=2 must lie inside the 16x16 image"),
+                           (Rect(-1, 0, 4, 4), "shapes[0]: rect (-1, 0)-(4, 4) must lie inside the 16x16 image")]:
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            _scenario_16x16([shape])
 
 
 @pytest.mark.parametrize(
     "shapes, background, message",
     [
-        ([Disc(10, 10, 3, intensity=300)], 210, "disc intensity"),
-        ([Rect(2, 2, 4, 4, intensity=-1)], 210, "rect intensity"),
-        ([], 256, "background"),
-        ([], -0.5, "background"),
-        ([Disc(10, 10, -2)], 210, "negative radius"),
-        ([Rect(3.5, 3, 10, 10)], 210, "rect bounds must be integers"),
-        ([Rect("3", 3, 10, 10)], 210, "rect bounds must be integers"),
-        ([Disc("1", 2, 3)], 210, "disc centre and radius must be numbers"),
+        ([Disc(10, 10, 3, intensity=300)], 210, "shapes[0].intensity: must lie in [0, 255], got 300"),
+        ([Rect(2, 2, 4, 4, intensity=-1)], 210, "shapes[0].intensity: must lie in [0, 255], got -1"),
+        ([], 256, "background: must lie in [0, 255], got 256"),
+        ([], -0.5, "background: expected an integer, got -0.5"),
+        ([Disc(10, 10, -2)], 210, "shapes[0].r: must be non-negative, got -2"),
+        ([Rect(3.5, 3, 10, 10)], 210, "shapes[0].x0: expected an integer, got 3.5"),
+        ([Rect("3", 3, 10, 10)], 210, "shapes[0].x0: expected an integer, got '3'"),
+        ([Disc("1", 2, 3)], 210, "shapes[0].cx: expected a number, got '1'"),
     ],
+    ids=["shapes0-210-disc intensity", "shapes1-210-rect intensity", "shapes2-256-background",
+         "shapes3--0.5-background", "shapes4-210-negative radius", "shapes5-210-rect bounds must be integers",
+         "shapes6-210-rect bounds must be integers", "shapes7-210-disc centre and radius must be numbers"],
 )
 def test_rasterize_rejects_bad_intensity_and_radius(shapes, background, message):
-    with pytest.raises(ValueError, match=message):
-        rasterize(shapes, 16, 16, background=background)
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        _scenario_16x16(shapes, background)
 
 
 def test_grid_image_minimum_side():
@@ -323,9 +333,9 @@ def _scalar_fields(value, hint, steps=(), meta=types.MappingProxyType({})):
         hints = typing.get_type_hints(hint)
         for f in dataclasses.fields(hint):
             yield from _scalar_fields(getattr(value, f.name), hints[f.name], steps + (f.name,), f.metadata)
-    elif origin in (list, tuple):
+    elif origin is tuple:
         for i, item in enumerate(value):
-            yield from _scalar_fields(item, args[i] if origin is tuple else args[0], steps + (i,), meta)
+            yield from _scalar_fields(item, args[0] if args[-1] is Ellipsis else args[i], steps + (i,), meta)
     else:
         yield steps, hint, meta
 
@@ -408,6 +418,35 @@ def test_every_declared_domain_holds_at_its_bound(steps, hint, meta):
     for value in outside:
         with pytest.raises(ValueError, match="^" + re.escape(_path(steps)) + ": "):
             _replaced(TYPED_BASE, steps, value)
+
+
+def test_every_reachable_dataclass_is_frozen_and_no_field_is_a_list():
+    """A scenario is checked once, when it is built, so nothing in it may change later:
+    every dataclass its declarations reach is frozen, and every sequence is a tuple."""
+    todo, seen = [Scenario], set()
+    while todo:
+        cls = todo.pop()
+        if cls in seen:
+            continue
+        seen.add(cls)
+        assert cls.__dataclass_params__.frozen, "%s is not frozen" % cls.__name__
+        for name, hint in typing.get_type_hints(cls).items():
+            parts = [hint]
+            while parts:
+                part = parts.pop()
+                assert part is not list and typing.get_origin(part) is not list, "%s.%s" % (cls.__name__, name)
+                if dataclasses.is_dataclass(part):
+                    todo.append(part)
+                parts.extend(a for a in typing.get_args(part) if a is not Ellipsis)
+    assert {c.__name__ for c in seen} == {"Scenario", "CameraConfig", "DelayConfig", "ControlConfig",
+                                          "VisionConfig", "LookaheadConfig", "AgentSpec", "WorldPose",
+                                          "Disc", "Rect"}
+    # lists given in Python are stored as tuples
+    sc = Scenario(name="t", extent=[4.0, 3.0], target=[5, 6], shapes=[Disc(10.0, 10.0, 3.0)],
+                  agents=[AgentSpec(WorldPose(0.5, 0.5), [5, 5])])
+    assert (sc.extent, sc.target, sc.shapes, sc.agents) == ((4.0, 3.0), (5, 6), (Disc(10.0, 10.0, 3.0),),
+                                                           (AgentSpec(WorldPose(0.5, 0.5), (5, 5)),))
+    assert all(type(v) is tuple for v in (sc.extent, sc.target, sc.shapes, sc.agents, sc.agents[0].target))
 
 
 def test_negative_beta_is_rejected_before_lookahead_can_divide_by_zero():
