@@ -151,11 +151,16 @@ def fm_path(T: np.ndarray, start, gd: float) -> np.ndarray:
     else:
         raise RuntimeError("descent did not reach the target in %d steps" % max_steps)
     points.append((tcx, tcy))
-    return np.asarray(points) * gd
+    path = np.asarray(points) * gd
+    path.setflags(write=False)
+    return path
 
 
 class Track:
     """An (N, 2) path in meters prepared for tracking, once: x and y columns, points, hop lengths.
+
+    The columns are read-only arrays and the points and hops tuples, so a track
+    shared by many runs cannot change under them.
 
     Hop j runs from point j to point j + 1.
     """
@@ -166,8 +171,10 @@ class Track:
             raise ValueError("empty reference path")
         self.xs = np.ascontiguousarray(path[:, 0])
         self.ys = np.ascontiguousarray(path[:, 1])
-        self.points = [tuple(p) for p in path.tolist()]
-        self.hops = np.hypot(np.diff(self.xs), np.diff(self.ys)).tolist()
+        self.xs.setflags(write=False)
+        self.ys.setflags(write=False)
+        self.points = tuple(tuple(p) for p in path.tolist())
+        self.hops = tuple(np.hypot(np.diff(self.xs), np.diff(self.ys)).tolist())
 
     def __len__(self) -> int:
         return len(self.points)

@@ -7,7 +7,10 @@ conjugate gradients (Hestenes & Stiefel 1952), in numpy alone.  The stencil
 couples only opposite colours of a checkerboard, so the red cells are
 eliminated exactly and CG runs on the reduced system of the black cells
 (Saad, Iterative Methods for Sparse Linear Systems, 2nd ed. 2003, on
-red-black ordering): half the unknowns and about half the iterations.
+red-black ordering): half the unknowns and about half the iterations.  The
+red and the black cells are two contiguous vectors, split once from the grid,
+and an iteration allocates nothing: it is a fixed sequence of numpy calls on
+views and buffers made once per solve.
 Because harmonic functions take their extrema on the boundary, the interior
 has no local minima, so in exact arithmetic following the negative gradient
 from any free cell connected to the target runs downhill to it.  In floating
@@ -66,7 +69,7 @@ class BoundaryGrid:
         return self.labels.shape[0]
 
 
-@dataclass
+@dataclass(frozen=True)
 class PotentialField:
     """Solved potential plus solver diagnostics."""
 
@@ -76,7 +79,7 @@ class PotentialField:
     converged: bool
 
 
-@dataclass
+@dataclass(frozen=True)
 class GradientField:
     """Normalized descent directions; flat cells carry an exact zero vector."""
 
@@ -123,6 +126,7 @@ def build_boundary(edges, target) -> BoundaryGrid:
         raise ValueError("target (%d, %d) lies on a (dilated) obstacle cell" % (tx, ty))
     labels = np.where(obst, np.int8(OBSTACLE), np.int8(FREE))
     labels[ty, tx] = TARGET
+    labels.setflags(write=False)
     return BoundaryGrid(labels, (tx, ty))
 
 
@@ -166,113 +170,132 @@ def relax(
 
     # Flat layout with an odd row length mo: an even-width grid gets one
     # obstacle column on the right.  Then the colour of a cell is the parity
-    # of its flat index, the red cells are x[0::2] and the black cells x[1::2],
-    # and the 4 neighbours of red cell k are black cells k - 1, k, k + h and
-    # k - h - 1 (h = mo // 2), those of black cell k red cells k, k + 1,
-    # k + h + 1 and k - h.  The frame is never free, so rows 1 .. n-2 (flat
-    # span lo:hi) hold every unknown; the stencils run over that span of
-    # each colour, and the frame columns in it are masked like any other
-    # fixed cell.
+    # of its flat index k, and the grid is split once into two contiguous
+    # vectors: red cell k is xr[k // 2], black cell k is xb[k // 2].  They
+    # are interleaved again only for the result.  The 4 neighbours of red
+    # cell xr[i] are the black cells xb[i - 1], xb[i], xb[i + h] and
+    # xb[i - h - 1] (h = mo // 2), those of black cell xb[i] the red cells
+    # xr[i], xr[i + 1], xr[i + h + 1] and xr[i - h].  The frame is never
+    # free, so rows 1 .. n-2 (flat span lo:hi) hold every unknown; the
+    # stencils run over that span of each colour (xr[r0:r1], xb[b0:b1]), and
+    # the frame columns in it are masked like any other fixed cell.  Every
+    # stencil view and scratch vector is made once per call, so the loop
+    # allocates nothing.
     mo = m | 1
     h = mo // 2
-    x = np.ones(n * mo)
-    phi = x.reshape(n, mo)[:, :m]
     free = labels == FREE
+    grid = np.ones((n, mo))
     if initial is not None:
-        phi[free] = np.asarray(initial, dtype=float)[free]
-    phi[labels == TARGET] = 0.0
-    xr, xb = x[0::2], x[1::2]
+        np.copyto(grid[:, :m], np.asarray(initial, dtype=float), where=free)
+    grid[:, :m][labels == TARGET] = 0.0
+    xr, xb = grid.reshape(-1)[0::2].copy(), grid.reshape(-1)[1::2].copy()
+    del grid
     lo, hi = mo, max(mo, (n - 1) * mo)
     r0, r1 = (lo + 1) // 2, (hi + 1) // 2
     b0, b1 = lo // 2, hi // 2
     free_flat = np.zeros((n, mo), dtype=bool)
     free_flat[:, :m] = free
     free_flat = free_flat.reshape(-1)
-    red_free = free_flat[0::2][r0:r1]
+    red_free = free_flat[0::2][r0:r1].copy()
     black_mask = free_flat[1::2][b0:b1].astype(float)
     red_weight = red_free * (1.0 / 16.0)
 
-    def to_red(b, out):
-        """out <- sum of the 4 neighbours of each red cell in the span, read from b."""
-        np.add(b[r0 - 1 : r1 - 1], b[r0:r1], out=out)
-        out += b[r0 + h : r1 + h]
-        out += b[r0 - h - 1 : r1 - h - 1]
-        return out
+    def red_nbrs(b):
+        """The 4 neighbours of each red cell in the span, as views of a black-sized vector."""
+        return b[r0 - 1 : r1 - 1], b[r0:r1], b[r0 + h : r1 + h], b[r0 - h - 1 : r1 - h - 1]
 
-    def to_black(r, out):
-        """out <- sum of the 4 neighbours of each black cell in the span, read from r."""
-        np.add(r[b0:b1], r[b0 + 1 : b1 + 1], out=out)
-        out += r[b0 + h + 1 : b1 + h + 1]
-        out += r[b0 - h : b1 - h]
-        return out
+    def black_nbrs(r):
+        """The 4 neighbours of each black cell in the span, as views of a red-sized vector."""
+        return r[b0:b1], r[b0 + 1 : b1 + 1], r[b0 + h + 1 : b1 + h + 1], r[b0 - h : b1 - h]
 
-    def black_residual(out):
-        """out <- mean4 - phi on the free black cells, 0 elsewhere."""
-        to_black(xr, out)
-        out *= 0.25
-        out -= xb[b0:b1]
-        out *= black_mask
+    def nbr_sum(nbrs, out):
+        """out <- the sum of 4 neighbour views, added in their order."""
+        np.add(nbrs[0], nbrs[1], out=out)
+        out += nbrs[2]
+        out += nbrs[3]
         return out
 
     def max_abs(v):
         return max(float(v.max(initial=0.0)), -float(v.min(initial=0.0)))
 
+    xrc, xbc = xr[r0:r1], xb[b0:b1]
+    xb_to_red, xr_to_black = red_nbrs(xb), black_nbrs(xr)
     t = np.zeros(len(xr))  # red-sized scratch, zero outside the span
     tc = t[r0:r1]
+    # The search direction p spans every black cell so that its neighbours
+    # can be read, and stays zero outside the free ones.
+    p = np.zeros(len(xb))
+    pc = p[b0:b1]
+    r = np.empty(b1 - b0)     # the residual on the black span
+    q = np.empty(b1 - b0)     # S' p, then alpha S' p
+    step = np.empty(b1 - b0)  # alpha p
+
+    def black_residual():
+        """r <- mean4 - phi on the free black cells, 0 elsewhere."""
+        np.multiply(nbr_sum(xr_to_black, r), 0.25, out=r)
+        np.subtract(r, xbc, out=r)
+        return np.multiply(r, black_mask, out=r)
 
     def red_means():
         """tc <- mean of the 4 neighbours of each red cell in the span."""
-        return np.multiply(to_red(xb, tc), 0.25, out=tc)
+        return np.multiply(nbr_sum(xb_to_red, tc), 0.25, out=tc)
 
     def solve_red():
         """Set every free red cell to the mean of its 4 neighbours (exact elimination)."""
-        np.copyto(xr[r0:r1], red_means(), where=red_free)
+        np.copyto(xrc, red_means(), where=red_free)
 
     # residual of the starting phi over all free cells, red ones included
-    r = black_residual(np.empty(b1 - b0))
-    residual = max(max_abs(r), max_abs((red_means() - xr[r0:r1]) * red_free))
+    residual = max(max_abs(black_residual()), max_abs((red_means() - xrc) * red_free))
     sweeps = 0
     if residual > TOLERANCE and max_sweeps > 0:
         solve_red()
-        residual = max_abs(black_residual(r))
-        # The search direction p spans every black cell so that its
-        # neighbours can be read, and stays zero outside the free ones.
-        p = np.zeros(len(xb))
-        pc = p[b0:b1]
-        pc[:] = r
-        q = np.empty_like(r)
-        xbc = xb[b0:b1]
-        rr = float(np.dot(r, r))
-        rr_stop = TOLERANCE * TOLERANCE * np.count_nonzero(black_mask)
+        residual = max_abs(black_residual())
+        np.copyto(pc, r)
+        p_dot, r_dot = pc.dot, r.dot  # np.dot of pc or r with another vector
+        rr = float(r_dot(r))
+        rr_stop = TOLERANCE * TOLERANCE * float(np.count_nonzero(black_mask))
+        p1, p2, p3, p4 = red_nbrs(p)
+        t1, t2, t3, t4 = black_nbrs(t)
+        add, multiply, subtract = np.add, np.multiply, np.subtract
         while residual > TOLERANCE and sweeps < max_sweeps:
             sweeps += 1
-            to_red(p, tc)  # q = S' p
+            add(p1, p2, tc)  # q = S' p, with nbr_sum's additions written out
+            tc += p3
+            tc += p4
             tc *= red_weight
-            to_black(t, q)
+            add(t1, t2, q)
+            q += t3
+            q += t4
             q *= black_mask
-            np.subtract(pc, q, out=q)
-            alpha = rr / float(np.dot(pc, q))
-            xbc += alpha * pc
+            subtract(pc, q, q)
+            alpha = rr / float(p_dot(q))
+            multiply(pc, alpha, step)
+            xbc += step
             q *= alpha
             r -= q
-            rr_next = float(np.dot(r, r))
+            rr_next = float(r_dot(r))
             if rr_next <= rr_stop:  # rms(r) <= TOLERANCE, so max|r| may be too
                 residual = max_abs(r)
                 if residual <= TOLERANCE:
                     # the recurrence drifts from the true residual: recompute
                     # it, and restart from it if the tolerance is not met
                     solve_red()
-                    residual = max_abs(black_residual(r))
-                    rr = float(np.dot(r, r))
-                    pc[:] = r
+                    residual = max_abs(black_residual())
+                    rr = float(r_dot(r))
+                    np.copyto(pc, r)
                     continue
             pc *= rr_next / rr
             pc += r
             rr = rr_next
         if residual > TOLERANCE:  # stopped at the cap: fill in red, report the true residual
             solve_red()
-            residual = max_abs(black_residual(r))
-    return PotentialField(np.ascontiguousarray(phi), sweeps, residual, residual <= TOLERANCE)
+            residual = max_abs(black_residual())
+    out = np.empty((n, mo))
+    out.reshape(-1)[0::2] = xr
+    out.reshape(-1)[1::2] = xb
+    phi = out if mo == m else np.ascontiguousarray(out[:, :m])
+    phi.setflags(write=False)
+    return PotentialField(phi, sweeps, residual, residual <= TOLERANCE)
 
 
 def gradient(field: PotentialField, boundary: BoundaryGrid) -> GradientField:
@@ -311,6 +334,8 @@ def gradient(field: PotentialField, boundary: BoundaryGrid) -> GradientField:
     with np.errstate(invalid="ignore", divide="ignore"):
         vx = np.where(flat, 0.0, -dx / mag)
         vy = np.where(flat, 0.0, -dy / mag)
+    for a in (vx, vy, flat):
+        a.setflags(write=False)
     return GradientField(vx, vy, flat, labels, boundary.target)
 
 

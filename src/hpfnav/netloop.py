@@ -160,17 +160,22 @@ def build_scene(scenario: Scenario) -> Scene:
     """Build the image, its obstacle mask and edge cells, once per scenario."""
     image = scenario.build_image()
     obstacle = image.pixels != scenario.background
+    edges = vision.detect_edges(image, scenario.vision)
+    obstacle.setflags(write=False)
+    edges.setflags(write=False)
     inputs = tuple((name, getattr(scenario, name)) for name in SCENE_FIELDS)
-    return Scene(image, obstacle, vision.detect_edges(image, scenario.vision), inputs)
+    return Scene(image, obstacle, edges, inputs)
 
 
-@dataclass
+@dataclass(frozen=True)
 class PlannerState:
     """Static planning products and the scene they come from.
 
     Reusable across runs of scenarios with the same scene fields, target and
     planner (and, for fm, start cell): delay, seed, look-ahead and control
-    may differ.  `check_state` enforces this."""
+    may differ.  `check_state` enforces this.  Every array reachable from a
+    state is read-only, set so where it is built, and the state itself is
+    frozen: runs and agents that share a state cannot change it."""
 
     kind: str
     scene: Scene
@@ -186,17 +191,15 @@ def prepare(scenario: Scenario) -> PlannerState:
     """Run the static pipeline: scene (image -> edges) -> boundary -> field or path."""
     scene = build_scene(scenario)
     boundary = hpf.build_boundary(scene.edges, scenario.target)
-    state = PlannerState(scenario.planner, scene, boundary)
-    if state.kind == "hpf":
-        state.potential = hpf.relax(boundary)
-        state.grad = hpf.gradient(state.potential, boundary)
-        return state
+    if scenario.planner == "hpf":
+        potential = hpf.relax(boundary)
+        return PlannerState("hpf", scene, boundary, grad=hpf.gradient(potential, boundary), potential=potential)
     arrival = fm.fm_arrival(boundary)
-    state.start = start_cell = _start_cell(scenario)
-    if math.isfinite(arrival[start_cell[1], start_cell[0]]):
-        state.path = fm.fm_path(arrival, start_cell, scenario.gd)
-        state.track = fm.Track(state.path)
-    return state
+    start = _start_cell(scenario)
+    if not math.isfinite(arrival[start[1], start[0]]):
+        return PlannerState("fm", scene, boundary, start=start)
+    path = fm.fm_path(arrival, start, scenario.gd)
+    return PlannerState("fm", scene, boundary, path=path, track=fm.Track(path), start=start)
 
 
 def _start_cell(scenario: Scenario) -> tuple:

@@ -36,6 +36,7 @@ import numpy as np
 
 MIN_GRID_SIDE = 15
 MAX_FRAMES = 100_000   # camera frames one run may take: timeout_s * camera.rate_hz
+MAX_CELLS = 640 * 480  # pixels one scene may have: width * height, a VGA camera frame
 SCENARIO_SCHEMA_VERSION = 1
 
 
@@ -162,6 +163,7 @@ def rasterize(shapes, width: int, height: int, background: int = 210) -> GridIma
             img[mask] = s.intensity
         else:
             img[s.y0 : s.y1 + 1, s.x0 : s.x1 + 1] = s.intensity
+    img.setflags(write=False)
     return GridImage(img)
 
 
@@ -190,47 +192,52 @@ def world_to_pixel(point, gd: float, width: int, height: int):
 
 
 def load_image(path) -> GridImage:
-    """Read a binary PGM (P5, maxval 255) workspace image."""
-    data = Path(path).read_bytes()
-    pos = 0
+    """Read a binary PGM (P5, maxval 255) workspace image.
 
-    def next_token():
-        nonlocal pos
-        while pos < len(data):
-            c = data[pos : pos + 1]
-            if c.isspace():
-                pos += 1
-            elif c == b"#":
-                while pos < len(data) and data[pos : pos + 1] not in (b"\n", b"\r"):
-                    pos += 1
-            else:
-                break
-        start = pos
-        while pos < len(data) and not data[pos : pos + 1].isspace():
-            pos += 1
-        if start == pos:
-            raise ValueError("%s: malformed PGM header" % path)
-        return data[start:pos]
+    The header is read first: an image of more than `MAX_CELLS` pixels is
+    refused before its payload is read.  The pixels come back read-only.
+    """
+    with open(path, "rb") as f:
 
-    magic = next_token()
-    if magic != b"P5":
-        raise ValueError("%s: not a binary PGM (magic %r)" % (path, magic))
-    try:
-        width = int(next_token())
-        height = int(next_token())
-        maxval = int(next_token())
-    except ValueError as e:
-        raise ValueError("%s: malformed PGM header" % path) from e
-    if maxval != 255:
-        raise ValueError("%s: unsupported maxval %d (only 255)" % (path, maxval))
-    pos += 1  # single whitespace after maxval
-    payload = data[pos : pos + width * height]
+        def next_token():
+            """The next header token; whitespace and # comments before it are skipped,
+            and the one whitespace byte after it is consumed."""
+            c = f.read(1)
+            while c.isspace() or c == b"#":
+                if c == b"#":
+                    while c not in (b"\n", b"\r", b""):
+                        c = f.read(1)
+                c = f.read(1)
+            token = b""
+            while c and not c.isspace():
+                token += c
+                c = f.read(1)
+            if not token:
+                raise ValueError("%s: malformed PGM header" % path)
+            return token
+
+        magic = next_token()
+        if magic != b"P5":
+            raise ValueError("%s: not a binary PGM (magic %r)" % (path, magic))
+        try:
+            width = int(next_token())
+            height = int(next_token())
+            maxval = int(next_token())
+        except ValueError as e:
+            raise ValueError("%s: malformed PGM header" % path) from e
+        if width < 1 or height < 1:
+            raise ValueError("%s: malformed PGM header (%dx%d)" % (path, width, height))
+        if maxval != 255:
+            raise ValueError("%s: unsupported maxval %d (only 255)" % (path, maxval))
+        if width * height > MAX_CELLS:
+            raise ValueError("%s: the %dx%d image is %d pixels, above the budget of %d"
+                             % (path, width, height, width * height, MAX_CELLS))
+        payload = f.read(width * height)   # the single whitespace after maxval is consumed
     if len(payload) != width * height:
         raise ValueError(
             "%s: truncated pixel payload (%d bytes for %dx%d)" % (path, len(payload), width, height)
         )
-    px = np.frombuffer(payload, dtype=np.uint8).reshape(height, width)
-    return GridImage(px.copy())
+    return GridImage(np.frombuffer(payload, dtype=np.uint8).reshape(height, width))
 
 
 # --- scenario ----------------------------------------------------------------
@@ -328,6 +335,9 @@ class Scenario:
         `_walk`); what is left here are the rules that relate fields.
         """
         _walk(self, Scenario, "", build=False)
+        if self.width * self.height > MAX_CELLS:
+            raise ValueError("width: width * height is %d cells, above the budget of %d"
+                             % (self.width * self.height, MAX_CELLS))
         if self.timeout_s * self.camera.rate_hz > MAX_FRAMES:
             raise ValueError("timeout_s: timeout_s * camera.rate_hz is %g camera frames, above the "
                              "budget of %d" % (self.timeout_s * self.camera.rate_hz, MAX_FRAMES))

@@ -2,14 +2,16 @@ import collections
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hpfnav.hpf import (
     FREE,
     OBSTACLE,
     TARGET,
+    TOLERANCE,
     BoundaryGrid,
+    PotentialField,
     build_boundary,
     descend,
     gradient,
@@ -326,6 +328,178 @@ def test_relax_property_matches_dense(case):
     np.testing.assert_allclose(field.phi, dense_solve(bg.labels), atol=1e-8)
     assert (field.phi[bg.labels == OBSTACLE] == 1.0).all()
     assert (field.phi[bg.labels == TARGET] == 0.0).all()
+
+
+def _reference_relax(boundary, *, max_sweeps=None, initial=None):
+    """relax with the red and black cells as stride-2 views of one interleaved
+    flat grid, the layout that the two contiguous colour vectors replace: the
+    same operations in the same order, kept to check `relax` bit for bit."""
+    labels = boundary.labels
+    n, m = labels.shape
+    if max_sweeps is None:
+        max_sweeps = 20 * max(m, n)
+
+    # Flat layout with an odd row length mo: an even-width grid gets one
+    # obstacle column on the right.  Then the colour of a cell is the parity
+    # of its flat index, the red cells are x[0::2] and the black cells x[1::2],
+    # and the 4 neighbours of red cell k are black cells k - 1, k, k + h and
+    # k - h - 1 (h = mo // 2), those of black cell k red cells k, k + 1,
+    # k + h + 1 and k - h.  The frame is never free, so rows 1 .. n-2 (flat
+    # span lo:hi) hold every unknown; the stencils run over that span of
+    # each colour, and the frame columns in it are masked like any other
+    # fixed cell.
+    mo = m | 1
+    h = mo // 2
+    x = np.ones(n * mo)
+    phi = x.reshape(n, mo)[:, :m]
+    free = labels == FREE
+    if initial is not None:
+        phi[free] = np.asarray(initial, dtype=float)[free]
+    phi[labels == TARGET] = 0.0
+    xr, xb = x[0::2], x[1::2]
+    lo, hi = mo, max(mo, (n - 1) * mo)
+    r0, r1 = (lo + 1) // 2, (hi + 1) // 2
+    b0, b1 = lo // 2, hi // 2
+    free_flat = np.zeros((n, mo), dtype=bool)
+    free_flat[:, :m] = free
+    free_flat = free_flat.reshape(-1)
+    red_free = free_flat[0::2][r0:r1]
+    black_mask = free_flat[1::2][b0:b1].astype(float)
+    red_weight = red_free * (1.0 / 16.0)
+
+    def to_red(b, out):
+        """out <- sum of the 4 neighbours of each red cell in the span, read from b."""
+        np.add(b[r0 - 1 : r1 - 1], b[r0:r1], out=out)
+        out += b[r0 + h : r1 + h]
+        out += b[r0 - h - 1 : r1 - h - 1]
+        return out
+
+    def to_black(r, out):
+        """out <- sum of the 4 neighbours of each black cell in the span, read from r."""
+        np.add(r[b0:b1], r[b0 + 1 : b1 + 1], out=out)
+        out += r[b0 + h + 1 : b1 + h + 1]
+        out += r[b0 - h : b1 - h]
+        return out
+
+    def black_residual(out):
+        """out <- mean4 - phi on the free black cells, 0 elsewhere."""
+        to_black(xr, out)
+        out *= 0.25
+        out -= xb[b0:b1]
+        out *= black_mask
+        return out
+
+    def max_abs(v):
+        return max(float(v.max(initial=0.0)), -float(v.min(initial=0.0)))
+
+    t = np.zeros(len(xr))  # red-sized scratch, zero outside the span
+    tc = t[r0:r1]
+
+    def red_means():
+        """tc <- mean of the 4 neighbours of each red cell in the span."""
+        return np.multiply(to_red(xb, tc), 0.25, out=tc)
+
+    def solve_red():
+        """Set every free red cell to the mean of its 4 neighbours (exact elimination)."""
+        np.copyto(xr[r0:r1], red_means(), where=red_free)
+
+    # residual of the starting phi over all free cells, red ones included
+    r = black_residual(np.empty(b1 - b0))
+    residual = max(max_abs(r), max_abs((red_means() - xr[r0:r1]) * red_free))
+    sweeps = 0
+    if residual > TOLERANCE and max_sweeps > 0:
+        solve_red()
+        residual = max_abs(black_residual(r))
+        # The search direction p spans every black cell so that its
+        # neighbours can be read, and stays zero outside the free ones.
+        p = np.zeros(len(xb))
+        pc = p[b0:b1]
+        pc[:] = r
+        q = np.empty_like(r)
+        xbc = xb[b0:b1]
+        rr = float(np.dot(r, r))
+        rr_stop = TOLERANCE * TOLERANCE * np.count_nonzero(black_mask)
+        while residual > TOLERANCE and sweeps < max_sweeps:
+            sweeps += 1
+            to_red(p, tc)  # q = S' p
+            tc *= red_weight
+            to_black(t, q)
+            q *= black_mask
+            np.subtract(pc, q, out=q)
+            alpha = rr / float(np.dot(pc, q))
+            xbc += alpha * pc
+            q *= alpha
+            r -= q
+            rr_next = float(np.dot(r, r))
+            if rr_next <= rr_stop:  # rms(r) <= TOLERANCE, so max|r| may be too
+                residual = max_abs(r)
+                if residual <= TOLERANCE:
+                    # the recurrence drifts from the true residual: recompute
+                    # it, and restart from it if the tolerance is not met
+                    solve_red()
+                    residual = max_abs(black_residual(r))
+                    rr = float(np.dot(r, r))
+                    pc[:] = r
+                    continue
+            pc *= rr_next / rr
+            pc += r
+            rr = rr_next
+        if residual > TOLERANCE:  # stopped at the cap: fill in red, report the true residual
+            solve_red()
+            residual = max_abs(black_residual(r))
+    return PotentialField(np.ascontiguousarray(phi), sweeps, residual, residual <= TOLERANCE)
+
+
+def _same_solve(bg, **options):
+    """relax and the reference give the same phi bytes, iterations, residual and verdict."""
+    field, ref = relax(bg, **options), _reference_relax(bg, **options)
+    assert field.phi.shape == ref.phi.shape
+    assert field.phi.tobytes() == ref.phi.tobytes()
+    assert (field.sweeps, field.residual, field.converged) == (ref.sweeps, ref.residual, ref.converged)
+    return field
+
+
+def walled(h, w):
+    """A full wall at column 2: the free cells left of it form a component with no target."""
+    labels = framed(h, w)
+    labels[:, 2] = OBSTACLE
+    labels[h // 2, w - 2] = TARGET
+    return BoundaryGrid(labels=labels, target=(w - 2, h // 2))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(boundaries(), st.sampled_from([0, 1, 2, 7, None]))
+@example((walled(9, 8), None), None)                      # targetless component, even width
+@example((walled(8, 9), np.full((8, 9), 0.5)), None)      # the same, warm started below 1
+@example((scattered(10, 13, 1), None), 1)
+@example((scattered(9, 12, 2), None), 0)
+@example((scattered(11, 13, 3), None), None)
+@example((scattered(12, 4, 4), None), 20 * 12)            # exactly the default cap
+def test_relax_matches_the_reference_bitwise(case, max_sweeps):
+    """Odd and even sides, targetless components, warm starts, and a cap of
+    0, 1, a few iterations or the default: every output of relax is the
+    reference's, byte for byte."""
+    bg, initial = case
+    _same_solve(bg, max_sweeps=max_sweeps, initial=initial)
+
+
+def test_relax_matches_the_reference_bitwise_at_the_cap_and_warm():
+    """A solve stopped by its cap, then a warm solve of a moved disc from its phi."""
+    bg = disc_boundary(14, 12)
+    capped = _same_solve(bg, max_sweeps=9)
+    assert capped.sweeps == 9 and not capped.converged
+    warm = _same_solve(disc_boundary(15, 12), initial=capped.phi)
+    assert warm.converged
+
+
+def test_relax_output_is_read_only_and_leaves_initial_alone():
+    initial = np.array(relax(disc_boundary(14, 12)).phi)   # a writable copy
+    before = initial.copy()
+    field = relax(disc_boundary(15, 12), initial=initial)
+    assert not field.phi.flags.writeable
+    assert np.array_equal(initial, before)
+    with pytest.raises(ValueError):
+        field.phi[1, 1] = 0.5
 
 
 def test_relax_options_are_keyword_only():

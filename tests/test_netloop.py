@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from hpfnav import analysis, hpf, plant, vision, workspace
+from hpfnav import analysis, hpf, netloop, plant, vision, workspace
 from hpfnav.controller import Command
 from hpfnav.netloop import (
     CSV_COLUMNS,
@@ -324,6 +324,67 @@ def test_a_state_prepared_for_another_scene_is_refused(open_scenario, open_state
                                          r"prepared for \(\)$"):
         run_loop(walled, open_state)
     assert run_loop(walled).any_collision
+
+
+# --- a prepared state cannot change -------------------------------------------
+
+
+def _arrays(obj):
+    """Every numpy array reachable from obj through dataclass fields, tuples, lists and hpfnav objects."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            yield from _arrays(getattr(obj, f.name))
+    elif isinstance(obj, (tuple, list)):
+        for item in obj:
+            yield from _arrays(item)
+    elif type(obj).__module__.startswith("hpfnav."):
+        for item in vars(obj).values():
+            yield from _arrays(item)
+
+
+def _assert_read_only(obj) -> list:
+    """Assert that no array reachable from obj, nor an array it is a view of, can be written."""
+    arrays = list(_arrays(obj))
+    for a in arrays:
+        assert not a.flags.writeable
+        assert not (isinstance(a.base, np.ndarray) and a.base.flags.writeable)
+    return arrays
+
+
+@pytest.mark.parametrize("planner, count", [("hpf", 9), ("fm", 7)])
+def test_a_prepared_state_is_read_only(open_scenario, planner, count):
+    """After `state.scene.obstacle[:] = True` a run on the state reported a collision, and no error.
+
+    hpf: the image, obstacle mask, edges, labels (twice: the boundary's and
+    the gradient's), phi and the gradient's vx, vy and flat; fm: the image,
+    obstacle mask, edges, labels, the path and the track's two columns."""
+    sc = dataclasses.replace(open_scenario, planner=planner)
+    state = prepare(sc)
+    assert len(_assert_read_only(state)) == count
+    with pytest.raises(ValueError, match="read-only"):
+        state.scene.obstacle[:] = True
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        state.boundary = None
+    assert not run_loop(sc, state).any_collision
+
+
+def test_run_multi_builds_read_only_states(monkeypatch):
+    """Every state `replan` builds, and the scene the agents share, cannot be written."""
+    made = []
+    real = netloop.PlannerState
+
+    def recording(*args, **kwargs):
+        made.append(real(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(netloop, "PlannerState", recording)
+    log = run_multi(dataclasses.replace(_cross_scenario(), timeout_s=2.0))
+    assert len(made) >= 2
+    for state in made:
+        assert len(_assert_read_only(state)) == 9
+    _assert_read_only(log.scene)
 
 
 def _pgm(tmp_path, sc):

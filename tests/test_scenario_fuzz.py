@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hpfnav import workspace
 from hpfnav.cli import main
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -85,3 +86,35 @@ def test_hostile_flag_value_ends_in_exit_0_or_error_line(tmp_path, flag, value):
             # ours print "error: ...", argparse prints "<prog>: error: ..."
             assert any(line.startswith("error: ") or ": error: " in line
                        for line in err.getvalue().splitlines()), err.getvalue()
+
+
+@pytest.mark.parametrize("name, width, height", [
+    ("open", 100_000, 75_000),      # 7.5e9 cells: the image alone would take 7.5 GB
+    ("comparison", 644, 483),       # square pixels, just over the budget
+    ("multi_star", 10**300, 15),    # a product no float holds
+], ids=["open-7.5e9-cells", "comparison-just-over", "multi_star-1e300-wide"])
+def test_a_scene_over_the_cell_budget_ends_in_exit_1_before_it_is_drawn(monkeypatch, tmp_path, name, width, height):
+    """open.json at 100000 x 75000 was accepted, and drawing it would have
+    allocated a 7.5 GB image; it is refused with the field path instead, and
+    the image is never drawn."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("rasterize reached with a scene over the budget")
+
+    monkeypatch.setattr(workspace, "rasterize", refuse)
+    doc = dict(DOCS[name], width=width, height=height)
+    scenario = tmp_path / "huge.json"
+    scenario.write_text(json.dumps(doc))
+    for command in ("render", "run"):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main([command, "--scenario", str(scenario), "--out-dir", str(tmp_path / "out")])
+        assert code == 1
+        assert err.getvalue() == "error: width: width * height is %d cells, above the budget of %d\n" % (
+            width * height, workspace.MAX_CELLS)
+
+
+def test_a_scene_at_the_cell_budget_is_accepted():
+    assert workspace.MAX_CELLS == 640 * 480
+    workspace.Scenario(width=640, height=480)     # built and checked, not drawn
+    with pytest.raises(ValueError, match=r"^width: width \* height is 307680 cells, above the budget of 307200$"):
+        workspace.Scenario(width=641, height=480)

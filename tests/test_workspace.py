@@ -96,6 +96,27 @@ def test_load_pgm_errors(tmp_path):
         load_image(garbage)
 
 
+def test_load_pgm_header_over_the_cell_budget_is_refused_before_the_payload(tmp_path):
+    """The header alone decides: this file has no payload, and it was reported truncated."""
+    huge = tmp_path / "huge.pgm"
+    huge.write_bytes(b"P5\n# a comment\n100000 75000\n255\n")
+    with pytest.raises(ValueError, match=r"the 100000x75000 image is 7500000000 pixels, above the budget of 307200$"):
+        load_image(huge)
+    for dims in (b"0 16", b"16 -1"):
+        empty = tmp_path / "empty.pgm"
+        empty.write_bytes(b"P5\n" + dims + b"\n255\n")
+        with pytest.raises(ValueError, match="malformed PGM header"):
+            load_image(empty)
+
+
+def test_loaded_and_drawn_pixels_are_read_only(tmp_path):
+    f = tmp_path / "img.pgm"
+    f.write_bytes(b"P5\n# comment\n20 16\n255\n" + bytes(20 * 16))
+    for img in (load_image(f), rasterize([], 20, 16)):
+        with pytest.raises(ValueError, match="read-only"):
+            img.pixels[0, 0] = 1
+
+
 # -- synthetic scenes
 
 

@@ -10,6 +10,8 @@ The cases:
 - ``scene/<name>``: ``build_scene``'s obstacle mask and edge cells on every
   committed scenario;
 - ``fm_arrival/<name>``: the arrival-time array on each single-vehicle boundary;
+- ``field/<name>``: the hpf potential of each single-vehicle scenario, as
+  ``prepare`` solves it: the bytes of phi, the iteration count and the residual;
 - ``run/<name>/<planner>/<channel>/seed<k>``: ``run_loop`` for both planners on
   the six single-vehicle scenarios, over four channels and two seeds;
 - ``sweep/comparison``: the ``analysis.sweep`` rows on comparison;
@@ -110,6 +112,11 @@ def _arrival(name: str) -> dict:
     return {"fm_arrival/" + name: fm.fm_arrival(prepared(name, "fm").boundary).tobytes()}
 
 
+def _field(name: str) -> dict:
+    pot = prepared(name, "hpf").potential
+    return {"field/" + name: pot.phi.tobytes() + repr((pot.sweeps, pot.residual)).encode()}
+
+
 def _run(name: str, planner: str, channel: str, seed: int) -> dict:
     sc = replace(scenario(name), planner=planner, delay=CHANNELS[channel], seed=seed)
     log = netloop.run_loop(sc, prepared(name, planner))
@@ -150,6 +157,7 @@ def cases() -> dict:
     table.update(("scene/" + name, functools.partial(_scene, name)) for name in committed)
     for name in SINGLE:
         table["fm_arrival/" + name] = functools.partial(_arrival, name)
+        table["field/" + name] = functools.partial(_field, name)
     for name in SINGLE:
         for planner in PLANNERS:
             for channel in CHANNELS:
