@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -156,25 +157,35 @@ def fm_path(T: np.ndarray, start, gd: float) -> np.ndarray:
     return path
 
 
+@dataclass(frozen=True, eq=False)
 class Track:
     """An (N, 2) path in meters prepared for tracking, once: x and y columns, points, hop lengths.
 
-    The columns are read-only arrays and the points and hops tuples, so a track
-    shared by many runs cannot change under them.
+    Built as Track(path).  The track is frozen, its columns are read-only
+    arrays and the points and hops tuples, so a track shared by many runs
+    cannot change under them.
 
     Hop j runs from point j to point j + 1.
     """
 
-    def __init__(self, path):
+    path: InitVar[np.ndarray]
+    xs: np.ndarray = field(init=False)
+    ys: np.ndarray = field(init=False)
+    points: tuple = field(init=False)
+    hops: tuple = field(init=False)
+
+    def __post_init__(self, path):
         path = np.asarray(path, dtype=float)
         if len(path) == 0:
             raise ValueError("empty reference path")
-        self.xs = np.ascontiguousarray(path[:, 0])
-        self.ys = np.ascontiguousarray(path[:, 1])
-        self.xs.setflags(write=False)
-        self.ys.setflags(write=False)
-        self.points = tuple(tuple(p) for p in path.tolist())
-        self.hops = tuple(np.hypot(np.diff(self.xs), np.diff(self.ys)).tolist())
+        xs = np.ascontiguousarray(path[:, 0])
+        ys = np.ascontiguousarray(path[:, 1])
+        xs.setflags(write=False)
+        ys.setflags(write=False)
+        object.__setattr__(self, "xs", xs)
+        object.__setattr__(self, "ys", ys)
+        object.__setattr__(self, "points", tuple(tuple(p) for p in path.tolist()))
+        object.__setattr__(self, "hops", tuple(np.hypot(np.diff(xs), np.diff(ys)).tolist()))
 
     def __len__(self) -> int:
         return len(self.points)

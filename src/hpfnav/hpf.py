@@ -41,9 +41,9 @@ TOLERANCE = 1e-10  # max |mean4 - phi| over free cells at which relax stops
 EPS_FLAT = 1e-12  # gradient magnitude below which a free cell counts as flat
 
 
-@dataclass
+@dataclass(frozen=True)
 class BoundaryGrid:
-    """Cell labels (FREE / OBSTACLE / TARGET) plus the target cell."""
+    """Cell labels (FREE / OBSTACLE / TARGET) plus the target cell; frozen, so a state that holds it cannot change."""
 
     labels: np.ndarray
     target: tuple
@@ -58,7 +58,7 @@ class BoundaryGrid:
         border = np.concatenate([lab[0], lab[-1], lab[:, 0], lab[:, -1]])
         if np.any(border == FREE):
             raise ValueError("boundary grid must have a closed obstacle frame")
-        self.labels = lab
+        object.__setattr__(self, "labels", lab)
 
     @property
     def width(self) -> int:
@@ -302,9 +302,11 @@ def gradient(field: PotentialField, boundary: BoundaryGrid) -> GradientField:
     """Unit descent directions -grad(phi)/|grad(phi)|.
 
     Central differences on free cells; next to a fixed cell the difference
-    is one-sided over the free pair so pinned values never enter.  Cells
-    whose raw gradient magnitude is below `EPS_FLAT` (and all fixed cells)
-    get an exact zero vector and the flat flag.
+    is one-sided over the free pair so pinned values never enter: a fixed
+    neighbour counts as the cell itself, and the difference is halved only
+    where both neighbours are free.  Cells whose raw gradient magnitude is
+    below `EPS_FLAT` (and all fixed cells) get an exact zero vector and the
+    flat flag.
     """
     phi = field.phi
     labels = boundary.labels
@@ -312,20 +314,16 @@ def gradient(field: PotentialField, boundary: BoundaryGrid) -> GradientField:
     n, m = labels.shape
     dx = np.zeros((n, m))
     dy = np.zeros((n, m))
+    core = (slice(1, -1), slice(1, -1))
+    p_c = phi[core]
 
-    def axis_diff(out, lo_sl, hi_sl, core_sl):
-        lo_fix = fixed[lo_sl]
-        hi_fix = fixed[hi_sl]
-        p_lo, p_hi, p_c = phi[lo_sl], phi[hi_sl], phi[core_sl]
-        d = np.where(
-            ~lo_fix & ~hi_fix,
-            0.5 * (p_hi - p_lo),
-            np.where(lo_fix & ~hi_fix, p_hi - p_c, np.where(~lo_fix & hi_fix, p_c - p_lo, 0.0)),
-        )
-        out[core_sl] = d
+    def axis_diff(out, lo_sl, hi_sl):
+        lo_fix, hi_fix = fixed[lo_sl], fixed[hi_sl]
+        d = np.where(hi_fix, p_c, phi[hi_sl]) - np.where(lo_fix, p_c, phi[lo_sl])
+        out[core] = np.where(lo_fix | hi_fix, d, 0.5 * d)
 
-    axis_diff(dx, (slice(1, -1), slice(0, -2)), (slice(1, -1), slice(2, None)), (slice(1, -1), slice(1, -1)))
-    axis_diff(dy, (slice(0, -2), slice(1, -1)), (slice(2, None), slice(1, -1)), (slice(1, -1), slice(1, -1)))
+    axis_diff(dx, (slice(1, -1), slice(0, -2)), (slice(1, -1), slice(2, None)))
+    axis_diff(dy, (slice(0, -2), slice(1, -1)), (slice(2, None), slice(1, -1)))
     dx[fixed] = 0.0
     dy[fixed] = 0.0
 

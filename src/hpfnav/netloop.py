@@ -5,9 +5,11 @@ the true pose at a fixed rate and ships it through an uplink channel; when a
 pose packet arrives at the controller it picks a reference (potential-field
 guidance or path tracking on the fast-marching baseline), computes one
 command, and ships it through a downlink channel; when the command arrives
-the plant latches it (zero-order hold).  Between events the plant takes one
-exact arc per held piece of command; a watchdog zeroes the held command
-after a configurable silence window.  The trace is sampled at
+the plant latches it (zero-order hold).  A pose packet carries the camera's
+`WorldPose`, a command packet the `Command`, and a vehicle keeps its plant
+state as plain floats.  Between events the plant takes one exact arc per
+held piece of command; a watchdog zeroes the held command after a
+configurable silence window.  The trace is sampled at
 `plant.DT_MICRO` = 0.01 s along those arcs.  Each pose packet the controller
 acts on adds one row of floats to the run's records (`RECORD_COLUMNS`).  When
 the run ends, `plant.contact` tests every trace row and every record's pose
@@ -49,7 +51,7 @@ import numpy as np
 from . import controller as ctl
 from . import fm, guidance, hpf, plant, vision
 from .controller import Command
-from .workspace import SCENE_FIELDS, GridImage, Scenario, WorldPose, make_pose, pixel_to_world, world_to_pixel
+from .workspace import SCENE_FIELDS, GridImage, Scenario, WorldPose, pixel_to_world, world_to_pixel
 
 
 class Packet(NamedTuple):
@@ -58,7 +60,7 @@ class Packet(NamedTuple):
     kind: str          # "pose" or "cmd"
     seq: int
     send_time: float   # s, simulation clock
-    payload: tuple     # (x, y, theta) for pose, the Command for cmd
+    payload: object    # the camera's WorldPose for pose, the Command for cmd
 
 
 class DelayLine:
@@ -242,13 +244,16 @@ def _make_lines(scenario: Scenario, k: int):
 
 
 class _Vehicle:
-    """One plant with its own channels and planner state, on the shared scene."""
+    """One plant with its own channels and planner state, on the shared scene.
+
+    The plant state is floats: `t`, the pose `x`, `y`, `theta` (so a vehicle reads as a pose),
+    the held command `v`, `omega` and its watchdog expiry `cmd_expiry`."""
 
     def __init__(self, scenario, start: WorldPose, target_world, scene: Scene, state, uplink, downlink):
-        self.pose = start
-        self.applied = Command(0.0, 0.0)
-        self.cmd_expiry = math.inf
         self.t = 0.0
+        self.x, self.y, self.theta = start.x, start.y, start.theta
+        self.v = self.omega = 0.0
+        self.cmd_expiry = math.inf
         self.start_row = (0.0, start.x, start.y, start.theta, 0.0, 0.0)
         self.pieces = []   # `plant.hold`'s record of every piece held so far, 12 floats each
         self.records = []  # the first 12 RECORD_COLUMNS of every controller sample so far
@@ -275,17 +280,14 @@ class _Vehicle:
         """
         if self.outcome is not None or self.t >= t_target - 1e-12:
             return
-        pose, cmd, expiry = self.pose, self.applied, self.cmd_expiry
-        x, y, theta, self.t, v, omega, self.cmd_expiry, reached = plant.hold(
-            pose.x, pose.y, pose.theta, cmd.v, cmd.omega, self.t, t_target, expiry, self.pieces, self.goal)
-        self.pose = make_pose(x, y, theta)
-        if self.cmd_expiry != expiry:
-            self.applied = Command(v, omega)   # the watchdog zeroed it
+        self.x, self.y, self.theta, self.t, self.v, self.omega, self.cmd_expiry, reached = plant.hold(
+            self.x, self.y, self.theta, self.v, self.omega, self.t, t_target, self.cmd_expiry, self.pieces,
+            self.goal)
         if reached:
             self.finish("reached", self.t)
 
     def latch(self, t: float, cmd: Command) -> None:
-        self.applied = cmd
+        self.v, self.omega = cmd
         self.cmd_expiry = t + self.watchdog
 
     def log(self) -> RunLog:
@@ -344,7 +346,6 @@ def _simulate(scenario: Scenario, vehicles: list, replan=None):
     frame_seq = 0
     dm_times, dm_values = [], []
     outcome = operator.attrgetter("outcome")   # None until the vehicle finishes, then a word
-    # Packet._make builds the tuples without the generated __new__
 
     while not all(map(outcome, vehicles)):
         t_ev, _, _, v, pkt, delay = pop(heap)
@@ -361,7 +362,7 @@ def _simulate(scenario: Scenario, vehicles: list, replan=None):
             if pkt.kind == "cmd":
                 v.latch(t_ev, pkt.payload)
                 continue
-            obs = make_pose(*pkt.payload)
+            obs = pkt.payload
             cmd, delta_l, flat = _control_sample(scenario, v.state, obs)
             delay_down = math.nan
             if replan is not None or not flat:
@@ -370,8 +371,7 @@ def _simulate(scenario: Scenario, vehicles: list, replan=None):
                 if d is not None:
                     delay_down = d
                     push(heap, (t_ev + d, 0, next(order), v, cmd_pkt, d))
-            pose = v.pose
-            v.records.extend((t_ev, pose.x, pose.y, pose.theta, obs.x, obs.y, obs.theta, cmd.v, cmd.omega,
+            v.records.extend((t_ev, v.x, v.y, v.theta, obs.x, obs.y, obs.theta, cmd.v, cmd.omega,
                               delta_l, delay, delay_down))
             if flat and replan is None:
                 v.finish("unreachable", t_ev)
@@ -381,8 +381,7 @@ def _simulate(scenario: Scenario, vehicles: list, replan=None):
             v.integrate_to(t_ev)
         if len(vehicles) > 1:
             dm_times.append(t_ev)
-            dm_values.append(min(math.hypot(a.pose.x - b.pose.x, a.pose.y - b.pose.y)
-                                 for a, b in itertools.combinations(vehicles, 2)))
+            dm_values.append(min(math.hypot(a.x - b.x, a.y - b.y) for a, b in itertools.combinations(vehicles, 2)))
         if replan is not None:
             for i, v in enumerate(vehicles):
                 if v.outcome is None:
@@ -391,10 +390,10 @@ def _simulate(scenario: Scenario, vehicles: list, replan=None):
             if v.outcome is not None:
                 continue
             try:
-                obs = plant.observe(v.pose, gd, width, height)
+                obs = plant.observe(v, gd, width, height)
             except ValueError:
                 continue  # vehicle out of frame: camera has nothing to report
-            pose_pkt = Packet._make(("pose", frame_seq, t_ev, (obs.x, obs.y, obs.theta)))
+            pose_pkt = Packet._make(("pose", frame_seq, t_ev, obs))
             d = v.uplink.push(pose_pkt)
             if d is not None:
                 push(heap, (t_ev + d, 0, next(order), v, pose_pkt, d))
@@ -433,7 +432,7 @@ def run_loop(scenario: Scenario, state: PlannerState | None = None,
 
 
 def _stamp_agents(static_edges: np.ndarray, poses, me: int, own_target, scenario) -> np.ndarray:
-    """Static edges plus discs for the other agents this one is aware of."""
+    """Static edges plus discs for the other agents this one is aware of; `poses` are anything with `x` and `y`."""
     n, m = static_edges.shape
     gd = scenario.gd
     r_px = scenario.agent_radius / gd
@@ -491,7 +490,7 @@ def run_multi(scenario: Scenario) -> MultiRunLog:
 
     def replan(i: int) -> None:
         v, target = vehicles[i], scenario.agents[i].target
-        cells = _stamp_agents(scene.edges, [u.pose for u in vehicles], i, target, scenario)
+        cells = _stamp_agents(scene.edges, vehicles, i, target, scenario)
         boundary = hpf.build_boundary(cells, target)
         prev = v.state
         if prev is not None and np.array_equal(prev.boundary.labels, boundary.labels):

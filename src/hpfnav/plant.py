@@ -22,16 +22,15 @@ import math
 import numpy as np
 
 from .controller import Command
-from .workspace import WorldPose, make_pose, pixel_to_world, world_to_pixel
+from .workspace import WorldPose, pixel_to_world, world_to_pixel
 
 DT_MICRO = 0.01          # trace sampling and near-goal integration step, s
 _OMEGA_STRAIGHT = 1e-12  # below this |omega| the arc degenerates to a line
 _ROUNDING = 1e-15        # bound on one step's rounding error, per meter of the figures it mixes
 _MERGE = 1e-9            # s: a sample this close to a piece's end is not taken apart from it
-_NO_GOAL = (0.0, 0.0, -math.inf)
 
 
-def hold(x, y, theta, v, omega, t, t_target, expiry, pieces, goal=_NO_GOAL):
+def hold(x, y, theta, v, omega, t, t_target, expiry, pieces, goal):
     """Hold the command (v, omega) from time t < t_target to t_target.
 
     The watchdog zeroes the command at `expiry`, which splits the hold there;
@@ -129,8 +128,8 @@ def step(pose: WorldPose, cmd: Command, dt: float) -> WorldPose:
     return WorldPose(*arc(pose.x, pose.y, pose.theta, cmd.v, cmd.omega, dt))
 
 
-def observe(pose: WorldPose, gd: float, width: int, height: int) -> WorldPose:
-    """Camera report of a pose.
+def observe(pose, gd: float, width: int, height: int) -> WorldPose:
+    """Camera report of a pose: of any object with float `x`, `y` and `theta`, such as a vehicle.
 
     Position snaps to the center of the pixel that contains it, matching
     what a segmentation of the image can deliver; heading is reported
@@ -138,7 +137,7 @@ def observe(pose: WorldPose, gd: float, width: int, height: int) -> WorldPose:
     """
     cell = world_to_pixel((pose.x, pose.y), gd, width, height)
     cx, cy = pixel_to_world(cell, gd, width, height)
-    return make_pose(cx, cy, pose.theta)
+    return WorldPose(cx, cy, pose.theta)
 
 
 def contact(obstacle: np.ndarray, gd: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:

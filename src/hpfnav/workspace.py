@@ -67,22 +67,9 @@ class WorldPose:
             object.__setattr__(self, "theta", wrap_angle(float(self.theta)))
 
 
-def make_pose(x: float, y: float, theta: float) -> WorldPose:
-    """WorldPose(x, y, theta) of three floats: the same wrap of theta, without the type check.
-
-    For the simulation's per-event poses, whose fields are floats already.
-    """
-    pose = object.__new__(WorldPose)
-    fields_ = pose.__dict__
-    fields_["x"] = x
-    fields_["y"] = y
-    fields_["theta"] = wrap_angle(theta)
-    return pose
-
-
-@dataclass
+@dataclass(frozen=True)
 class GridImage:
-    """Grayscale workspace image, shape (height, width), uint8."""
+    """Grayscale workspace image, shape (height, width), uint8; frozen, so a scene that holds it cannot change."""
 
     pixels: np.ndarray
 
@@ -100,7 +87,7 @@ class GridImage:
             if px.min() < 0 or px.max() > 255:
                 raise ValueError("intensities must lie in [0, 255]")
             px = px.astype(np.uint8)
-        self.pixels = px
+        object.__setattr__(self, "pixels", px)
 
     @property
     def width(self) -> int:

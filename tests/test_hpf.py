@@ -10,7 +10,9 @@ from hpfnav.hpf import (
     OBSTACLE,
     TARGET,
     TOLERANCE,
+    EPS_FLAT,
     BoundaryGrid,
+    GradientField,
     PotentialField,
     build_boundary,
     descend,
@@ -548,6 +550,61 @@ def test_gradient_flat_component():
     grad = gradient(relax(bg), bg)
     assert grad.flat[1:-1, 1:5].all()
     assert not grad.flat[1:-1, 6:-1].all()
+
+
+def _reference_gradient(field, boundary):
+    """gradient with one nested np.where over the four cases of a neighbour pair, the rule that
+    one difference of substituted neighbours replaced: kept to check `gradient` bit for bit."""
+    phi = field.phi
+    labels = boundary.labels
+    fixed = labels != FREE
+    n, m = labels.shape
+    dx = np.zeros((n, m))
+    dy = np.zeros((n, m))
+
+    def axis_diff(out, lo_sl, hi_sl, core_sl):
+        lo_fix = fixed[lo_sl]
+        hi_fix = fixed[hi_sl]
+        p_lo, p_hi, p_c = phi[lo_sl], phi[hi_sl], phi[core_sl]
+        d = np.where(
+            ~lo_fix & ~hi_fix,
+            0.5 * (p_hi - p_lo),
+            np.where(lo_fix & ~hi_fix, p_hi - p_c, np.where(~lo_fix & hi_fix, p_c - p_lo, 0.0)),
+        )
+        out[core_sl] = d
+
+    axis_diff(dx, (slice(1, -1), slice(0, -2)), (slice(1, -1), slice(2, None)), (slice(1, -1), slice(1, -1)))
+    axis_diff(dy, (slice(0, -2), slice(1, -1)), (slice(2, None), slice(1, -1)), (slice(1, -1), slice(1, -1)))
+    dx[fixed] = 0.0
+    dy[fixed] = 0.0
+
+    mag = np.hypot(dx, dy)
+    flat = fixed | (mag < EPS_FLAT)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        vx = np.where(flat, 0.0, -dx / mag)
+        vy = np.where(flat, 0.0, -dy / mag)
+    for a in (vx, vy, flat):
+        a.setflags(write=False)
+    return GradientField(vx, vy, flat, labels, boundary.target)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(boundaries())
+@example((corridor(3, 17), None))
+@example((corridor(18, 3, vertical=True), None))
+@example((bent_corridor(9, 12), None))
+@example((bent_corridor(10, 11), np.full((10, 11), 0.5)))   # equal neighbours: zero differences
+@example((walled(9, 8), None))                             # a flat, targetless component
+def test_gradient_matches_the_reference_bitwise(case):
+    """Framed grids of any side from 3 (1-cell corridors included), on a solved field or, with a
+    warm start, on the start itself, ties and all: vx, vy and flat are the reference's, byte for
+    byte, signed zeros included."""
+    bg, initial = case
+    field = relax(bg) if initial is None else relax(bg, max_sweeps=0, initial=initial)
+    grad, ref = gradient(field, bg), _reference_gradient(field, bg)
+    for got, want in ((grad.vx, ref.vx), (grad.vy, ref.vy), (grad.flat, ref.flat)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 # -- descent

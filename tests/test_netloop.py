@@ -89,7 +89,7 @@ def test_delayline_fifo_order(open_scenario, open_state):
     log = run_loop(open_scenario, open_state, uplink=uplink, downlink=DelayLine(0.3))
     assert log.outcome == "reached"
     assert [p.seq for p in uplink.sent] == list(range(len(uplink.sent)))
-    obs = [WorldPose(*p.payload) for p in uplink.sent[:len(log.records)]]
+    obs = [p.payload for p in uplink.sent[:len(log.records)]]
     assert log.records[:, 4:7].tolist() == [[o.x, o.y, o.theta] for o in obs]   # x_obs, y_obs, theta_obs
     assert _column(log, "t").tolist() == [p.send_time + 0.3 for p in uplink.sent[:len(log.records)]]
 
@@ -329,27 +329,38 @@ def test_a_state_prepared_for_another_scene_is_refused(open_scenario, open_state
 # --- a prepared state cannot change -------------------------------------------
 
 
-def _arrays(obj):
-    """Every numpy array reachable from obj through dataclass fields, tuples, lists and hpfnav objects."""
-    if isinstance(obj, np.ndarray):
-        yield obj
-    elif dataclasses.is_dataclass(obj):
-        for f in dataclasses.fields(obj):
-            yield from _arrays(getattr(obj, f.name))
-    elif isinstance(obj, (tuple, list)):
-        for item in obj:
-            yield from _arrays(item)
-    elif type(obj).__module__.startswith("hpfnav."):
-        for item in vars(obj).values():
-            yield from _arrays(item)
+def _attributes(obj) -> list:
+    """The names of obj's own attributes: dataclass fields, named-tuple fields or, for any other
+    hpfnav object, its instance attributes; none for anything else."""
+    if dataclasses.is_dataclass(obj):
+        return [f.name for f in dataclasses.fields(obj)]
+    if isinstance(obj, tuple) and hasattr(obj, "_fields"):
+        return list(obj._fields)
+    if type(obj).__module__.startswith("hpfnav."):
+        return list(vars(obj))
+    return []
+
+
+def _reachable(obj):
+    """obj and everything reachable from it through attributes, tuples and lists."""
+    yield obj
+    items = obj if isinstance(obj, (tuple, list)) else [getattr(obj, name) for name in _attributes(obj)]
+    for item in items:
+        yield from _reachable(item)
 
 
 def _assert_read_only(obj) -> list:
-    """Assert that no array reachable from obj, nor an array it is a view of, can be written."""
-    arrays = list(_arrays(obj))
+    """Assert that no array reachable from obj, nor an array it is a view of, can be written, and
+    that no attribute of any object reachable from obj can be reassigned.  Returns the arrays."""
+    reachable = list(_reachable(obj))
+    arrays = [a for a in reachable if isinstance(a, np.ndarray)]
     for a in arrays:
         assert not a.flags.writeable
         assert not (isinstance(a.base, np.ndarray) and a.base.flags.writeable)
+    for item in reachable:
+        for name in _attributes(item):
+            with pytest.raises(AttributeError):
+                setattr(item, name, getattr(item, name))
     return arrays
 
 
@@ -367,11 +378,13 @@ def test_a_prepared_state_is_read_only(open_scenario, planner, count):
         state.scene.obstacle[:] = True
     with pytest.raises(dataclasses.FrozenInstanceError):
         state.boundary = None
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        state.boundary.target = (1, 1)   # check_state once accepted a scenario with this target
     assert not run_loop(sc, state).any_collision
 
 
 def test_run_multi_builds_read_only_states(monkeypatch):
-    """Every state `replan` builds, and the scene the agents share, cannot be written."""
+    """Every state `replan` builds, and the scene the agents share, cannot be written or reassigned."""
     made = []
     real = netloop.PlannerState
 
@@ -502,12 +515,12 @@ def _reference_integrate_to(veh, t_target, gd, obstacle, rows, ends):
         return False
     dt = plant.DT_MICRO
     tx, ty, goal_radius = veh.goal
-    x, y, theta = veh.pose.x, veh.pose.y, veh.pose.theta
+    x, y, theta = veh.x, veh.y, veh.theta
     # the hold's rounding slack is far below 1e-9 m, and no case starts that close to the bound
-    in_reach = math.hypot(x - tx, y - ty) - abs(veh.applied.v) * (t_target - veh.t) <= goal_radius + 1e-9
+    in_reach = math.hypot(x - tx, y - ty) - abs(veh.v) * (t_target - veh.t) <= goal_radius + 1e-9
     contact = False
     while veh.t < t_target:
-        t0, (x0, y0, theta0), (v, omega) = veh.t, (x, y, theta), veh.applied
+        t0, (x0, y0, theta0), (v, omega) = veh.t, (x, y, theta), (veh.v, veh.omega)
         t1 = veh.cmd_expiry if t0 < veh.cmd_expiry < t_target - 1e-12 else t_target
         if in_reach and t0 + dt < t1 - 1e-9:
             t1 = t0 + dt
@@ -518,10 +531,10 @@ def _reference_integrate_to(veh, t_target, gd, obstacle, rows, ends):
         x, y, theta = plant.arc(x0, y0, theta0, v, omega, t1 - t0)
         veh.t = t1
         if veh.t >= veh.cmd_expiry - 1e-12:
-            veh.applied = Command(0.0, 0.0)
+            veh.v = veh.omega = 0.0
             veh.cmd_expiry = math.inf
         ends.append(len(rows))
-        rows.append((veh.t, x, y, theta, veh.applied.v, veh.applied.omega))
+        rows.append((veh.t, x, y, theta, veh.v, veh.omega))
         for row in rows[ends[-1] - k + 1:]:
             contact |= plant.collides(WorldPose(*row[1:4]), obstacle, gd)
             # outside the goal's reach, no sample lies within the goal radius
@@ -529,7 +542,8 @@ def _reference_integrate_to(veh, t_target, gd, obstacle, rows, ends):
         if in_reach and math.hypot(x - tx, y - ty) <= goal_radius:
             veh.finish("reached", veh.t)
             break
-    veh.pose = WorldPose(x, y, theta)
+    pose = WorldPose(x, y, theta)   # wraps theta again; the engine, which does not, must agree bit for bit
+    veh.x, veh.y, veh.theta = pose.x, pose.y, pose.theta
     return contact
 
 
@@ -563,8 +577,8 @@ def test_plant_loop_matches_chained_steps_bitwise(case, open_scenario, open_stat
                   for _ in range(2))
     for veh in (fast, slow):
         veh.latch(0.0, Command(v, omega))
-    rows, ends = [(0.0, slow.pose.x, slow.pose.y, slow.pose.theta, 0.0, 0.0)], [0]
-    contact = plant.collides(slow.pose, obstacle, gd)
+    rows, ends = [(0.0, slow.x, slow.y, slow.theta, 0.0, 0.0)], [0]
+    contact = plant.collides(slow, obstacle, gd)
     for t_target in targets:
         fast.integrate_to(t_target)
         contact |= _reference_integrate_to(slow, t_target, gd, obstacle, rows, ends)
@@ -573,12 +587,12 @@ def test_plant_loop_matches_chained_steps_bitwise(case, open_scenario, open_stat
         assert np.array_equal(log.trace[:, 0], ref[:, 0])          # the sample times
         assert np.array_equal(log.trace[ends], ref[ends])           # each piece's end row
         assert np.abs(log.trace - ref).max() <= 1e-12               # numpy's trig against libm's
-        assert (fast.pose.x, fast.pose.y, fast.pose.theta) == (slow.pose.x, slow.pose.y, slow.pose.theta)
-        assert (fast.t, fast.applied, fast.cmd_expiry) == (slow.t, slow.applied, slow.cmd_expiry)
+        assert (fast.x, fast.y, fast.theta) == (slow.x, slow.y, slow.theta)
+        assert (fast.t, fast.v, fast.omega, fast.cmd_expiry) == (slow.t, slow.v, slow.omega, slow.cmd_expiry)
         assert (fast.outcome, fast.end_time) == (slow.outcome, slow.end_time)
         assert log.any_collision == contact and isinstance(log.any_collision, bool)
     log = fast.log()
-    got = {"applied": fast.applied, "outcome": fast.outcome, "end_time": fast.end_time,
+    got = {"applied": Command(fast.v, fast.omega), "outcome": fast.outcome, "end_time": fast.end_time,
            "any_collision": log.any_collision, "trace": log.trace.tolist()}
     expect = {"watchdog_mid_step": ("applied", Command(0.0, 0.0)), "goal_mid_segment": ("outcome", "reached"),
               "leaves_workspace": ("any_collision", True), "starts_outside": ("any_collision", True),
@@ -593,9 +607,9 @@ def test_plant_loop_matches_chained_steps_bitwise(case, open_scenario, open_stat
     if case in ("goal_mid_segment", "reverse_into_goal"):
         assert fast.end_time < targets[-1]
     if case == "leaves_workspace":
-        assert fast.pose.x < 0.0
+        assert fast.x < 0.0
     if case == "reverse_into_goal":
-        assert fast.pose.x < x and (log.trace[1:, 4] < 0.0).all()
+        assert fast.x < x and (log.trace[1:, 4] < 0.0).all()
     if case == "goal_on_last_micro_step":
         before = log.trace[-2]   # the micro-step before the last one is still outside the goal
         assert math.hypot(before[1] - target[0], before[2] - target[1]) > sc.goal_radius
@@ -670,7 +684,7 @@ def test_pad_ring_beside_a_rect_is_not_a_collision():
     veh, flags = _driven(sc, state, WorldPose(20.5 * gd, (row + 0.5) * gd, 0.0), 0.2,
                          [9.0 * gd / 0.2, 10.0 * gd / 0.2])
     assert flags == [False, True]
-    assert plant.collides(veh.pose, state.scene.obstacle, gd) and math.floor(veh.pose.x / gd) == 30
+    assert plant.collides(veh, state.scene.obstacle, gd) and math.floor(veh.x / gd) == 30
 
 
 def test_default_vision_sees_a_default_shape():
@@ -690,7 +704,7 @@ def test_frame_ring_is_free_and_leaving_the_workspace_is_a_collision(open_scenar
     veh, flags = _driven(sc, open_state, WorldPose(40.5 * gd, 0.5 * gd, 0.0), 0.2,
                          [23.0 * gd / 0.2, 24.0 * gd / 0.2])
     assert flags == [False, True]
-    assert plant.collides(veh.pose, open_state.scene.obstacle, gd) and veh.pose.x > sc.extent[0]
+    assert plant.collides(veh, open_state.scene.obstacle, gd) and veh.x > sc.extent[0]
 
 
 def test_start_on_an_obstacle_pixel_is_a_collision(tmp_path):

@@ -7,6 +7,8 @@ import typing
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hpfnav.controller import A_CAP
 from hpfnav.guidance import lookahead
@@ -39,6 +41,30 @@ def test_wrap_angle():
     for k in range(-7, 8):
         a = 0.3 + 2 * math.pi * k
         assert wrap_angle(a) == pytest.approx(0.3)
+
+
+@settings(max_examples=2000, deadline=None, derandomize=True, database=None)
+@given(st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False))
+@example(-math.pi)
+@example(math.pi)
+@example(0.3)
+@example(0.0)
+@example(-0.0)
+@example(math.nextafter(math.pi, 0.0))
+@example(math.nextafter(math.pi, 4.0))
+@example(math.nextafter(-math.pi, 0.0))
+@example(math.nextafter(-math.pi, -4.0))
+def test_wrap_angle_returns_its_own_outputs_bitwise(a):
+    """A second wrap changes no bit, so the plant may keep a heading that `plant.arc` wrapped as it is.
+
+    The wrap is w = fl(m - pi) with m = fl(a + pi) mod tau in [0, tau).  Re-wrapping w first takes
+    w + pi, and that sum is exact, by Sterbenz's lemma (x - y is exact when y/2 <= x <= 2y): where
+    m >= pi/2, m - pi was exact, so w + pi = m; where m < pi/2, w <= -pi/2 and pi - |w| is exact.
+    So w + pi lies in [0, tau] and comes back from the mod as itself (tau, for w = pi, goes to 0
+    and then to pi again), and (w + pi) - pi = w is a float, so it is computed exactly too.  The
+    first wrap does move angles, 0.3 to 0.2999999999999998 among them."""
+    w = wrap_angle(a)
+    assert wrap_angle(w).hex() == w.hex()
 
 
 def test_world_pose_normalizes_theta():

@@ -12,6 +12,8 @@ The cases:
 - ``fm_arrival/<name>``: the arrival-time array on each single-vehicle boundary;
 - ``field/<name>``: the hpf potential of each single-vehicle scenario, as
   ``prepare`` solves it: the bytes of phi, the iteration count and the residual;
+- ``grad/<name>``: the hpf gradient of each single-vehicle scenario, as
+  ``prepare`` takes it: the bytes of vx, vy and flat;
 - ``run/<name>/<planner>/<channel>/seed<k>``: ``run_loop`` for both planners on
   the six single-vehicle scenarios, over four channels and two seeds;
 - ``sweep/comparison``: the ``analysis.sweep`` rows on comparison;
@@ -117,6 +119,11 @@ def _field(name: str) -> dict:
     return {"field/" + name: pot.phi.tobytes() + repr((pot.sweeps, pot.residual)).encode()}
 
 
+def _grad(name: str) -> dict:
+    grad = prepared(name, "hpf").grad
+    return {"grad/" + name: grad.vx.tobytes() + grad.vy.tobytes() + grad.flat.tobytes()}
+
+
 def _run(name: str, planner: str, channel: str, seed: int) -> dict:
     sc = replace(scenario(name), planner=planner, delay=CHANNELS[channel], seed=seed)
     log = netloop.run_loop(sc, prepared(name, planner))
@@ -158,6 +165,7 @@ def cases() -> dict:
     for name in SINGLE:
         table["fm_arrival/" + name] = functools.partial(_arrival, name)
         table["field/" + name] = functools.partial(_field, name)
+        table["grad/" + name] = functools.partial(_grad, name)
     for name in SINGLE:
         for planner in PLANNERS:
             for channel in CHANNELS:
