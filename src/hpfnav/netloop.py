@@ -22,9 +22,10 @@ is reused only for scenarios with the same image.
 One event engine drives every run; each vehicle in it carries its own
 channels and planner state.  A single run (`run_loop`) is the one-vehicle
 case with a static planner, where a flat field sample means the target is
-unreachable and ends the run.  A multi-agent run (`run_multi`) re-solves
-each vehicle's field every camera frame around the others, and a flat
-sample there only holds the vehicle until the blocker moves on.
+unreachable and ends the run.  A multi-agent run (`run_multi`) plans each
+vehicle around the others where the camera last saw them, re-solving its
+field only when that view changes, and a flat sample there only holds the
+vehicle until the blocker moves on.
 
 All events sit on one heap, ordered by time, then packets before the camera
 frame of the same instant, then push order.  Each delivered packet is one
@@ -247,7 +248,8 @@ class _Vehicle:
     """One plant with its own channels and planner state, on the shared scene.
 
     The plant state is floats: `t`, the pose `x`, `y`, `theta` (so a vehicle reads as a pose),
-    the held command `v`, `omega` and its watchdog expiry `cmd_expiry`."""
+    the held command `v`, `omega` and its watchdog expiry `cmd_expiry`.  `seen` is the
+    camera's last report of it, the one view of it the server has."""
 
     def __init__(self, scenario, start: WorldPose, target_world, scene: Scene, state, uplink, downlink):
         self.t = 0.0
@@ -255,6 +257,7 @@ class _Vehicle:
         self.v = self.omega = 0.0
         self.cmd_expiry = math.inf
         self.start_row = (0.0, start.x, start.y, start.theta, 0.0, 0.0)
+        self.seen = None   # the camera's last report of this vehicle, a WorldPose
         self.pieces = []   # `plant.hold`'s record of every piece held so far, 12 floats each
         self.records = []  # the first 12 RECORD_COLUMNS of every controller sample so far
         self.scene = scene
@@ -325,11 +328,16 @@ def _control_sample(scenario, state, obs: WorldPose):
 def _simulate(scenario: Scenario, vehicles: list, replan=None):
     """Run the event loop until every vehicle has an outcome.
 
-    Without `replan` each vehicle keeps the planner it came with, and a flat
-    sample means its target is unreachable: the vehicle stops there.  With
-    `replan`, every camera frame calls replan(i) for each active vehicle, and
-    a flat sample means "blocked right now": a zero command goes out and
-    holds the vehicle, since the blocker moves on.  Returns (end time,
+    Every camera frame observes each vehicle once with `plant.observe` and
+    keeps the report as the vehicle's `seen`, the one view of it the server
+    has; an active vehicle's report goes up as its pose packet, the same
+    object.  A vehicle out of frame yields no report, and its last `seen`
+    stands.  Without `replan` each vehicle keeps the planner it came with,
+    and a flat sample means its target is unreachable: the vehicle stops
+    there.  With `replan`, every camera frame calls replan(i) for each
+    active vehicle once all are observed, and a flat sample means "blocked
+    right now": a zero command goes out and holds the vehicle, since the
+    blocker moves on.  Returns (end time,
     dm_times, dm_values), the last two holding the minimum pairwise distance
     at each camera frame when there are several vehicles.
 
@@ -376,27 +384,26 @@ def _simulate(scenario: Scenario, vehicles: list, replan=None):
             if flat and replan is None:
                 v.finish("unreachable", t_ev)
             continue
-        # camera frame: move everyone, measure spacing, replan, observe
+        # camera frame: move everyone, measure spacing, observe and report, replan
         for v in vehicles:
             v.integrate_to(t_ev)
         if len(vehicles) > 1:
             dm_times.append(t_ev)
             dm_values.append(min(math.hypot(a.x - b.x, a.y - b.y) for a, b in itertools.combinations(vehicles, 2)))
+        for v in vehicles:
+            try:
+                v.seen = obs = plant.observe(v, gd, width, height)
+            except ValueError:
+                continue  # vehicle out of frame: camera has nothing to report, its last sighting stands
+            if v.outcome is None:
+                pose_pkt = Packet._make(("pose", frame_seq, t_ev, obs))
+                d = v.uplink.push(pose_pkt)
+                if d is not None:
+                    push(heap, (t_ev + d, 0, next(order), v, pose_pkt, d))
         if replan is not None:
             for i, v in enumerate(vehicles):
                 if v.outcome is None:
                     replan(i)
-        for v in vehicles:
-            if v.outcome is not None:
-                continue
-            try:
-                obs = plant.observe(v, gd, width, height)
-            except ValueError:
-                continue  # vehicle out of frame: camera has nothing to report
-            pose_pkt = Packet._make(("pose", frame_seq, t_ev, obs))
-            d = v.uplink.push(pose_pkt)
-            if d is not None:
-                push(heap, (t_ev + d, 0, next(order), v, pose_pkt, d))
         frame_seq += 1
         push(heap, (t_ev + frame_dt, 1, next(order), None, None, None))
     return max(v.end_time for v in vehicles), dm_times, dm_values
@@ -431,17 +438,29 @@ def run_loop(scenario: Scenario, state: PlannerState | None = None,
     return veh.log()
 
 
-def _stamp_agents(static_edges: np.ndarray, poses, me: int, own_target, scenario) -> np.ndarray:
-    """Static edges plus discs for the other agents this one is aware of; `poses` are anything with `x` and `y`."""
+def _aware_of(poses, me: int, awareness: str) -> list:
+    """The poses agent `me` plans around: every other agent's, or with "nearest" the closest to its own.
+
+    Of equally close agents "nearest" picks the first.
+    """
+    others = [p for j, p in enumerate(poses) if j != me]
+    if awareness == "nearest" and others:
+        mine = poses[me]
+        others = [min(others, key=lambda p: math.hypot(p.x - mine.x, p.y - mine.y))]
+    return others
+
+
+def _stamp_agents(static_edges: np.ndarray, poses, own_target, scenario) -> np.ndarray:
+    """Static edges plus an `agent_radius` disc at each of `poses`, clear of this agent's own target.
+
+    `poses` are anything with `x` and `y`; `run_multi` passes the camera's
+    last reports of the agents `_aware_of` picks, cell centres all.
+    """
     n, m = static_edges.shape
     gd = scenario.gd
     r_px = scenario.agent_radius / gd
-    others = [(j, p) for j, p in enumerate(poses) if j != me]
-    if scenario.awareness == "nearest" and others:
-        mine = poses[me]
-        others = [min(others, key=lambda jp: math.hypot(jp[1].x - mine.x, jp[1].y - mine.y))]
     stamp = np.zeros_like(static_edges)
-    for _, p in others:
+    for p in poses:
         ax, ay = p.x / gd, p.y / gd
         # test only the disc's bounding box, widened by a cell against rounding
         x0, x1 = (min(m, max(0, v)) for v in (math.floor(ax - r_px) - 1, math.ceil(ax + r_px) + 2))
@@ -460,13 +479,20 @@ def _stamp_agents(static_edges: np.ndarray, poses, me: int, own_target, scenario
 def run_multi(scenario: Scenario) -> MultiRunLog:
     """Decentralized multi-vehicle run.
 
-    Every camera frame each agent rebuilds its own boundary (the shared
-    scene's edges plus the other agents' discs), re-solves its potential warm
-    started from the previous frame, and otherwise runs the same networked
-    loop as a single vehicle.  A flat sample here means "blocked right now"
-    and holds the vehicle instead of ending the run, since the blocker moves.
-    Collisions are with the scene only; how close the agents come to each
-    other is measured by the minimum pairwise distance (`MultiRunLog.min_dm`).
+    The server knows the other agents only from camera frames.  Each agent
+    plans on its own boundary: the shared scene's edges plus a disc at the
+    camera's last report of each agent it is aware of (`_aware_of`), a cell
+    centre.  An agent the camera cannot see, out of frame, stays stamped at
+    its last observed cell; its true pose is never used.  Those stamped
+    cells are the only input of an agent's field besides the scene and its
+    target, so the field is re-solved, warm started from the last one, only
+    in a frame where they changed: a stamped agent was seen in another cell,
+    or with "nearest" another agent became the nearest.  Otherwise each
+    agent runs the same networked loop as a single vehicle.  A flat sample
+    here means "blocked right now" and holds the vehicle instead of ending
+    the run, since the blocker moves.  Collisions are with the scene only;
+    how close the agents come to each other is measured by the minimum
+    pairwise distance (`MultiRunLog.min_dm`).
     """
     if scenario.planner != "hpf":
         raise ValueError("planner: run_multi plans with hpf only, got %r" % scenario.planner)
@@ -488,15 +514,19 @@ def run_multi(scenario: Scenario) -> MultiRunLog:
         for spec, (up, down) in zip(scenario.agents, _make_lines(scenario, k))
     ]
 
+    keys = [None] * k   # per agent, the stamped cell centres its field was last solved for
+
     def replan(i: int) -> None:
+        stamped = _aware_of([u.seen for u in vehicles], i, scenario.awareness)
+        key = [(p.x, p.y) for p in stamped]
+        if key == keys[i]:
+            return  # the camera saw no stamped agent change cell: the field still holds
         v, target = vehicles[i], scenario.agents[i].target
-        cells = _stamp_agents(scene.edges, vehicles, i, target, scenario)
-        boundary = hpf.build_boundary(cells, target)
+        boundary = hpf.build_boundary(_stamp_agents(scene.edges, stamped, target, scenario), target)
         prev = v.state
-        if prev is not None and np.array_equal(prev.boundary.labels, boundary.labels):
-            return  # same obstacles as last solve: the field still holds
         pot = hpf.relax(boundary, initial=None if prev is None else prev.potential.phi)
         v.state = PlannerState("hpf", scene, boundary, grad=hpf.gradient(pot, boundary), potential=pot)
+        keys[i] = key
 
     t_end, dm_times, dm_values = _simulate(scenario, vehicles, replan)
     outcome = "reached" if all(v.outcome == "reached" for v in vehicles) else "timeout"

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hpfnav import hpf
 from hpfnav.hpf import (
     FREE,
     OBSTACLE,
@@ -19,6 +20,7 @@ from hpfnav.hpf import (
     gradient,
     relax,
 )
+from hpfnav.netloop import build_scene
 
 
 def dense_solve(labels):
@@ -301,6 +303,21 @@ def test_relax_reports_the_true_residual(max_sweeps):
     true = np.abs(mean4 - phi[1:-1, 1:-1])[bg.labels[1:-1, 1:-1] == FREE].max()
     assert field.residual == pytest.approx(true, rel=1e-6, abs=1e-15)
     assert field.converged == (max_sweeps is None)
+
+
+def test_relax_restarts_when_the_recomputed_residual_misses_the_tolerance(comparison_scenario, monkeypatch):
+    """At a tolerance of 1e-15 on comparison's boundary the recurrence meets it once before the
+    true residual does: relax recomputes the residual, restarts CG from it, and stops on the true one."""
+    monkeypatch.setattr(hpf, "TOLERANCE", 1e-15)
+    bg = build_boundary(build_scene(comparison_scenario).edges, comparison_scenario.target)
+    field = relax(bg)
+    phi = field.phi
+    # summed in relax's neighbour order (left, right, below, above), so the figure is the same to the bit
+    mean4 = (((phi[1:-1, :-2] + phi[1:-1, 2:]) + phi[2:, 1:-1]) + phi[:-2, 1:-1]) * 0.25
+    true = np.abs(mean4 - phi[1:-1, 1:-1])[bg.labels[1:-1, 1:-1] == FREE].max()
+    assert field.converged
+    assert field.residual == true
+    assert field.residual <= 1e-15
 
 
 @st.composite

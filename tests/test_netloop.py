@@ -729,7 +729,7 @@ def test_another_agents_disc_is_not_a_scene_collision():
                   agent_radius=0.05, timeout_s=2.0)
     edges = np.zeros((sc.height, sc.width), bool)
     for i, spec in enumerate(sc.agents):
-        cells = _stamp_agents(edges, [a.start for a in sc.agents], i, spec.target, sc)
+        cells = _stamp_agents(edges, [sc.agents[1 - i].start], spec.target, sc)
         labels = hpf.build_boundary(cells, spec.target).labels
         cx, cy = world_to_pixel((spec.start.x, spec.start.y), sc.gd, sc.width, sc.height)
         assert labels[cy, cx] == hpf.OBSTACLE   # the planner sees the other agent here
@@ -818,6 +818,112 @@ def test_every_multi_agent_replan_converges(monkeypatch):
     assert log.outcome == "reached"
     assert len(converged) > 2
     assert all(converged), "%d of %d solves stopped unconverged" % (converged.count(False), len(converged))
+
+
+def _multi_star(scenario_dir, awareness, timeout_s=10.0):
+    return dataclasses.replace(load_scenario(scenario_dir / "multi_star.json"), awareness=awareness,
+                               timeout_s=timeout_s)
+
+
+@pytest.mark.parametrize("awareness", ["all", "nearest"])
+def test_replan_stamps_the_other_agents_where_the_camera_saw_them(scenario_dir, monkeypatch, awareness):
+    """The server knows the other agents only from camera frames: every pose it stamps is a camera report."""
+    observe, stamp = plant.observe, netloop._stamp_agents
+    reports, stamped = [], []
+
+    def observing(*args):
+        reports.append(observe(*args))
+        return reports[-1]
+
+    def stamping(edges, poses, *rest):
+        stamped.extend(poses)
+        return stamp(edges, poses, *rest)
+
+    monkeypatch.setattr(plant, "observe", observing)
+    monkeypatch.setattr(netloop, "_stamp_agents", stamping)
+    run_multi(_multi_star(scenario_dir, awareness))
+    reported = {id(p) for p in reports}   # every report is still alive in `reports`, so ids are unique
+    assert stamped
+    assert all(type(p) is WorldPose and id(p) in reported for p in stamped)
+
+
+@pytest.mark.parametrize("awareness", ["all", "nearest"])
+def test_a_field_is_solved_only_when_its_stamped_poses_change(scenario_dir, monkeypatch, awareness):
+    """Each solve follows one stamp, of poses unlike the agent's last, and after every replan the agent's
+    field was last solved for where the camera last saw the agents it is aware of."""
+    sc = _multi_star(scenario_dir, awareness)
+    observe, stamp, simulate = plant.observe, netloop._stamp_agents, netloop._simulate
+    last = {}       # vehicle -> the camera's last report of it
+    stamps = {}     # own target -> the stamped positions of each of its solves, in order
+    stale = []      # (agent, time) of each replan that left a field solved for another view
+
+    def observing(pose, *args):
+        last[pose] = observe(pose, *args)
+        return last[pose]
+
+    def stamping(edges, poses, *rest):
+        stamps.setdefault(rest[-2], []).append([(p.x, p.y) for p in poses])
+        return stamp(edges, poses, *rest)
+
+    def simulating(scenario, vehicles, replan):
+        def checked(i):
+            replan(i)
+            seen = [last.get(u) for u in vehicles]
+            others = [p for j, p in enumerate(seen) if j != i]
+            if awareness == "nearest" and None not in seen:
+                others = [min(others, key=lambda p: math.hypot(p.x - seen[i].x, p.y - seen[i].y))]
+            view = None if None in seen else [(p.x, p.y) for p in others]
+            if stamps[sc.agents[i].target][-1] != view:
+                stale.append((i, vehicles[i].t))
+        return simulate(scenario, vehicles, checked)
+
+    counts = _count_calls(monkeypatch, [(hpf, "relax")])
+    monkeypatch.setattr(plant, "observe", observing)
+    monkeypatch.setattr(netloop, "_stamp_agents", stamping)
+    monkeypatch.setattr(netloop, "_simulate", simulating)
+    run_multi(sc)
+    assert sorted(stamps) == sorted(spec.target for spec in sc.agents)
+    assert counts["relax"] == sum(map(len, stamps.values()))
+    for target, solves in stamps.items():
+        assert all(a != b for a, b in zip(solves, solves[1:])), target
+    assert not stale
+
+
+def test_an_agent_out_of_frame_is_stamped_at_its_last_sighting(monkeypatch):
+    """Agent 1 is carried out of the frame at 1 s: the camera loses it, nothing raises, and agent 0
+    keeps planning around the cell where the camera last saw it."""
+    sc = dataclasses.replace(_cross_scenario(), timeout_s=3.0)
+    hold, observe = plant.hold, plant.observe
+    vehicles, sightings = [], []
+
+    def simulating(scenario, vs, replan):
+        vehicles.extend(vs)
+        return simulate(scenario, vs, replan)
+
+    def carried(*args):
+        out = hold(*args)
+        if args[-1] == vehicles[1].goal and args[6] >= 1.0:   # args[6] is t_target
+            return (-0.5, *out[1:])
+        return out
+
+    def observing(pose, *args):
+        seen = observe(pose, *args)   # raises out of frame
+        if pose is vehicles[1]:
+            sightings.append(seen)
+        return seen
+
+    simulate = netloop._simulate
+    monkeypatch.setattr(netloop, "_simulate", simulating)
+    monkeypatch.setattr(plant, "hold", carried)
+    monkeypatch.setattr(plant, "observe", observing)
+    log = run_multi(sc)
+    assert log.outcome == "timeout" and log.agent_logs[1].any_collision
+    assert len(sightings) == 5   # the frames at 0, 0.2, ..., 0.8 s
+    leaver = vehicles[1]
+    assert leaver.x < 0.0 and leaver.seen is sightings[-1]
+    target = sc.agents[0].target
+    cells = _stamp_agents(build_scene(sc).edges, [sightings[-1]], target, sc)
+    assert np.array_equal(vehicles[0].state.boundary.labels, hpf.build_boundary(cells, target).labels)
 
 
 # --- one scene per scenario -----------------------------------------------------

@@ -17,7 +17,8 @@ The cases:
 - ``run/<name>/<planner>/<channel>/seed<k>``: ``run_loop`` for both planners on
   the six single-vehicle scenarios, over four channels and two seeds;
 - ``sweep/comparison``: the ``analysis.sweep`` rows on comparison;
-- ``multi/<awareness>``: ``run_multi(multi_star)`` with ``all`` and ``nearest``;
+- ``multi/<awareness>``: ``run_multi(multi_star)`` with ``all`` and ``nearest``,
+  with the number of ``hpf.relax`` calls the run makes (``solves``);
 - ``cli/<command>/<scenario>``: every artifact file one ``hpfnav`` command
   writes, plus its exit code: ``run`` and ``render`` on the six single-vehicle
   scenarios, ``sweep-delay`` and ``compare-lookahead`` on comparison, and
@@ -52,7 +53,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-from hpfnav import analysis, cli, fm, netloop  # noqa: E402
+from hpfnav import analysis, cli, fm, hpf, netloop  # noqa: E402
 from hpfnav.workspace import DelayConfig, load_scenario  # noqa: E402
 
 SCENARIOS = ROOT / "scenarios"
@@ -136,9 +137,20 @@ def _sweep() -> dict:
 
 
 def _multi(awareness: str) -> dict:
-    log = netloop.run_multi(replace(scenario("multi_star"), awareness=awareness))
+    solve, solves = hpf.relax, []
+
+    def counted(*args, **kwargs):
+        solves.append(None)
+        return solve(*args, **kwargs)
+
+    hpf.relax = counted
+    try:
+        log = netloop.run_multi(replace(scenario("multi_star"), awareness=awareness))
+    finally:
+        hpf.relax = solve
     prefix = "multi/" + awareness
-    out = {prefix + "/dm": repr((log.dm_times, log.dm_values, log.outcome, log.total_time)).encode()}
+    out = {prefix + "/dm": repr((log.dm_times, log.dm_values, log.outcome, log.total_time)).encode(),
+           prefix + "/solves": repr(len(solves)).encode()}
     for i, agent in enumerate(log.agent_logs):
         out.update(_log_entries("%s/agent%d" % (prefix, i), agent))
     return out
