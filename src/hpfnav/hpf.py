@@ -9,8 +9,10 @@ eliminated exactly and CG runs on the reduced system of the black cells
 (Saad, Iterative Methods for Sparse Linear Systems, 2nd ed. 2003, on
 red-black ordering): half the unknowns and about half the iterations.  The
 red and the black cells are two contiguous vectors, split once from the grid,
-and an iteration allocates nothing: it is a fixed sequence of numpy calls on
-views and buffers made once per solve.
+and an iteration of plain CG allocates nothing: it is a fixed sequence of
+numpy calls on views and buffers made once per solve.  On a grid the size of
+a camera frame the iterations still grow with the side, so there CG is
+preconditioned with a coarse correction over square blocks (two-level CG).
 Because harmonic functions take their extrema on the boundary, the interior
 has no local minima, so in exact arithmetic following the negative gradient
 from any free cell connected to the target runs downhill to it.  In floating
@@ -22,7 +24,10 @@ which is how an unreachable goal shows up.
 
 Nothing here is set per scenario: the obstacle padding `DILATION`, the
 solver `TOLERANCE` and the flatness threshold `EPS_FLAT` are constants, and
-the step caps of `relax` and `descend` follow from the grid size.
+the step caps of `relax` and `descend` follow from the grid size.  So does
+the choice of solver: `relax` takes the two-level path on a grid of at least
+`COARSE_CELLS` cells, with a block side `block_side` of the cell count, and
+plain CG on any smaller grid.
 """
 
 from __future__ import annotations
@@ -39,6 +44,14 @@ TARGET = 2
 DILATION = 1  # Chebyshev radius by which edge cells are padded into obstacles
 TOLERANCE = 1e-10  # max |mean4 - phi| over free cells at which relax stops
 EPS_FLAT = 1e-12  # gradient magnitude below which a free cell counts as flat
+# Grid cells from which relax adds its coarse correction.  On fullres's scene
+# scaled, with one agent disc stamped, one core of a 2-vCPU VM: at 160 x 120
+# (19,200 cells) a cold solve takes 0.93-1.03x the time of plain CG and a warm
+# re-solve after the disc moves one cell 1.5x; from 168 x 126 (21,168 cells),
+# where plain CG's vectors outgrow the cache, cold solves take 1.3-1.8x less
+# time and warm ones 1.0-1.3x less.  The rule sits at about twice that
+# crossover, so a machine with a larger cache does not lose by it.
+COARSE_CELLS = 40_000
 
 
 @dataclass(frozen=True)
@@ -150,8 +163,27 @@ def relax(
     is exactly mean4 - phi at the black cells once the red cells hold their
     means, so the stopping test below has the same meaning as on the full grid.
 
+    On a grid of at least `COARSE_CELLS` cells the iteration count, which
+    grows with the grid side, is cut by a two-level preconditioner: the
+    additive coarse correction z = r + Z E^-1 Z^T r, where the columns of Z
+    are the indicators of the free black cells in each `block_side` square
+    block, and E = Z^T S' Z (Nicolaides 1987, "Deflation of conjugate
+    gradients with applications to boundary value problems", SIAM J. Numer.
+    Anal.; Tang, Nabben, Vuik & Erlangga 2009, "Comparison of two-level
+    preconditioners derived from deflation, domain decomposition and
+    multigrid methods", J. Sci. Comput.).  E is probed with 9 products by S'
+    (the blocks coloured 3 x 3, so that no two blocks of a colour reach the
+    same cell) and inverted once per solve.  A block that straddles a wall
+    would carry the correction into a free component with no target, so
+    that grid first finds the free cells connected to a target cell
+    (`_reached`) and pins every other free cell at exactly 1, warm start or
+    not.  On a
+    smaller grid the set-up and the dearer iterations cost about what the
+    saved iterations do, and the solve is plain CG.
+
     Free cells start at 1 (or at `initial` for warm starts).  If that already
-    meets `TOLERANCE`, or `max_sweeps` is 0, phi is returned as it started.
+    meets `TOLERANCE`, or `max_sweeps` is 0, phi is returned as it started
+    (on the two-level path, with the cells that cannot reach the target at 1).
     A free component that contains no target and starts at 1 stays exactly
     at 1, so it comes out exactly flat.
 
@@ -167,6 +199,8 @@ def relax(
     n, m = labels.shape
     if max_sweeps is None:
         max_sweeps = 20 * max(m, n)
+    coarse = n * m >= COARSE_CELLS
+    free = _reached(labels) if coarse else labels == FREE
 
     # Flat layout with an odd row length mo: an even-width grid gets one
     # obstacle column on the right.  Then the colour of a cell is the parity
@@ -180,10 +214,9 @@ def relax(
     # stencils run over that span of each colour (xr[r0:r1], xb[b0:b1]), and
     # the frame columns in it are masked like any other fixed cell.  Every
     # stencil view and scratch vector is made once per call, so the loop
-    # allocates nothing.
+    # allocates nothing but, on the two-level path, its block sums.
     mo = m | 1
     h = mo // 2
-    free = labels == FREE
     grid = np.ones((n, mo))
     if initial is not None:
         np.copyto(grid[:, :m], np.asarray(initial, dtype=float), where=free)
@@ -228,7 +261,7 @@ def relax(
     pc = p[b0:b1]
     r = np.empty(b1 - b0)     # the residual on the black span
     q = np.empty(b1 - b0)     # S' p, then alpha S' p
-    step = np.empty(b1 - b0)  # alpha p
+    step = np.empty(b1 - b0)  # alpha p (and, once it is spent, z on the two-level path)
 
     def black_residual():
         """r <- mean4 - phi on the free black cells, 0 elsewhere."""
@@ -248,27 +281,47 @@ def relax(
     residual = max(max_abs(black_residual()), max_abs((red_means() - xrc) * red_free))
     sweeps = 0
     if residual > TOLERANCE and max_sweeps > 0:
-        solve_red()
-        residual = max_abs(black_residual())
-        np.copyto(pc, r)
-        p_dot, r_dot = pc.dot, r.dot  # np.dot of pc or r with another vector
-        rr = float(r_dot(r))
-        rr_stop = TOLERANCE * TOLERANCE * float(np.count_nonzero(black_mask))
         p1, p2, p3, p4 = red_nbrs(p)
         t1, t2, t3, t4 = black_nbrs(t)
         add, multiply, subtract = np.add, np.multiply, np.subtract
+
+        def reduced_product():
+            """q <- S' p, with nbr_sum's additions written out."""
+            add(p1, p2, tc)
+            add(tc, p3, tc)
+            add(tc, p4, tc)
+            multiply(tc, red_weight, tc)
+            add(t1, t2, q)
+            add(q, t3, q)
+            add(q, t4, q)
+            multiply(q, black_mask, q)
+            return subtract(pc, q, q)
+
+        if coarse:
+            z = step  # the preconditioned residual, formed after alpha p is spent
+            blocks, starts, owners, inverse = _coarse_space(
+                black_mask, mo, b0, block_side(n, m), pc, reduced_product)
+            coarse_z = np.empty(len(inverse))
+
+            def precondition():
+                """z <- r + Z E^-1 Z^T r."""
+                coarse_r = np.bincount(owners, weights=np.add.reduceat(r, starts), minlength=len(inverse))
+                np.matmul(inverse, coarse_r, out=coarse_z)
+                np.take(coarse_z, blocks, out=z, mode="clip")  # ids are in range: "clip" skips the check
+                return add(z, r, z)
+        else:
+            z = r  # plain CG: the preconditioner is the identity
+        solve_red()
+        residual = max_abs(black_residual())
+        r_dot = r.dot  # np.dot of r with another vector
+        rz = float(r_dot(precondition() if coarse else r))
+        np.copyto(pc, z)
+        p_dot = pc.dot
+        rr_stop = TOLERANCE * TOLERANCE * float(np.count_nonzero(black_mask))
         while residual > TOLERANCE and sweeps < max_sweeps:
             sweeps += 1
-            add(p1, p2, tc)  # q = S' p, with nbr_sum's additions written out
-            tc += p3
-            tc += p4
-            tc *= red_weight
-            add(t1, t2, q)
-            q += t3
-            q += t4
-            q *= black_mask
-            subtract(pc, q, q)
-            alpha = rr / float(p_dot(q))
+            reduced_product()
+            alpha = rz / float(p_dot(q))
             multiply(pc, alpha, step)
             xbc += step
             q *= alpha
@@ -281,12 +334,13 @@ def relax(
                     # it, and restart from it if the tolerance is not met
                     solve_red()
                     residual = max_abs(black_residual())
-                    rr = float(r_dot(r))
-                    np.copyto(pc, r)
+                    rz = float(r_dot(precondition() if coarse else r))
+                    np.copyto(pc, z)
                     continue
-            pc *= rr_next / rr
-            pc += r
-            rr = rr_next
+            rz_next = float(r_dot(precondition())) if coarse else rr_next
+            pc *= rz_next / rz
+            pc += z
+            rz = rz_next
         if residual > TOLERANCE:  # stopped at the cap: fill in red, report the true residual
             solve_red()
             residual = max_abs(black_residual())
@@ -296,6 +350,101 @@ def relax(
     phi = out if mo == m else np.ascontiguousarray(out[:, :m])
     phi.setflags(write=False)
     return PotentialField(phi, sweeps, residual, residual <= TOLERANCE)
+
+
+def block_side(n: int, m: int) -> int:
+    """Side of the square blocks of `relax`'s coarse correction on an n x m grid.
+
+    The iterations grow about in proportion to the side and each costs in
+    proportion to the cells, while inverting E costs the cube of the number
+    of blocks, cells / side^2: the sum is least for a side that grows as
+    cells^(2/7).  The factor is measured on fullres's scene at 320 x 240 and
+    scaled to 640 x 480 (sides 20 and 30), where every side from 16 to 22
+    and from 20 to 32 solves within 10% of the best time; of those, the
+    larger sides keep E, and the peak memory, smaller.
+    """
+    return round((n * m) ** (2 / 7) / 1.25)
+
+
+def _reached(labels: np.ndarray) -> np.ndarray:
+    """The free cells 4-connected to a target cell, as a bool grid.
+
+    Alternating sweeps along rows and columns: a run is a maximal stretch of
+    non-obstacle cells in one row or column, and a sweep marks every run
+    that holds a marked cell.  Starting from the target cells, it stops at
+    the first sweep after the first that marks nothing new.
+    """
+    n, m = labels.shape
+    passable = labels != OBSTACLE
+    # run ids: an obstacle cell opens a new id, so a run shares the id of the
+    # obstacle before it; the frame ends every run within its row or column
+    along_rows = np.cumsum(~passable.reshape(-1), dtype=np.int32)
+    along_cols = np.cumsum(~passable.T.reshape(-1), dtype=np.int32).reshape(m, n).T.reshape(-1)
+    passable = passable.reshape(-1)
+    marked = labels.reshape(-1) == TARGET
+    count, sweep = int(np.count_nonzero(marked)), 0
+    while True:
+        runs = along_rows if sweep % 2 == 0 else along_cols
+        hit = np.zeros(int(runs[-1]) + 1, dtype=bool)
+        hit[runs[marked]] = True
+        np.logical_and(hit[runs], passable, out=marked)
+        sweep += 1
+        grown = int(np.count_nonzero(marked))
+        if grown == count and sweep > 1:
+            break
+        count = grown
+    return (marked & (labels.reshape(-1) == FREE)).reshape(n, m)
+
+
+def _coarse_space(black_mask, mo, b0, side, pc, reduced_product):
+    """The blocks of `relax`'s coarse correction over the black span, and E^-1.
+
+    A block is a side x side square of the grid.  Returns
+    - blocks: the int32 block id of each black cell of the span, and the
+      padding id k on its fixed cells;
+    - starts, owners: where the span is cut into pieces of one row of one
+      block, and the block of each piece, so that Z^T v is
+      bincount(owners, reduceat(v, starts)) for any v that is 0 on the fixed
+      cells, as every residual and product by S' is;
+    - inverse: E^-1 as a (k + 1) x (k + 1) array whose last row and column
+      are 0, so that the padding id k drops out of the correction.  A block
+      with no free cell gets a 1 on the diagonal of E.
+    E is probed with one product by S' per colour of a 3 x 3 colouring of
+    the blocks: S' reaches 2 cells, less than a block side, so the product
+    of the indicator of all blocks of one colour, summed over block a, is
+    E[a, b] for the one block b of that colour in the 3 x 3 neighbourhood
+    of a.  `pc` is the black span of the vector that `reduced_product`
+    multiplies; the probes overwrite it.
+    """
+    # row and column of each black cell, from its flat index
+    row, col = np.divmod(2 * np.arange(b0, b0 + len(black_mask), dtype=np.int32) + 1, np.int32(mo))
+    cols = -(-(mo - 1) // side)  # the last column, never free, joins the last block
+    rows = -(-int(row[-1] + 1) // side)
+    k = rows * cols
+    owners = (row // side) * np.int32(cols) + np.minimum(col // side, cols - 1)
+    del row, col  # not held while E is inverted
+    starts = np.flatnonzero(np.diff(owners, prepend=-1))
+    blocks = np.where(black_mask == 0.0, np.int32(k), owners)
+    owners = owners[starts]
+    by, bx = np.divmod(np.arange(k), cols)
+    colour = np.append((by % 3) * 3 + bx % 3, -1).astype(np.int8)[blocks]
+    e = np.zeros((k + 1, k + 1))
+    blocks_e = e[:k, :k]
+    for c in range(9):
+        np.equal(colour, c, out=pc, casting="unsafe")
+        sums = np.bincount(owners, weights=np.add.reduceat(reduced_product(), starts), minlength=k)
+        # the block of colour c next to (or at) each block
+        ny, nx = by + (c // 3 - by + 1) % 3 - 1, bx + (c % 3 - bx + 1) % 3 - 1
+        near = (ny >= 0) & (ny < rows) & (nx >= 0) & (nx < cols)
+        blocks_e[near, (ny * cols + nx)[near]] = sums[near]
+    e += e.T
+    e *= 0.5
+    empty = np.bincount(blocks, minlength=k + 1) == 0
+    empty[k] = True
+    e[empty, empty] = 1.0
+    inverse = np.linalg.inv(e)
+    inverse[k, k] = 0.0  # row and column k of E are those of the identity
+    return blocks, starts, owners, inverse
 
 
 def gradient(field: PotentialField, boundary: BoundaryGrid) -> GradientField:

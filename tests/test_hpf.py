@@ -1,4 +1,5 @@
 import collections
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from hpfnav import hpf
 from hpfnav.hpf import (
+    COARSE_CELLS,
     FREE,
     OBSTACLE,
     TARGET,
@@ -21,6 +23,7 @@ from hpfnav.hpf import (
     relax,
 )
 from hpfnav.netloop import build_scene
+from hpfnav.workspace import Disc, load_scenario
 
 
 def dense_solve(labels):
@@ -157,17 +160,66 @@ def test_relax_no_interior_extremum():
         assert min(neigh) < phi[y, x] < max(neigh) or np.isclose(min(neigh), max(neigh))
 
 
-def test_relax_targetless_component_stays_one():
-    labels = np.zeros((12, 12), np.int8)
+@pytest.mark.parametrize("n, m", [(12, 12), (200, 240)], ids=["plain", "two-level"])
+def test_relax_targetless_component_stays_one(n, m):
+    """On the two-level grid the wall runs through the first column of blocks, so a block holds
+    cells on both of its sides: the pocket stays exactly 1 only because relax pins the free cells
+    that cannot reach the target before it builds the blocks."""
+    labels = np.zeros((n, m), np.int8)
     labels[0, :] = labels[-1, :] = labels[:, 0] = labels[:, -1] = OBSTACLE
     labels[:, 5] = OBSTACLE  # full wall: left component has no target
-    labels[6, 8] = TARGET
-    bg = BoundaryGrid(labels=labels, target=(8, 6))
+    labels[n // 2, m - 4] = TARGET
+    bg = BoundaryGrid(labels=labels, target=(m - 4, n // 2))
+    assert (n * m >= COARSE_CELLS) == (n > 12)
+    assert n == 12 or hpf.block_side(n, m) > 5
     field = relax(bg)
+    assert field.converged
     left = field.phi[1:-1, 1:5]
     assert (left == 1.0).all()
+    assert gradient(field, bg).flat[1:-1, 1:5].all()
     right = field.phi[1:-1, 6:-1]
     assert (right < 1.0).all()
+
+
+def test_relax_warm_start_pins_a_cut_off_pocket_at_one():
+    """A disc stamped into the one gap of a wall cuts the free cells behind it off from the target.
+    Warm started from the field before the cut, the two-level path pins that pocket at exactly 1, so
+    it reads flat; plain CG would only bring it within the tolerance of 1, where the gradient of
+    the old field's remains still points somewhere."""
+    n, m = 200, 240
+    labels = framed(n, m)
+    labels[:, 60] = OBSTACLE
+    labels[90:110, 60] = FREE  # the gap
+    labels[100, 200] = TARGET
+    before = BoundaryGrid(labels=labels, target=(200, 100))
+    assert n * m >= COARSE_CELLS
+    cold = relax(before)
+    assert cold.converged and (cold.phi[1:-1, 1:60] < 1.0).all()
+    cut = labels.copy()
+    yy, xx = np.mgrid[:n, :m]
+    cut[((xx - 60) ** 2 + (yy - 100) ** 2 <= 12 * 12) & (cut == FREE)] = OBSTACLE
+    after = BoundaryGrid(labels=cut, target=(200, 100))
+    warm = relax(after, initial=cold.phi)
+    assert warm.converged
+    pocket = (cut == FREE) & (xx < 60)
+    assert pocket.sum() > 100 * 50
+    assert (warm.phi[pocket] == 1.0).all()
+    assert gradient(warm, after).flat[pocket].all()
+    np.testing.assert_allclose(warm.phi, relax(after).phi, rtol=0, atol=TOLERANCE * (n - 1) ** 2)
+
+
+def test_two_level_relax_solves_every_component_that_holds_a_target_cell():
+    """A BoundaryGrid may label more cells TARGET than its `target`: a walled-off component that
+    holds one is solved on the two-level path, as on plain CG, and not pinned at 1."""
+    n, m = 200, 240
+    labels = framed(n, m)
+    labels[:, 60] = OBSTACLE
+    labels[100, 200] = labels[100, 30] = TARGET
+    bg = BoundaryGrid(labels=labels, target=(200, 100))
+    assert n * m >= COARSE_CELLS
+    field = relax(bg)
+    assert field.converged
+    assert (field.phi[1:-1, 1:60] < 1.0).all() and (field.phi[1:-1, 61:-1] < 1.0).all()
 
 
 def test_relax_max_sweeps_cutoff():
@@ -292,11 +344,34 @@ def test_relax_zero_sweeps_returns_initial_bit_for_bit():
     assert np.array_equal(field.phi[free], initial[free])
 
 
-@pytest.mark.parametrize("max_sweeps", [0, 1, 5, None])
-def test_relax_reports_the_true_residual(max_sweeps):
+def scene_boundary(scenario):
+    return build_boundary(build_scene(scenario).edges, scenario.target)
+
+
+def doubled(scenario):
+    """The scenario with every coordinate, radius and side of its scene doubled, and its target."""
+    shapes = [replace(s, cx=2 * s.cx, cy=2 * s.cy, r=2 * s.r) if isinstance(s, Disc)
+              else replace(s, x0=2 * s.x0, y0=2 * s.y0, x1=2 * s.x1, y1=2 * s.y1) for s in scenario.shapes]
+    tx, ty = scenario.target
+    return replace(scenario, width=2 * scenario.width, height=2 * scenario.height, shapes=shapes,
+                   target=(2 * tx, 2 * ty))
+
+
+@pytest.fixture(scope="module")
+def camera_frames(scenario_dir):
+    """fullres's boundary at 320 x 240, and at 640 x 480 (`MAX_CELLS`) with its scene doubled."""
+    fullres = load_scenario(scenario_dir / "fullres.json")
+    return {"fullres": scene_boundary(fullres), "fullres-vga": scene_boundary(doubled(fullres))}
+
+
+@pytest.mark.parametrize("grid, max_sweeps", [  # the small grid's cases keep their ids
+    pytest.param(grid, cap, id=str(cap) if grid == "scattered" else "%s-%s" % (grid, cap))
+    for grid in ("scattered", "fullres", "fullres-vga") for cap in (0, 1, 5, None)])
+def test_relax_reports_the_true_residual(grid, max_sweeps, camera_frames):
     """Whether it stops at the cap or converges, the reported residual is
-    max|mean4 - phi| over the free cells of the returned phi."""
-    bg = scattered(9, 12, 6)
+    max|mean4 - phi| over the free cells of the returned phi, on plain CG and
+    on the two-level path (fullres at 320 x 240 and at 640 x 480)."""
+    bg = scattered(9, 12, 6) if grid == "scattered" else camera_frames[grid]
     field = relax(bg, max_sweeps=max_sweeps)
     phi = field.phi
     mean4 = 0.25 * (phi[:-2, 1:-1] + phi[2:, 1:-1] + phi[1:-1, :-2] + phi[1:-1, 2:])
@@ -305,11 +380,13 @@ def test_relax_reports_the_true_residual(max_sweeps):
     assert field.converged == (max_sweeps is None)
 
 
-def test_relax_restarts_when_the_recomputed_residual_misses_the_tolerance(comparison_scenario, monkeypatch):
-    """At a tolerance of 1e-15 on comparison's boundary the recurrence meets it once before the
-    true residual does: relax recomputes the residual, restarts CG from it, and stops on the true one."""
+@pytest.mark.parametrize("name", ["comparison", "fullres"])
+def test_relax_restarts_when_the_recomputed_residual_misses_the_tolerance(name, scenario_dir, monkeypatch):
+    """At a tolerance of 1e-15 on comparison's boundary (plain CG) and on fullres's (two-level),
+    the recurrence meets it once before the true residual does: relax recomputes the residual,
+    restarts CG from it, and stops on the true one."""
     monkeypatch.setattr(hpf, "TOLERANCE", 1e-15)
-    bg = build_boundary(build_scene(comparison_scenario).edges, comparison_scenario.target)
+    bg = scene_boundary(load_scenario(scenario_dir / (name + ".json")))
     field = relax(bg)
     phi = field.phi
     # summed in relax's neighbour order (left, right, below, above), so the figure is the same to the bit
@@ -494,12 +571,45 @@ def walled(h, w):
 @example((scattered(9, 12, 2), None), 0)
 @example((scattered(11, 13, 3), None), None)
 @example((scattered(12, 4, 4), None), 20 * 12)            # exactly the default cap
+@example((disc_boundary(100, 99, w=201, h=199, r=30), None), None)   # the largest grid below COARSE_CELLS
 def test_relax_matches_the_reference_bitwise(case, max_sweeps):
     """Odd and even sides, targetless components, warm starts, and a cap of
     0, 1, a few iterations or the default: every output of relax is the
-    reference's, byte for byte."""
+    reference's, byte for byte, on every grid below `COARSE_CELLS`."""
     bg, initial = case
+    assert bg.labels.size < COARSE_CELLS
     _same_solve(bg, max_sweeps=max_sweeps, initial=initial)
+
+
+def test_the_two_level_path_starts_at_coarse_cells():
+    """199 x 201 is the largest grid on plain CG (checked bit for bit above); 200 x 200, the
+    smallest on the two-level path, already needs fewer iterations than the reference."""
+    assert 199 * 201 < COARSE_CELLS == 200 * 200
+    bg = disc_boundary(100, 100, w=200, h=200, r=30)
+    field, ref = relax(bg), _reference_relax(bg)
+    assert field.converged and ref.converged
+    assert field.sweeps < ref.sweeps
+    np.testing.assert_allclose(field.phi, ref.phi, rtol=0, atol=TOLERANCE * 199 ** 2)
+
+
+@pytest.mark.parametrize("grid, cap", [("fullres", 120), ("fullres-vga", 250)])
+def test_two_level_relax_solves_a_camera_frame_in_few_iterations(grid, cap, camera_frames):
+    """fullres at 320 x 240 and at 640 x 480 converge in at most `cap` iterations, where the
+    reference (plain CG) takes 394 and 763, and both phi agree within TOLERANCE (s - 1)^2, s the
+    shorter side.  Why: each solve stops with |mean4(phi) - phi| <= TOLERANCE on every free cell,
+    so its error e against the exact solution solves (I - P) e = rho with P the mean of the 4
+    neighbours (0 on fixed ones) and |rho| <= TOLERANCE.  Then |e| <= TOLERANCE E[T], with T the
+    steps a random walk from the cell takes before it meets a fixed cell.  The walk stays between
+    two frame rows (or columns) s - 1 apart, and with u the product of its distances to them,
+    u(walk) + T / 2 is a martingale, since each step moves across with probability 1/2: so
+    E[T] <= 2 max u = (s - 1)^2 / 2, and the two solves differ by at most twice that."""
+    bg = camera_frames[grid]
+    n, m = bg.labels.shape
+    assert n * m >= COARSE_CELLS
+    field, ref = relax(bg), _reference_relax(bg)
+    assert field.converged and field.residual <= TOLERANCE
+    assert field.sweeps <= cap < ref.sweeps
+    np.testing.assert_allclose(field.phi, ref.phi, rtol=0, atol=TOLERANCE * (min(n, m) - 1) ** 2)
 
 
 def test_relax_matches_the_reference_bitwise_at_the_cap_and_warm():

@@ -12,6 +12,8 @@ The cases:
 - ``fm_arrival/<name>``: the arrival-time array on each single-vehicle boundary;
 - ``field/<name>``: the hpf potential of each single-vehicle scenario, as
   ``prepare`` solves it: the bytes of phi, the iteration count and the residual;
+  ``field/fullres-vga`` is the same for fullres with its scene doubled to
+  640 x 480, so the two-level solve of ``hpf.relax`` is pinned at a second size;
 - ``grad/<name>``: the hpf gradient of each single-vehicle scenario, as
   ``prepare`` takes it: the bytes of vx, vy and flat;
 - ``run/<name>/<planner>/<channel>/seed<k>``: ``run_loop`` for both planners on
@@ -54,7 +56,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
 from hpfnav import analysis, cli, fm, hpf, netloop  # noqa: E402
-from hpfnav.workspace import DelayConfig, load_scenario  # noqa: E402
+from hpfnav.workspace import DelayConfig, Disc, load_scenario  # noqa: E402
 
 SCENARIOS = ROOT / "scenarios"
 DIGESTS = ROOT / "DIGESTS.json"
@@ -120,6 +122,16 @@ def _field(name: str) -> dict:
     return {"field/" + name: pot.phi.tobytes() + repr((pot.sweeps, pot.residual)).encode()}
 
 
+def _field_vga() -> dict:
+    sc = scenario("fullres")
+    shapes = [replace(s, cx=2 * s.cx, cy=2 * s.cy, r=2 * s.r) if isinstance(s, Disc)
+              else replace(s, x0=2 * s.x0, y0=2 * s.y0, x1=2 * s.x1, y1=2 * s.y1) for s in sc.shapes]
+    tx, ty = sc.target
+    vga = replace(sc, width=2 * sc.width, height=2 * sc.height, shapes=shapes, target=(2 * tx, 2 * ty))
+    pot = netloop.prepare(vga).potential
+    return {"field/fullres-vga": pot.phi.tobytes() + repr((pot.sweeps, pot.residual)).encode()}
+
+
 def _grad(name: str) -> dict:
     grad = prepared(name, "hpf").grad
     return {"grad/" + name: grad.vx.tobytes() + grad.vy.tobytes() + grad.flat.tobytes()}
@@ -178,6 +190,7 @@ def cases() -> dict:
         table["fm_arrival/" + name] = functools.partial(_arrival, name)
         table["field/" + name] = functools.partial(_field, name)
         table["grad/" + name] = functools.partial(_grad, name)
+    table["field/fullres-vga"] = _field_vga
     for name in SINGLE:
         for planner in PLANNERS:
             for channel in CHANNELS:
