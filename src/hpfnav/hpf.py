@@ -12,7 +12,8 @@ red and the black cells are two contiguous vectors, split once from the grid,
 and an iteration of plain CG allocates nothing: it is a fixed sequence of
 numpy calls on views and buffers made once per solve.  On a grid the size of
 a camera frame the iterations still grow with the side, so there CG is
-preconditioned with a coarse correction over square blocks (two-level CG).
+preconditioned with a coarse correction over square blocks (two-level CG),
+whose small Galerkin matrix is assembled from the stencil.
 Because harmonic functions take their extrema on the boundary, the interior
 has no local minima, so in exact arithmetic following the negative gradient
 from any free cell connected to the target runs downhill to it.  In floating
@@ -171,15 +172,14 @@ def relax(
     gradients with applications to boundary value problems", SIAM J. Numer.
     Anal.; Tang, Nabben, Vuik & Erlangga 2009, "Comparison of two-level
     preconditioners derived from deflation, domain decomposition and
-    multigrid methods", J. Sci. Comput.).  E is probed with 9 products by S'
-    (the blocks coloured 3 x 3, so that no two blocks of a colour reach the
-    same cell) and inverted once per solve.  A block that straddles a wall
-    would carry the correction into a free component with no target, so
-    that grid first finds the free cells connected to a target cell
-    (`_reached`) and pins every other free cell at exactly 1, warm start or
-    not.  On a
-    smaller grid the set-up and the dearer iterations cost about what the
-    saved iterations do, and the solve is plain CG.
+    multigrid methods", J. Sci. Comput.).  E is assembled exactly from the
+    stencil and inverted once per solve (`_coarse_space`).  A block that
+    straddles a wall would carry the correction into a free component with
+    no target, so that grid first finds the free cells connected to a target
+    cell (`_reached`) and pins every other free cell at exactly 1, warm start
+    or not.  On a smaller grid the set-up and the dearer iterations cost
+    about what the saved iterations do, and the solve is plain CG, whose
+    preconditioner is the identity: both run the one loop below.
 
     Free cells start at 1 (or at `initial` for warm starts).  If that already
     meets `TOLERANCE`, or `max_sweeps` is 0, phi is returned as it started
@@ -273,9 +273,10 @@ def relax(
         """tc <- mean of the 4 neighbours of each red cell in the span."""
         return np.multiply(nbr_sum(xb_to_red, tc), 0.25, out=tc)
 
-    def solve_red():
-        """Set every free red cell to the mean of its 4 neighbours (exact elimination)."""
+    def true_residual():
+        """Fill in red (exact elimination), then r <- mean4 - phi on black: max|r| is the residual."""
         np.copyto(xrc, red_means(), where=red_free)
+        return max_abs(black_residual())
 
     # residual of the starting phi over all free cells, red ones included
     residual = max(max_abs(black_residual()), max_abs((red_means() - xrc) * red_free))
@@ -297,25 +298,20 @@ def relax(
             multiply(q, black_mask, q)
             return subtract(pc, q, q)
 
-        if coarse:
-            z = step  # the preconditioned residual, formed after alpha p is spent
-            blocks, starts, owners, inverse = _coarse_space(
-                black_mask, mo, b0, block_side(n, m), pc, reduced_product)
-            coarse_z = np.empty(len(inverse))
-
-            def precondition():
-                """z <- r + Z E^-1 Z^T r."""
-                coarse_r = np.bincount(owners, weights=np.add.reduceat(r, starts), minlength=len(inverse))
-                np.matmul(inverse, coarse_r, out=coarse_z)
-                np.take(coarse_z, blocks, out=z, mode="clip")  # ids are in range: "clip" skips the check
-                return add(z, r, z)
-        else:
-            z = r  # plain CG: the preconditioner is the identity
-        solve_red()
-        residual = max_abs(black_residual())
+        if coarse:  # z = r + Z E^-1 Z^T r, formed in step's buffer once alpha p is spent
+            z, correct = step, _coarse_space(red_free, black_mask, mo, r0, b0, block_side(n, m))
+        else:  # plain CG: the preconditioner is the identity
+            z, correct = r, lambda r, z: r
         r_dot = r.dot  # np.dot of r with another vector
-        rz = float(r_dot(precondition() if coarse else r))
-        np.copyto(pc, z)
+
+        def restart():
+            """Fill in red, take the true residual and start a new search direction: (residual, r.z)."""
+            residual = true_residual()
+            rz = float(r_dot(correct(r, z)))
+            np.copyto(pc, z)
+            return residual, rz
+
+        residual, rz = restart()
         p_dot = pc.dot
         rr_stop = TOLERANCE * TOLERANCE * float(np.count_nonzero(black_mask))
         while residual > TOLERANCE and sweeps < max_sweeps:
@@ -332,18 +328,14 @@ def relax(
                 if residual <= TOLERANCE:
                     # the recurrence drifts from the true residual: recompute
                     # it, and restart from it if the tolerance is not met
-                    solve_red()
-                    residual = max_abs(black_residual())
-                    rz = float(r_dot(precondition() if coarse else r))
-                    np.copyto(pc, z)
+                    residual, rz = restart()
                     continue
-            rz_next = float(r_dot(precondition())) if coarse else rr_next
+            rz_next = rr_next if z is r else float(r_dot(correct(r, z)))  # plain CG: r.z is r.r
             pc *= rz_next / rz
             pc += z
             rz = rz_next
-        if residual > TOLERANCE:  # stopped at the cap: fill in red, report the true residual
-            solve_red()
-            residual = max_abs(black_residual())
+        if residual > TOLERANCE:  # stopped at the cap: report the true residual
+            residual = true_residual()
     out = np.empty((n, mo))
     out.reshape(-1)[0::2] = xr
     out.reshape(-1)[1::2] = xb
@@ -396,26 +388,24 @@ def _reached(labels: np.ndarray) -> np.ndarray:
     return (marked & (labels.reshape(-1) == FREE)).reshape(n, m)
 
 
-def _coarse_space(black_mask, mo, b0, side, pc, reduced_product):
-    """The blocks of `relax`'s coarse correction over the black span, and E^-1.
+def _coarse_space(red_free, black_mask, mo, r0, b0, side):
+    """The coarse correction of `relax`: a function correct(r, z) that sets z <- r + Z E^-1 Z^T r.
 
-    A block is a side x side square of the grid.  Returns
-    - blocks: the int32 block id of each black cell of the span, and the
-      padding id k on its fixed cells;
-    - starts, owners: where the span is cut into pieces of one row of one
-      block, and the block of each piece, so that Z^T v is
-      bincount(owners, reduceat(v, starts)) for any v that is 0 on the fixed
-      cells, as every residual and product by S' is;
-    - inverse: E^-1 as a (k + 1) x (k + 1) array whose last row and column
-      are 0, so that the padding id k drops out of the correction.  A block
-      with no free cell gets a 1 on the diagonal of E.
-    E is probed with one product by S' per colour of a 3 x 3 colouring of
-    the blocks: S' reaches 2 cells, less than a block side, so the product
-    of the indicator of all blocks of one colour, summed over block a, is
-    E[a, b] for the one block b of that colour in the 3 x 3 neighbourhood
-    of a.  `pc` is the black span of the vector that `reduced_product`
-    multiplies; the probes overwrite it.
+    The layout is `relax`'s, with odd row length mo: `red_free` marks the
+    free cells of the red span from r0, `black_mask` (1.0 or 0.0) those of
+    the black span from b0, and r and z are black-span vectors, r 0 on the
+    fixed cells as every residual is.  A block is a side x side square of
+    the grid; column a of Z is the indicator z_a of its free black cells.
+    E = Z^T S' Z comes from the stencil: z_a . z_b is the number of free
+    black cells of a if b = a and 0 otherwise, and the red elimination takes
+    1/16 c_a c_b off it for every free red cell, c_a being how many of its 4
+    neighbours are free black cells of a.  Every entry is a multiple of
+    1/16, so E is exact.  The fixed cells get the padding id k; row and
+    column k of E, and those of a block with no free cell, are those of the
+    identity, and row and column k of E^-1 are set to 0, so the padding
+    drops out.  Z^T r is summed per piece of the span in one row of one block.
     """
+    h = mo // 2
     # row and column of each black cell, from its flat index
     row, col = np.divmod(2 * np.arange(b0, b0 + len(black_mask), dtype=np.int32) + 1, np.int32(mo))
     cols = -(-(mo - 1) // side)  # the last column, never free, joins the last block
@@ -426,25 +416,33 @@ def _coarse_space(black_mask, mo, b0, side, pc, reduced_product):
     starts = np.flatnonzero(np.diff(owners, prepend=-1))
     blocks = np.where(black_mask == 0.0, np.int32(k), owners)
     owners = owners[starts]
-    by, bx = np.divmod(np.arange(k), cols)
-    colour = np.append((by % 3) * 3 + bx % 3, -1).astype(np.int8)[blocks]
-    e = np.zeros((k + 1, k + 1))
-    blocks_e = e[:k, :k]
-    for c in range(9):
-        np.equal(colour, c, out=pc, casting="unsafe")
-        sums = np.bincount(owners, weights=np.add.reduceat(reduced_product(), starts), minlength=k)
-        # the block of colour c next to (or at) each block
-        ny, nx = by + (c // 3 - by + 1) % 3 - 1, bx + (c % 3 - bx + 1) % 3 - 1
-        near = (ny >= 0) & (ny < rows) & (nx >= 0) & (nx < cols)
-        blocks_e[near, (ny * cols + nx)[near]] = sums[near]
-    e += e.T
-    e *= 0.5
-    empty = np.bincount(blocks, minlength=k + 1) == 0
+    # the block ids of every black cell, k outside the span (the frame rows),
+    # read at the 4 neighbours of each free red cell
+    r1 = r0 + len(red_free)
+    ids = np.full(r1 + h, k, dtype=np.int32)
+    ids[b0 : b0 + len(blocks)] = blocks
+    nbrs = [v[red_free] for v in (ids[r0 - 1 : r1 - 1], ids[r0:r1], ids[r0 + h : r1 + h],
+                                  ids[r0 - h - 1 : r1 - h - 1])]
+    # entry a (k + 1) + b: the sum of c_a c_b over the free red cells, from all 16 pairs of neighbours
+    pairs = sum(np.bincount(a * np.int32(k + 1) + b, minlength=(k + 1) ** 2) for a in nbrs for b in nbrs)
+    del ids, nbrs  # nor are these
+    cells = np.bincount(blocks, minlength=k + 1)
+    e = np.diag(cells.astype(float)) - pairs.reshape(k + 1, k + 1) / 16.0
+    e[k] = e[:, k] = 0.0
+    empty = cells == 0
     empty[k] = True
     e[empty, empty] = 1.0
     inverse = np.linalg.inv(e)
     inverse[k, k] = 0.0  # row and column k of E are those of the identity
-    return blocks, starts, owners, inverse
+    coarse_z = np.empty(k + 1)
+
+    def correct(r, z):
+        coarse_r = np.bincount(owners, weights=np.add.reduceat(r, starts), minlength=k + 1)
+        np.matmul(inverse, coarse_r, out=coarse_z)
+        np.take(coarse_z, blocks, out=z, mode="clip")  # ids are in range: "clip" skips the check
+        return np.add(z, r, z)
+
+    return correct
 
 
 def gradient(field: PotentialField, boundary: BoundaryGrid) -> GradientField:

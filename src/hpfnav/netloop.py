@@ -500,13 +500,6 @@ def run_multi(scenario: Scenario) -> MultiRunLog:
     if k < 2:
         raise ValueError("run_multi needs at least 2 agents (use run_loop for one)")
     gd = scenario.gd
-    for i, j in itertools.combinations(range(k), 2):
-        a, b = scenario.agents[i].start, scenario.agents[j].start
-        if math.hypot(a.x - b.x, a.y - b.y) < 2 * scenario.agent_radius:
-            raise ValueError("agents %d and %d start overlapping" % (i, j))
-        if scenario.agents[i].target == scenario.agents[j].target:
-            raise ValueError("agents %d and %d share a target cell" % (i, j))
-
     scene = build_scene(scenario)
     vehicles = [
         _Vehicle(scenario, spec.start, pixel_to_world(spec.target, gd, scenario.width, scenario.height),

@@ -25,6 +25,7 @@ with `dataclasses.replace`.
 """
 
 import functools
+import itertools
 import json
 import math
 import types
@@ -345,6 +346,11 @@ class Scenario:
                 raise ValueError("%starget: cell (%s, %s) outside the grid" % (where, tx, ty))
             if not (0 <= start.x < x_a and 0 <= start.y < y_a):
                 raise ValueError("%sstart: pose (%g, %g) outside the workspace" % (where, start.x, start.y))
+        for (i, a), (j, b) in itertools.combinations(enumerate(self.agents), 2):
+            if math.hypot(a.start.x - b.start.x, a.start.y - b.start.y) < 2 * self.agent_radius:
+                raise ValueError("agents[%d].start: agents %d and %d start overlapping" % (j, i, j))
+            if tuple(a.target) == tuple(b.target):
+                raise ValueError("agents[%d].target: agents %d and %d share a target cell" % (j, i, j))
         # ceil(3*sigma) >= side exactly when 3*sigma > side - 1, and this form
         # cannot overflow when 3*sigma rounds to inf
         if 3 * self.vision.sigma > min(self.width, self.height) - 1:
@@ -516,9 +522,11 @@ def load_scenario(path) -> Scenario:
     """Load and validate a scenario JSON file."""
     path = Path(path)
     try:
-        raw = json.loads(path.read_text())
-    except json.JSONDecodeError as e:
+        raw = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as e:  # a JSONDecodeError, a UnicodeDecodeError, an integer of over 4300 digits
         raise ValueError("%s: invalid JSON (%s)" % (path, e)) from e
+    except RecursionError:
+        raise ValueError("%s: invalid JSON (nested too deeply)" % path) from None
     if not isinstance(raw, dict):
         raise ValueError("%s: scenario must be a JSON object" % path)
     sc = scenario_from_dict(raw)

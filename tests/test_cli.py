@@ -299,6 +299,23 @@ def test_multi_rejects_the_fm_planner(tmp_path, scenario_dir, capsys):
     assert not (tmp_path / "m" / "summary.json").exists() and not (tmp_path / "m2" / "summary.json").exists()
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda agents: agents[1].update(target=agents[0]["target"]),
+     "error: agents[1].target: agents 0 and 1 share a target cell"),
+    (lambda agents: agents[2].update(start=dict(agents[0]["start"], x=agents[0]["start"]["x"] + 0.1)),
+     "error: agents[2].start: agents 0 and 2 start overlapping"),
+], ids=["shared-target", "overlapping-starts"])
+def test_multi_names_the_field_of_conflicting_agents(tmp_path, scenario_dir, capsys, edit, message):
+    doc = json.loads((scenario_dir / "multi_star.json").read_text())
+    edit(doc["agents"])
+    path = tmp_path / "clash.json"
+    path.write_text(json.dumps(doc))
+    code = main(["multi", "--scenario", str(path), "--out-dir", str(tmp_path / "m")])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err.splitlines() == [message]
+    assert not (tmp_path / "m").exists()
+
+
 def test_multi_rasterizes_its_scene_once(tmp_path, scenario_dir, monkeypatch):
     """trajectory.svg is drawn on the image run_multi built, not on a second rasterization."""
     calls = []

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import ndimage
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -359,9 +360,11 @@ def doubled(scenario):
 
 @pytest.fixture(scope="module")
 def camera_frames(scenario_dir):
-    """fullres's boundary at 320 x 240, and at 640 x 480 (`MAX_CELLS`) with its scene doubled."""
+    """fullres's boundary at 320 x 240, and at 640 x 480 (`MAX_CELLS`) with its scene doubled;
+    and a 200 x 201 grid, odd in width, walled off at column 2."""
     fullres = load_scenario(scenario_dir / "fullres.json")
-    return {"fullres": scene_boundary(fullres), "fullres-vga": scene_boundary(doubled(fullres))}
+    return {"fullres": scene_boundary(fullres), "fullres-vga": scene_boundary(doubled(fullres)),
+            "walled-odd-w": walled(200, 201)}
 
 
 @pytest.mark.parametrize("grid, max_sweeps", [  # the small grid's cases keep their ids
@@ -592,11 +595,13 @@ def test_the_two_level_path_starts_at_coarse_cells():
     np.testing.assert_allclose(field.phi, ref.phi, rtol=0, atol=TOLERANCE * 199 ** 2)
 
 
-@pytest.mark.parametrize("grid, cap", [("fullres", 120), ("fullres-vga", 250)])
+@pytest.mark.parametrize("grid, cap", [("fullres", 120), ("fullres-vga", 250), ("walled-odd-w", 100)])
 def test_two_level_relax_solves_a_camera_frame_in_few_iterations(grid, cap, camera_frames):
-    """fullres at 320 x 240 and at 640 x 480 converge in at most `cap` iterations, where the
-    reference (plain CG) takes 394 and 763, and both phi agree within TOLERANCE (s - 1)^2, s the
-    shorter side.  Why: each solve stops with |mean4(phi) - phi| <= TOLERANCE on every free cell,
+    """fullres at 320 x 240 and at 640 x 480, and a walled grid of odd width, where the last block
+    takes the frame column, converge in at most `cap` iterations, where the reference (plain CG)
+    takes 394, 763 and 282; every free cell that cannot reach the target stays exactly 1 and flat,
+    and both phi agree within TOLERANCE (s - 1)^2, s the shorter side.  Why: each solve stops with
+    |mean4(phi) - phi| <= TOLERANCE on every free cell,
     so its error e against the exact solution solves (I - P) e = rho with P the mean of the 4
     neighbours (0 on fixed ones) and |rho| <= TOLERANCE.  Then |e| <= TOLERANCE E[T], with T the
     steps a random walk from the cell takes before it meets a fixed cell.  The walk stays between
@@ -609,7 +614,79 @@ def test_two_level_relax_solves_a_camera_frame_in_few_iterations(grid, cap, came
     field, ref = relax(bg), _reference_relax(bg)
     assert field.converged and field.residual <= TOLERANCE
     assert field.sweeps <= cap < ref.sweeps
+    components, _ = ndimage.label(bg.labels != OBSTACLE)
+    pocket = (bg.labels == FREE) & (components != components[bg.target[1], bg.target[0]])
+    assert pocket.any()
+    assert (field.phi[pocket] == 1.0).all() and gradient(field, bg).flat[pocket].all()
     np.testing.assert_allclose(field.phi, ref.phi, rtol=0, atol=TOLERANCE * (min(n, m) - 1) ** 2)
+
+
+def _layout(free):
+    """`relax`'s layout of a free mask: the arguments of `hpf._coarse_space` but the block side,
+    and the row and column of each black cell of the span."""
+    n, m = free.shape
+    mo = m | 1
+    flat = np.zeros((n, mo), bool)
+    flat[:, :m] = free
+    flat = flat.reshape(-1)
+    r0, r1, b0, b1 = (mo + 1) // 2, ((n - 1) * mo + 1) // 2, mo // 2, (n - 1) * mo // 2
+    rows, cols = np.divmod(2 * np.arange(b0, b1) + 1, mo)
+    return (flat[0::2][r0:r1].copy(), flat[1::2][b0:b1].astype(float), mo, r0, b0), rows, cols
+
+
+@pytest.mark.parametrize("n, m", [(203, 205), (200, 240)], ids=["odd-w", "even-w"])
+def test_coarse_correction_is_the_galerkin_product(n, m):
+    """The correction z = r + Z E^-1 Z^T r of the two-level path uses E = Z^T S' Z to the bit.
+    Here Z^T S' Z is formed from one product by S' per block indicator, S' taken on the 2-D grid,
+    and inverted as `_coarse_space` documents (row and column k and empty blocks of the identity);
+    on a unit r at a free black cell of block a, the correction is r plus column a of that inverse
+    exactly.  Walls cut blocks, one block has no free cell, and every fixed black cell gets 0."""
+    side = hpf.block_side(n, m)
+    rng = np.random.default_rng(n)
+    labels = framed(n, m)
+    labels[1:-1, 1:-1][rng.random((n - 2, m - 2)) < 0.1] = OBSTACLE
+    labels[:, 3 * side + 5] = OBSTACLE
+    labels[90:97, 3 * side + 5] = FREE
+    labels[2 * side + 3, 1:-1] = OBSTACLE
+    labels[side - 1 : 2 * side + 1, side - 1 : 2 * side + 1] = OBSTACLE  # block (1, 1) is empty
+    free = labels == FREE
+    args, rows, cols = _layout(free)
+    correct = hpf._coarse_space(*args, side)
+    black_mask = args[1]
+    on = black_mask == 1.0
+    blocks_across = -(-(args[2] - 1) // side)
+    k = -(-(n - 1) // side) * blocks_across
+    block = np.where(on, (rows // side) * blocks_across + np.minimum(cols // side, blocks_across - 1), k)
+    grid = np.zeros((n, args[2]), bool)  # padded to the odd row length, as relax lays it out
+    grid[:, :m] = free
+    yy, xx = np.indices(grid.shape)
+    red, black = grid & ((yy + xx) % 2 == 0), grid & ((yy + xx) % 2 == 1)
+
+    def nbr_sum(a):
+        out = np.zeros_like(a)
+        out[1:-1, 1:-1] = a[1:-1, :-2] + a[1:-1, 2:] + a[2:, 1:-1] + a[:-2, 1:-1]
+        return out
+
+    e = np.zeros((k + 1, k + 1))
+    for b in range(k):
+        z_b = np.zeros(grid.shape)
+        z_b[rows[block == b], cols[block == b]] = 1.0
+        product = np.where(black, z_b - nbr_sum(np.where(red, nbr_sum(z_b) / 16, 0.0)), 0.0)
+        e[:, b] = np.bincount(block, weights=product[rows, cols], minlength=k + 1)
+    e[k] = e[:, k] = 0.0
+    empty = np.bincount(block, minlength=k + 1) == 0
+    assert empty[:k].any()
+    empty[k] = True
+    e[empty, empty] = 1.0
+    inverse = np.linalg.inv(e)
+    inverse[k, k] = 0.0
+    z = np.empty(len(black_mask))
+    for a in np.flatnonzero(~empty):
+        r = np.zeros(len(black_mask))
+        r[np.flatnonzero(block == a)[0]] = 1.0
+        correct(r, z)
+        assert z.tobytes() == (inverse[block, a] + r).tobytes()
+        assert (z[~on] == 0.0).all()
 
 
 def test_relax_matches_the_reference_bitwise_at_the_cap_and_warm():

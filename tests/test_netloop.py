@@ -765,9 +765,8 @@ def test_multi_needs_two_agents():
 
 def test_multi_rejects_shared_target():
     sc = _cross_scenario()
-    sc = dataclasses.replace(sc, agents=(sc.agents[0], AgentSpec(sc.agents[1].start, sc.agents[0].target)))
     with pytest.raises(ValueError, match="share a target"):
-        run_multi(sc)
+        dataclasses.replace(sc, agents=(sc.agents[0], AgentSpec(sc.agents[1].start, sc.agents[0].target)))
 
 
 def test_multi_rejects_the_fm_planner():
@@ -778,9 +777,8 @@ def test_multi_rejects_the_fm_planner():
 def test_multi_rejects_overlapping_starts():
     sc = _cross_scenario()
     a0 = sc.agents[0]
-    sc = dataclasses.replace(sc, agents=(a0, AgentSpec(WorldPose(a0.start.x + 0.1, a0.start.y, 0.0), (12, 24))))
     with pytest.raises(ValueError, match="overlap"):
-        run_multi(sc)
+        dataclasses.replace(sc, agents=(a0, AgentSpec(WorldPose(a0.start.x + 0.1, a0.start.y, 0.0), (12, 24))))
 
 
 def test_two_crossing_agents_pass_cleanly():

@@ -515,6 +515,18 @@ def test_load_scenario_bad_json(tmp_path):
         load_scenario(f)
 
 
+@pytest.mark.parametrize("content", [b"[" * 200_000, b'{"name": "\xff"}', b'{"seed": 1' + b"0" * 5000 + b"}"],
+                         ids=["deeply-nested", "not-utf-8", "huge-integer"])
+def test_load_scenario_names_the_file_of_unreadable_json(tmp_path, content):
+    """A RecursionError, a UnicodeDecodeError and Python's limit on the digits of an integer, met
+    while reading the file, all become a ValueError that starts with the path, as any other JSON
+    fault does."""
+    f = tmp_path / "broken.json"
+    f.write_bytes(content)
+    with pytest.raises(ValueError, match=r"^%s: invalid JSON \(" % re.escape(str(f))):
+        load_scenario(f)
+
+
 def test_committed_scenarios_match_their_save_output(scenario_dir, tmp_path):
     paths = sorted(scenario_dir.glob("*.json"))
     assert paths, "no committed scenarios found"

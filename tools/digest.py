@@ -13,7 +13,9 @@ The cases:
 - ``field/<name>``: the hpf potential of each single-vehicle scenario, as
   ``prepare`` solves it: the bytes of phi, the iteration count and the residual;
   ``field/fullres-vga`` is the same for fullres with its scene doubled to
-  640 x 480, so the two-level solve of ``hpf.relax`` is pinned at a second size;
+  640 x 480, so the two-level solve of ``hpf.relax`` is pinned at a second size,
+  and ``field/fullres-wide`` for fullres one background column wider
+  (321 x 240), so it is pinned on an odd width too;
 - ``grad/<name>``: the hpf gradient of each single-vehicle scenario, as
   ``prepare`` takes it: the bytes of vx, vy and flat;
 - ``run/<name>/<planner>/<channel>/seed<k>``: ``run_loop`` for both planners on
@@ -117,9 +119,12 @@ def _arrival(name: str) -> dict:
     return {"fm_arrival/" + name: fm.fm_arrival(prepared(name, "fm").boundary).tobytes()}
 
 
-def _field(name: str) -> dict:
-    pot = prepared(name, "hpf").potential
+def _field_entry(name: str, pot) -> dict:
     return {"field/" + name: pot.phi.tobytes() + repr((pot.sweeps, pot.residual)).encode()}
+
+
+def _field(name: str) -> dict:
+    return _field_entry(name, prepared(name, "hpf").potential)
 
 
 def _field_vga() -> dict:
@@ -128,8 +133,14 @@ def _field_vga() -> dict:
               else replace(s, x0=2 * s.x0, y0=2 * s.y0, x1=2 * s.x1, y1=2 * s.y1) for s in sc.shapes]
     tx, ty = sc.target
     vga = replace(sc, width=2 * sc.width, height=2 * sc.height, shapes=shapes, target=(2 * tx, 2 * ty))
-    pot = netloop.prepare(vga).potential
-    return {"field/fullres-vga": pot.phi.tobytes() + repr((pot.sweeps, pot.residual)).encode()}
+    return _field_entry("fullres-vga", netloop.prepare(vga).potential)
+
+
+def _field_wide() -> dict:
+    sc = scenario("fullres")
+    x_a, y_a = sc.extent
+    wide = replace(sc, width=sc.width + 1, extent=(x_a * (sc.width + 1) / sc.width, y_a))
+    return _field_entry("fullres-wide", netloop.prepare(wide).potential)
 
 
 def _grad(name: str) -> dict:
@@ -191,6 +202,7 @@ def cases() -> dict:
         table["field/" + name] = functools.partial(_field, name)
         table["grad/" + name] = functools.partial(_grad, name)
     table["field/fullres-vga"] = _field_vga
+    table["field/fullres-wide"] = _field_wide
     for name in SINGLE:
         for planner in PLANNERS:
             for channel in CHANNELS:
